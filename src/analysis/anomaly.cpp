@@ -1,7 +1,6 @@
 #include "analysis/anomaly.hpp"
 
-#include "fdd/construct.hpp"
-#include "fdd/reduce.hpp"
+#include "fdd/arena.hpp"
 #include "fw/format.hpp"
 #include "rt/executor.hpp"
 #include "rt/govern.hpp"
@@ -115,57 +114,24 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
   return anomalies;
 }
 
-namespace {
-
-// True iff some packet matching `rule` falls off the *partial* FDD rooted
-// at `node` — i.e. is not covered by the rules folded in so far. A
-// terminal means "covered"; an uncovered slice of the rule's conjunct at
-// any node means "alive" (the rule's remaining conjuncts are nonempty by
-// Rule's invariant, so the slice extends to whole packets).
-bool escapes_coverage(const FddNode& node, const Rule& rule) {
-  if (node.is_terminal()) {
-    return false;
-  }
-  const IntervalSet& wanted = rule.conjunct(node.field);
-  if (!wanted.subtract(node.edge_label_union()).empty()) {
-    return true;
-  }
-  for (const FddEdge& e : node.edges) {
-    if (!e.label.overlaps(wanted)) {
-      continue;
-    }
-    if (escapes_coverage(*e.target, rule)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<std::size_t> dead_rules(const Policy& policy,
                                     const AnomalyOptions& options) {
   PhaseSpan span(options.run.obs, "dead_rules");
   std::vector<std::size_t> dead;
-  // Fold rules into one growing *partial* FDD: after i rules it covers
-  // exactly the packets some earlier rule matches. Rule i is dead iff its
-  // predicate cannot escape that coverage. Reduction is sound on partial
-  // FDDs (merged siblings and spliced full-domain nodes cover the same
-  // packets), so reduce whenever the coverage diagram outgrows a budget
-  // proportional to its reduced size — the same strategy that keeps
-  // build_reduced_fdd's intermediates small.
-  Fdd coverage = build_partial_fdd(policy, 1, options.run.context);
-  std::size_t budget = 256;
-  for (std::size_t i = 1; i < policy.size(); ++i) {
+  // Fold the rules into the canonical prefix roots of one arena: p_i
+  // decides exactly the packets some rule in [0, i) matches. Rule i is
+  // dead iff it decides no packet more, and canonical ids make that an
+  // id comparison: p_{i+1} == p_i.
+  FddArena arena(policy.schema());
+  arena.set_context(options.run.context);
+  ArenaNodeId prefix = FddArena::kEmpty;
+  for (std::size_t i = 0; i < policy.size(); ++i) {
     govern::checkpoint(options.run.context);
-    if (!escapes_coverage(coverage.root(), policy.rule(i))) {
+    const ArenaNodeId next = arena.append_rule(prefix, policy.rule(i));
+    if (next == prefix) {
       dead.push_back(i);
     }
-    append_rule(coverage, policy.rule(i), options.run.context);
-    if (coverage.node_count() > budget) {
-      reduce(coverage);
-      budget = coverage.node_count() * 2 + 256;
-    }
+    prefix = next;
   }
   return dead;
 }

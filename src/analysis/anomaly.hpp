@@ -67,7 +67,7 @@ struct AnomalyOptions {
   /// bit-identical to the serial scan at every thread count.
   /// `run.context` (borrowed, nullable): the pair scan takes amortized
   /// cancellation/deadline checkpoints per pair; dead_rules additionally
-  /// charges every coverage-FDD node it materialises against the node
+  /// charges every prefix-diagram node it materialises against the node
   /// budget. A breach throws dfw::Error (from the batch join under an
   /// executor). `run.obs` (borrowed, nullable sinks): the scans run under
   /// "anomaly_pairs" / "dead_rules" phase spans. Null sinks are free.
@@ -85,8 +85,8 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
 
 /// Indices of *dead* rules: rules no packet ever first-matches (fully
 /// masked by the rules above them). Exact, via one incremental Fig. 7
-/// append pass over a growing coverage FDD (never rebuilt per rule), with
-/// interleaved reduction keeping the coverage diagram near-minimal. Dead
+/// append pass in a hash-consed FddArena (fdd/arena.hpp): rule i is dead
+/// iff appending it leaves the canonical prefix root unchanged. Dead
 /// rules are a strict subset of rules flagged by shadowing/redundancy-pair
 /// anomalies.
 std::vector<std::size_t> dead_rules(const Policy& policy,

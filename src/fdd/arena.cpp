@@ -83,16 +83,22 @@ bool FddArena::record_equals(const NodeRecord& r, std::uint32_t field,
   return true;
 }
 
-ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
-                                  std::vector<ArenaEdge> edges) {
-  ++stats_.node_queries;
+std::uint64_t FddArena::node_hash(std::uint32_t field, Decision decision,
+                                  std::span<const ArenaEdge> edges) {
   std::uint64_t h = mix(0x13198a2e03707344ull, field);
   h = mix(h, decision);
   for (const ArenaEdge& e : edges) {
     h = mix(h, e.label);
     h = mix(h, e.target);
   }
-  std::vector<ArenaNodeId>& bucket = node_buckets_[h];
+  return h;
+}
+
+ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
+                                  std::vector<ArenaEdge> edges) {
+  ++stats_.node_queries;
+  std::vector<ArenaNodeId>& bucket =
+      node_buckets_[node_hash(field, decision, edges)];
   for (const ArenaNodeId id : bucket) {
     if (record_equals(nodes_[id], field, decision, edges)) {
       ++stats_.node_hits;
@@ -264,31 +270,28 @@ Fdd FddArena::to_fdd(ArenaNodeId root) const {
 // ---------------------------------------------------------------------------
 // Construction (Fig. 7) with copy-on-write appends.
 
-namespace {
-
-/// Per-rule state for one append pass: the memo makes appending the same
-/// rule to a shared subdiagram an O(1) lookup, and the path cache builds
-/// the rule's decision path once per suffix instead of once per branch.
-struct AppendCtx {
-  const Rule& rule;
-  std::unordered_map<std::uint64_t, ArenaNodeId> memo;  // (node, field) keys
-  std::vector<ArenaNodeId> path;                        // per-field suffix
-};
-
-}  // namespace
-
 ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
+  AppendMemo memo(rule);
+  return append_rule(root, memo);
+}
+
+ArenaNodeId FddArena::append_rule(ArenaNodeId root, AppendMemo& memo) {
+  const Rule& rule = memo.rule();
   if (rule.conjuncts().size() != schema_.field_count()) {
     throw std::invalid_argument("append_rule: rule arity mismatch");
   }
-  AppendCtx ctx{rule, {}, std::vector<ArenaNodeId>(
-                              schema_.field_count() + 1, kNoNode)};
+  // The memo makes appending the rule to a shared subdiagram an O(1)
+  // lookup, and the path cache builds the rule's decision path once per
+  // suffix instead of once per branch.
+  if (memo.path_.empty()) {
+    memo.path_.assign(schema_.field_count() + 1, kNoNode);
+  }
 
   // Decision path for conjuncts[field..d-1] -> decision, wildcards skipped
   // (the canonical form would splice them out anyway).
   const auto build_path = [&](auto&& self, std::size_t f) -> ArenaNodeId {
-    if (ctx.path[f] != kNoNode) {
-      return ctx.path[f];
+    if (memo.path_[f] != kNoNode) {
+      return memo.path_[f];
     }
     ArenaNodeId result;
     if (f == schema_.field_count()) {
@@ -299,9 +302,12 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       const ArenaNodeId child = self(self, f + 1);
       result = canonical(f, {{intern(rule.conjunct(f)), child}});
     }
-    ctx.path[f] = result;
+    memo.path_[f] = result;
     return result;
   };
+  if (root == kEmpty) {
+    return build_path(build_path, 0);
+  }
 
   // APPEND(v, rule) of Fig. 7 on ids: instead of cloning the subdiagram a
   // case-3 split copies, both halves reference it by id and only the half
@@ -310,7 +316,7 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
                           std::size_t from) -> ArenaNodeId {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(v) << 32) | from;
-    if (const auto it = ctx.memo.find(key); it != ctx.memo.end()) {
+    if (const auto it = memo.results_.find(key); it != memo.results_.end()) {
       ++stats_.append_cache_hits;
       return it->second;
     }
@@ -368,31 +374,81 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       }
       result = canonical(f, std::move(out));
     }
-    ctx.memo.emplace(key, result);
+    memo.results_.emplace(key, result);
+    if (v >= mark_nodes_ || result >= mark_nodes_) {
+      memo.past_mark_.push_back(key);
+    }
     return result;
   };
 
   return append(append, root, 0);
 }
 
+FddArena::Mark FddArena::mark() {
+  mark_nodes_ = nodes_.size();
+  return {nodes_.size(), labels_.size()};
+}
+
+void FddArena::rollback(const Mark& mark, std::span<AppendMemo> memos) {
+  const auto dropped = [&](ArenaNodeId id) {
+    return id != kNoNode && id >= mark.nodes;
+  };
+  for (AppendMemo& memo : memos) {
+    for (const std::uint64_t key : memo.past_mark_) {
+      const auto it = memo.results_.find(key);
+      if (it != memo.results_.end() &&
+          (dropped(static_cast<ArenaNodeId>(key >> 32)) ||
+           dropped(it->second))) {
+        memo.results_.erase(it);
+      }
+    }
+    memo.past_mark_.clear();
+    for (ArenaNodeId& id : memo.path_) {
+      if (dropped(id)) {
+        id = kNoNode;
+      }
+    }
+  }
+  // Ids are handed out in order and every bucket lists its ids in order,
+  // so the newest node is the last id of its bucket.
+  while (nodes_.size() > mark.nodes) {
+    const ArenaNodeId id = static_cast<ArenaNodeId>(nodes_.size() - 1);
+    const NodeRecord& r = nodes_[id];
+    const auto bucket =
+        node_buckets_.find(node_hash(r.field, r.decision, edges(id)));
+    bucket->second.pop_back();
+    if (bucket->second.empty()) {
+      node_buckets_.erase(bucket);
+    }
+    edge_pool_.resize(r.edge_begin);
+    nodes_.pop_back();
+  }
+  while (labels_.size() > mark.labels) {
+    const auto bucket = label_buckets_.find(hash_label(labels_.back()));
+    bucket->second.pop_back();
+    if (bucket->second.empty()) {
+      label_buckets_.erase(bucket);
+    }
+    labels_.pop_back();
+  }
+  shape_cache_.clear();
+  equiv_cache_.clear();
+  rule_cost_cache_.clear();
+  stats_.unique_nodes = nodes_.size();
+  stats_.unique_labels = labels_.size();
+}
+
 ArenaNodeId FddArena::build_reduced(const Policy& policy) {
   if (!(policy.schema() == schema_)) {
     throw std::invalid_argument("FddArena::build_reduced: schema mismatch");
   }
-  // The partial FDD of the first rule is its lone decision path (Fig. 6),
-  // built bottom-up with wildcard fields skipped; every further rule is
-  // appended at the root. Canonical node creation keeps each intermediate
-  // maximally reduced, so no interleaved reduce passes (and none of their
-  // re-hashing) are needed.
-  const Rule& r0 = policy.rule(0);
-  ArenaNodeId root = terminal(r0.decision());
-  for (std::size_t f = schema_.field_count(); f-- > 0;) {
-    if (!wildcard(schema_, r0, f)) {
-      root = canonical(f, {{intern(r0.conjunct(f)), root}});
-    }
-  }
-  for (std::size_t i = 1; i < policy.size(); ++i) {
-    root = append_rule(root, policy.rule(i));
+  // Appending the first rule to the empty diagram yields its lone decision
+  // path (Fig. 6); every further rule is appended at the root. Canonical
+  // node creation keeps each intermediate maximally reduced, so no
+  // interleaved reduce passes (and none of their re-hashing) are needed.
+  ArenaNodeId root = kEmpty;
+  for (const Rule& rule : policy.rules()) {
+    root = append_rule(root, rule);
   }
   return root;
 }

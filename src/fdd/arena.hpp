@@ -21,7 +21,8 @@
 // The tree Fdd remains the public/serialization format; to_tree/from_tree
 // are the lossless bridges. An arena is single-threaded and append-only:
 // ids stay valid for the arena's lifetime and memo caches never need
-// invalidation.
+// invalidation. The one exception is explicit: rollback() undoes the work
+// done since a mark(), for tentative computations whose ids nobody keeps.
 
 #pragma once
 
@@ -60,8 +61,37 @@ struct ArenaEdge {
 class RunContext;
 class FaultPlan;
 
+/// The append memo of one rule, bound to that rule: what appending it to
+/// each (subdiagram, field) pair visited so far returned, plus its
+/// decision path per field suffix. Entries are ids of the arena the memo
+/// was used with, so a memo serves one FddArena, but it outlives any
+/// number of append_rule calls into it: appending the same rule to many
+/// diagrams that share subdiagrams costs only the parts they do not
+/// share. Holds `rule` by reference; the rule must outlive the memo.
+class AppendMemo {
+ public:
+  explicit AppendMemo(const Rule& rule) : rule_(&rule) {}
+  explicit AppendMemo(Rule&&) = delete;  // would dangle
+
+  const Rule& rule() const { return *rule_; }
+
+ private:
+  friend class FddArena;
+
+  const Rule* rule_;
+  std::unordered_map<std::uint64_t, ArenaNodeId> results_;  // (node, field)
+  std::vector<ArenaNodeId> path_;  // per-field suffix, sized on first use
+  // results_ keys that name a node past the arena's mark (FddArena::mark).
+  std::vector<std::uint64_t> past_mark_;
+};
+
 class FddArena {
  public:
+  /// The empty partial diagram: no rule folded in, no packet decided. Only
+  /// append_rule accepts it, and appending a rule to it yields the rule's
+  /// lone decision path (Fig. 6), so policy prefixes start here.
+  static constexpr ArenaNodeId kEmpty = static_cast<ArenaNodeId>(-1);
+
   explicit FddArena(Schema schema);
 
   FddArena(const FddArena&) = delete;
@@ -155,8 +185,31 @@ class FddArena {
   ArenaNodeId build_reduced(const Policy& policy);
 
   /// Appends one rule (lowest priority) to a diagram, returning the new
-  /// root. The input diagram is unchanged (ids are immutable).
+  /// root. The input diagram is unchanged (ids are immutable). `root` may
+  /// be kEmpty.
   ArenaNodeId append_rule(ArenaNodeId root, const Rule& rule);
+  /// Same for memo.rule(), reusing and extending `memo`, which must not
+  /// have been used with another arena.
+  ArenaNodeId append_rule(ArenaNodeId root, AppendMemo& memo);
+
+  // -- Tentative work ------------------------------------------------------
+
+  /// How much the arena held at one moment.
+  struct Mark {
+    std::size_t nodes = 0;
+    std::size_t labels = 0;
+  };
+
+  /// The arena's current size. From here on, memos note the entries that
+  /// name a node past it, so rollback() can drop them.
+  Mark mark();
+
+  /// Undoes the work done since `mark`: drops every node and label
+  /// interned after it, the entries of `memos` that name a dropped node,
+  /// and the arena's own shape/compare/cost caches. For a computation
+  /// whose ids nobody keeps: ids past the mark are reused afterwards.
+  /// `memos` must include every memo appended with since the mark.
+  void rollback(const Mark& mark, std::span<AppendMemo> memos);
 
   /// NODE_SHAPING (Fig. 10) over ids: returns the semi-isomorphic pair.
   /// Memoised on (a, b); shape_pair(x, x) is O(1).
@@ -220,6 +273,8 @@ class FddArena {
     std::uint32_t edge_count;
   };
 
+  static std::uint64_t node_hash(std::uint32_t field, Decision decision,
+                                 std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
                           std::vector<ArenaEdge> edges);
   bool record_equals(const NodeRecord& r, std::uint32_t field,
@@ -244,6 +299,8 @@ class FddArena {
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection
+  // Nodes from this id on are past the last mark(); none before a mark.
+  std::size_t mark_nodes_ = SIZE_MAX;
 };
 
 }  // namespace dfw

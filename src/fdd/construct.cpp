@@ -110,31 +110,21 @@ void append(const Schema& schema, std::unique_ptr<FddNode>& slot,
 }  // namespace
 
 void append_rule(Fdd& fdd, const Rule& rule) {
-  append_rule(fdd, rule, nullptr);
-}
-
-void append_rule(Fdd& fdd, const Rule& rule, RunContext* context) {
   if (rule.conjuncts().size() != fdd.schema().field_count()) {
     throw std::invalid_argument("append_rule: rule arity mismatch");
   }
-  append(fdd.schema(), fdd.root_slot(), rule, 0, context);
+  append(fdd.schema(), fdd.root_slot(), rule, 0);
 }
 
 Fdd build_partial_fdd(const Policy& policy, std::size_t count) {
-  return build_partial_fdd(policy, count, nullptr);
-}
-
-Fdd build_partial_fdd(const Policy& policy, std::size_t count,
-                      RunContext* context) {
   if (count == 0 || count > policy.size()) {
     throw std::invalid_argument("build_partial_fdd: count out of range");
   }
   // The partial FDD of the first rule is its lone decision path (Fig. 6);
   // each further rule is appended at the root.
-  Fdd fdd(policy.schema(),
-          build_path(policy.schema(), policy.rule(0), 0, context));
+  Fdd fdd(policy.schema(), build_path(policy.schema(), policy.rule(0), 0));
   for (std::size_t i = 1; i < count; ++i) {
-    append(policy.schema(), fdd.root_slot(), policy.rule(i), 0, context);
+    append(policy.schema(), fdd.root_slot(), policy.rule(i), 0);
   }
   return fdd;
 }

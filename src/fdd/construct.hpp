@@ -17,8 +17,6 @@
 
 namespace dfw {
 
-class RunContext;
-
 /// Constructs an FDD equivalent to the policy. The result is ordered in
 /// schema field order, consistent, and complete iff the policy is
 /// comprehensive; validate() is the caller's tool for asserting that.
@@ -27,19 +25,12 @@ class RunContext;
 Fdd build_fdd(const Policy& policy);
 
 /// Appends one more rule (lowest priority) to an existing partial FDD,
-/// exposing the incremental step for construction traces and tests. The
-/// governed variant charges every materialised node (including case-3
-/// subtree clones) against `context` (borrowed, nullable) and takes
-/// amortized cancellation/deadline checkpoints.
+/// exposing the incremental step for construction traces and tests.
 void append_rule(Fdd& fdd, const Rule& rule);
-void append_rule(Fdd& fdd, const Rule& rule, RunContext* context);
 
 /// Builds a *partial* FDD from the first `count` rules only (Fig. 6's
-/// intermediate diagrams). count >= 1. Same governed variant contract as
-/// append_rule.
+/// intermediate diagrams). count >= 1.
 Fdd build_partial_fdd(const Policy& policy, std::size_t count);
-Fdd build_partial_fdd(const Policy& policy, std::size_t count,
-                      RunContext* context);
 
 /// Knobs for the production construction entry point.
 struct ConstructOptions {

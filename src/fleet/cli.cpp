@@ -28,8 +28,8 @@ constexpr const char* kUsage =
     "  --no-simplify     skip the semantics-preserving simplify stage\n"
     "  --no-prove        skip the per-device FDD equivalence proofs\n"
     "  --passes=a,b,c    run only these lint passes\n"
-    "  --disable=a,b     remove lint passes (default disables the\n"
-    "        O(n^2)-semantic 'redundancy' pass; --disable= re-enables it)\n"
+    "  --disable=a,b     remove lint passes (default: 'redundancy', the\n"
+    "        costliest pass; --disable= re-enables it)\n"
     "  --compare=none|pairs|nway   cross-device comparison (default none)\n"
     "  --max-divergences=N         divergence records kept (default 64)\n"
     "\n"

@@ -223,7 +223,7 @@ void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
 }
 
 // --- pass: dead-rules ------------------------------------------------------
-// Semantic dead rules via the incremental coverage FDD: rules no packet
+// Semantic dead rules via the canonical prefix roots: rules no packet
 // ever first-matches. Strictly stronger than pairwise shadowing (a rule
 // can be killed by several earlier rules jointly).
 
@@ -306,8 +306,9 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
 // --- pass: redundancy ------------------------------------------------------
 // Semantic per-rule redundancy (the paper's ref [19]): rules whose
 // removal provably leaves the packet-to-decision mapping unchanged. An
-// absence finding — warning, no witness. The most expensive pass (one
-// FDD equivalence check per rule); disable it for quick gates.
+// absence finding — warning, no witness. Decided by gen/redundancy's
+// prefix-root oracle: one arena per policy, one root-id comparison per
+// appended suffix rule.
 
 void pass_redundancy(PassState& state, std::vector<Diagnostic>& out) {
   if (!state.comprehensive()) {
@@ -401,7 +402,7 @@ std::vector<LintPass> builtin_passes() {
        pass_dead_rules},
       {"merge", "adjacent-rule merges and whole-policy compaction",
        pass_merge},
-      {"redundancy", "semantically removable rules (expensive)",
+      {"redundancy", "semantically removable rules (prefix-root oracle)",
        pass_redundancy},
       {"properties", "declarative property checks", pass_properties},
   };

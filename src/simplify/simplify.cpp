@@ -44,8 +44,8 @@ Rule merge_pair(const Schema& schema, const Rule& a, const Rule& b,
   return Rule(schema, std::move(conjuncts), a.decision());
 }
 
-/// Removes rules no packet ever first-matches. Exact via the incremental
-/// coverage FDD behind dead_rules() — the same reachability dfw-lint's
+/// Removes rules no packet ever first-matches. Exact via the canonical
+/// prefix roots behind dead_rules() — the same reachability dfw-lint's
 /// dead-rules pass reports on.
 bool eliminate_dead(const Schema& schema, std::vector<Rule>& rules,
                     const SimplifyOptions& options, SimplifyStats& stats) {

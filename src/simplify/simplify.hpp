@@ -10,7 +10,7 @@
 // mapping, including the fall-through set of non-comprehensive policies):
 //
 //   dead elimination   rules no packet ever first-matches, detected
-//                      exactly via the incremental coverage FDD
+//                      exactly via canonical prefix roots
 //                      (analysis/anomaly.hpp dead_rules — the same
 //                      machinery behind dfw-lint's dead-rules pass)
 //   adjacent merge     neighbouring rules with one decision that differ
@@ -43,7 +43,7 @@ namespace dfw {
 /// Per-run knobs, in the library's options-struct idiom.
 struct SimplifyOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the whole pass: the dead-rule scan charges its coverage-FDD nodes,
+  /// the whole pass: the dead-rule scan charges its prefix-diagram nodes,
   /// the proof arena charges every interned node and label byte, and the
   /// transform scans take amortized checkpoints. A breach aborts the pass
   /// — the outcome carries the ORIGINAL policy, complete = false, and the

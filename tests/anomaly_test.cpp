@@ -217,11 +217,10 @@ TEST(Anomaly, DeadRulesMatchReachabilityReferenceOnRandomCorpus) {
   }
 }
 
-TEST(Anomaly, DeadRulesInterleavedReductionKeepsExactness) {
-  // A coverage diagram that outgrows the 256-node reduction threshold:
-  // staggered cubes over [0,4095]^3 followed by exact duplicates. The
-  // duplicates (and only they) are dead; the interleaved reduce() on the
-  // partial coverage FDD must not change that.
+TEST(Anomaly, DeadRulesExactOnNontrivialPrefixDiagrams) {
+  // Prefix diagrams of some size: staggered cubes over [0,4095]^3
+  // followed by exact duplicates. The duplicates (and only they) are dead,
+  // so exactly their appends leave the canonical prefix root unchanged.
   const Schema s({{"a", Interval(0, 4095), FieldKind::kInteger},
                   {"b", Interval(0, 4095), FieldKind::kInteger},
                   {"c", Interval(0, 4095), FieldKind::kInteger}});

@@ -169,6 +169,82 @@ TEST(FddArena, AppendIsCopyOnWrite) {
   }
 }
 
+TEST(FddArena, PrefixRootsAndSharedMemosMatchFreshAppends) {
+  // Policy prefixes start at kEmpty and end at build_reduced's root; a
+  // memo kept across many append_rule calls returns exactly the ids a
+  // fresh append would, and a rule adding no packet leaves the root alone.
+  std::mt19937_64 rng(19);
+  for (int round = 0; round < 20; ++round) {
+    const Policy policy = test::random_policy(test::tiny3(), 8, rng);
+    FddArena arena(policy.schema());
+    std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+    for (const Rule& rule : policy.rules()) {
+      prefix.push_back(arena.append_rule(prefix.back(), rule));
+    }
+    EXPECT_EQ(prefix.back(), arena.build_reduced(policy));
+    const Rule& last = policy.rules().back();
+    AppendMemo memo(last);
+    for (const ArenaNodeId root : prefix) {
+      EXPECT_EQ(arena.append_rule(root, memo), arena.append_rule(root, last));
+    }
+    EXPECT_EQ(arena.append_rule(prefix.back(), memo), prefix.back());
+  }
+}
+
+TEST(FddArena, RollbackDropsTentativeWorkAndKeepsMemosSound) {
+  // Work after a mark is undone exactly: the arena shrinks back to the
+  // mark, ids before it stay valid, and memos used past the mark still
+  // agree with fresh appends once the dropped ids name other nodes.
+  std::mt19937_64 rng(23);
+  const Schema schema = test::tiny3();
+  const std::vector<Packet> packets = test::all_packets(schema);
+  for (int round = 0; round < 20; ++round) {
+    const Policy policy = test::random_policy(schema, 8, rng);
+    const Policy other = test::random_policy(schema, 6, rng);
+    const Policy third = test::random_policy(schema, 6, rng);
+    FddArena arena(schema);
+    std::vector<AppendMemo> memos(policy.rules().begin(),
+                                  policy.rules().end());
+    ArenaNodeId root = FddArena::kEmpty;
+    for (AppendMemo& memo : memos) {
+      root = arena.append_rule(root, memo);
+    }
+    const FddArena::Mark mark = arena.mark();
+
+    // Tentative work: `other` without its catch-all, then the policy.
+    const std::vector<Rule> head(other.rules().begin(),
+                                 other.rules().end() - 1);
+    const auto append_policy = [&](bool with_memos) {
+      ArenaNodeId r = FddArena::kEmpty;
+      for (const Rule& rule : head) {
+        r = arena.append_rule(r, rule);
+      }
+      for (std::size_t i = 0; i < memos.size(); ++i) {
+        r = with_memos ? arena.append_rule(r, memos[i])
+                       : arena.append_rule(r, policy.rule(i));
+      }
+      return r;
+    };
+    append_policy(true);
+    arena.rollback(mark, memos);
+    EXPECT_EQ(arena.unique_node_count(), mark.nodes);
+
+    // Reuse the dropped ids for other nodes first.
+    arena.build_reduced(third);
+    const ArenaNodeId with_memos = append_policy(true);
+    EXPECT_EQ(with_memos, append_policy(false));
+    std::vector<Rule> combined = head;
+    combined.insert(combined.end(), policy.rules().begin(),
+                    policy.rules().end());
+    const Policy sequence(schema, std::move(combined));
+    for (const Packet& p : packets) {
+      EXPECT_EQ(arena.evaluate(with_memos, p), sequence.evaluate(p));
+      EXPECT_EQ(arena.evaluate(root, p), policy.evaluate(p));
+    }
+    EXPECT_EQ(arena.build_reduced(policy), root);
+  }
+}
+
 TEST(FddArena, ShapePairProducesSemiIsomorphicEquivalents) {
   std::mt19937_64 rng(17);
   for (int round = 0; round < 20; ++round) {

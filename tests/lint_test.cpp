@@ -544,6 +544,29 @@ TEST(LintGovern, ThousandRulePolicyUnderNodeBudgetIsMarkedPartial) {
             std::string::npos);
 }
 
+TEST(LintGovern, RedundancyPassBreachIsMarkedPartial) {
+  std::mt19937_64 rng(17);
+  const Policy p = test::random_policy(tiny3(), 10, rng);
+  // What the shared diagram and the coverage pass charge...
+  Budgets budgets;
+  budgets.max_nodes = 1000000;
+  RunContext probe = RunContext::with_budgets(budgets);
+  LintOptions options;
+  options.passes = {"coverage"};
+  options.run.context = &probe;
+  ASSERT_TRUE(lint(p, options).complete);
+  // ...plus one node: the redundancy oracle's own arena breaches.
+  budgets.max_nodes = probe.nodes_charged() + 1;
+  RunContext context = RunContext::with_budgets(budgets);
+  options.passes = {"coverage", "redundancy"};
+  options.run.context = &context;
+  const LintReport report = lint(p, options);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded);
+  EXPECT_NE(report.message.find("'redundancy'"), std::string::npos);
+  EXPECT_EQ(report.passes_run, std::vector<std::string>{"coverage"});
+}
+
 // ---------------------------------------------------------------------------
 // CLI: the exit-code contract, in-process.
 

@@ -1,9 +1,17 @@
-// Redundancy detection/removal tests (resolution method 2's engine).
+// Redundancy detection/removal tests (resolution method 2's engine), with
+// a brute-force differential over tiny schemas: every entry point, and
+// dead_rules from the same prefix roots, against its definition evaluated
+// over every packet.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "analysis/anomaly.hpp"
 #include "fdd/compare.hpp"
 #include "gen/redundancy.hpp"
+#include "rt/govern.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -87,6 +95,155 @@ TEST(Redundancy, IndexOutOfRangeRejected) {
   const Schema s = tiny2();
   const Policy p(s, {Rule::catch_all(s, kAccept)});
   EXPECT_THROW(is_redundant(p, 1), std::out_of_range);
+}
+
+TEST(Redundancy, NonComprehensivePolicyHasNoRedundantRule) {
+  const Schema s = tiny2();
+  // x in [4,7] falls through. Rule 2 repeats rule 1, so dropping it would
+  // keep even the partial mapping, but redundancy is defined on
+  // comprehensive policies only.
+  const Policy p(s, {rule(s, Interval(0, 3), Interval(0, 7), kAccept),
+                     rule(s, Interval(0, 3), Interval(0, 7), kAccept)});
+  EXPECT_FALSE(is_redundant(p, 0));
+  EXPECT_FALSE(is_redundant(p, 1));
+  EXPECT_TRUE(redundant_rules(p).empty());
+  EXPECT_EQ(remove_redundant(p).rules(), p.rules());
+}
+
+TEST(Redundancy, TinyNodeBudgetThrows) {
+  std::mt19937_64 rng(91);
+  const Policy p = test::random_policy(tiny3(), 8, rng);
+  Budgets tiny;
+  tiny.max_nodes = 3;
+  RunContext context = RunContext::with_budgets(tiny);
+  EXPECT_THROW(redundant_rules(p, &context), Error);
+  EXPECT_EQ(context.abort_code(), ErrorCode::kNodeBudgetExceeded);
+  // A budget that holds changes nothing.
+  Budgets generous;
+  generous.max_nodes = 1000000;
+  RunContext governed = RunContext::with_budgets(generous);
+  EXPECT_EQ(redundant_rules(p, &governed), redundant_rules(p));
+  EXPECT_GT(governed.nodes_charged(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Brute-force differential.
+
+// First-match decision of `rules` with rules[skip] left out, or nullopt
+// when the packet falls through.
+std::optional<Decision> decide(const std::vector<Rule>& rules,
+                               const Packet& p,
+                               std::size_t skip = SIZE_MAX) {
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    if (r != skip && rules[r].matches(p)) {
+      return rules[r].decision();
+    }
+  }
+  return std::nullopt;
+}
+
+// Rule i is redundant iff the rules decide every packet, and each the same
+// way without rule i.
+bool redundant_by_definition(const std::vector<Rule>& rules,
+                             const std::vector<Packet>& packets,
+                             std::size_t i) {
+  for (const Packet& p : packets) {
+    const std::optional<Decision> full = decide(rules, p);
+    if (!full.has_value() || decide(rules, p, i) != full) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Rule i is dead iff no packet first-matches it.
+bool dead_by_definition(const Policy& policy,
+                        const std::vector<Packet>& packets, std::size_t i) {
+  for (const Packet& p : packets) {
+    if (policy.first_match(p) == i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// remove_redundant's greedy schedule, every test by definition.
+std::vector<Rule> remove_by_definition(std::vector<Rule> rules,
+                                       const std::vector<Packet>& packets) {
+  bool removed = true;
+  while (removed) {
+    removed = false;
+    for (std::size_t i = rules.size(); i-- > 0;) {
+      if (redundant_by_definition(rules, packets, i)) {
+        rules.erase(rules.begin() + static_cast<std::ptrdiff_t>(i));
+        removed = true;
+      }
+    }
+  }
+  return rules;
+}
+
+// A random policy of 2-9 rules with more redundancy than random_policy
+// alone: every other one repeats an earlier rule further down, and every
+// fourth drops its catch-all, which usually leaves a gap.
+Policy random_case(const Schema& schema, int trial, std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> size(2, 9);
+  std::vector<Rule> rules = test::random_policy(schema, size(rng), rng).rules();
+  if (trial % 2 == 0) {
+    std::uniform_int_distribution<std::size_t> pick(0, rules.size() - 1);
+    const std::size_t from = pick(rng);
+    const Rule copy = rules[from];
+    std::uniform_int_distribution<std::size_t> at(from + 1, rules.size());
+    rules.insert(rules.begin() + static_cast<std::ptrdiff_t>(at(rng)), copy);
+  }
+  if (trial % 4 == 3) {
+    rules.pop_back();
+  }
+  return Policy(schema, std::move(rules));
+}
+
+TEST(RedundancyDifferential, EveryEntryPointMatchesItsDefinition) {
+  std::size_t redundant_seen = 0;
+  std::size_t dead_seen = 0;
+  std::size_t gaps_seen = 0;
+  for (const Schema& schema : {tiny2(), tiny3()}) {
+    const std::vector<Packet> packets = test::all_packets(schema);
+    std::mt19937_64 rng(2004);
+    for (int trial = 0; trial < 300; ++trial) {
+      const Policy p = random_case(schema, trial, rng);
+      const std::vector<Rule>& rules = p.rules();
+      std::vector<std::size_t> redundant;
+      std::vector<std::size_t> dead;
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        const bool by_definition = redundant_by_definition(rules, packets, i);
+        EXPECT_EQ(is_redundant(p, i), by_definition)
+            << "trial " << trial << ", rule " << i;
+        if (by_definition) {
+          redundant.push_back(i);
+        }
+        if (dead_by_definition(p, packets, i)) {
+          dead.push_back(i);
+        }
+      }
+      EXPECT_EQ(redundant_rules(p), redundant) << "trial " << trial;
+      EXPECT_EQ(dead_rules(p), dead) << "trial " << trial;
+      const Policy trimmed = remove_redundant(p);
+      EXPECT_EQ(trimmed.rules(), remove_by_definition(rules, packets))
+          << "trial " << trial;
+      EXPECT_EQ(remove_redundant(trimmed).rules(), trimmed.rules())
+          << "trial " << trial << ": remove_redundant is not idempotent";
+      redundant_seen += redundant.size();
+      dead_seen += dead.size();
+      gaps_seen += std::any_of(packets.begin(), packets.end(),
+                               [&](const Packet& q) {
+                                 return !decide(rules, q).has_value();
+                               });
+    }
+  }
+  // The corpus exercises every branch of the contract.
+  EXPECT_GT(redundant_seen, 100u);
+  EXPECT_GT(dead_seen, 100u);
+  EXPECT_GT(gaps_seen, 10u);
 }
 
 }  // namespace

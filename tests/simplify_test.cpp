@@ -371,7 +371,7 @@ TEST(FleetSynth, RejectsBadGeometry) {
 // Governance: the fail-safe contract.
 
 TEST(SimplifyGovern, BudgetBreachReturnsTheOriginalMarked) {
-  // A policy big enough that the coverage FDD blows a tiny node budget.
+  // A policy big enough that the dead-rule scan blows a tiny node budget.
   FleetSynthConfig config;
   config.sites = 1;
   config.base.num_rules = 120;
