@@ -1,7 +1,8 @@
 // Ablation benchmarks for the implementation choices DESIGN.md calls out:
 //
-//   A. interleaved reduction in construction (build_reduced_fdd) versus
-//      the paper-literal build_fdd followed by one reduce;
+//   A. construction reduced as it goes (build_reduced_fdd, canonical in
+//      the arena) versus the paper-literal build_fdd followed by one
+//      reduce;
 //   B. fragment-merged shaping (shape_pair) versus the paper-literal
 //      simple-FDD shaping (shape_pair_simple);
 //   C. the address-pool realism knob of the synthetic generator (bounded
@@ -30,8 +31,8 @@ using namespace dfw;
 using bench::time_ms;
 
 void ablation_reduction() {
-  std::printf("A. construction: interleaved reduction vs build-then-reduce\n");
-  std::printf("%8s %18s %14s %18s %14s\n", "rules", "interleaved(ms)",
+  std::printf("A. construction: reduced as it goes vs build-then-reduce\n");
+  std::printf("%8s %18s %14s %18s %14s\n", "rules", "reduced(ms)",
               "paths", "build+reduce(ms)", "peak-paths");
   for (const std::size_t n : {100u, 200u, 400u}) {
     SynthConfig config;
@@ -39,8 +40,8 @@ void ablation_reduction() {
     Rng rng(n);
     const Policy p = synth_policy(config, rng);
 
-    Fdd interleaved = Fdd::constant(p.schema(), kAccept);
-    const double t_inter = time_ms([&] { interleaved = build_reduced_fdd(p); });
+    Fdd reduced = Fdd::constant(p.schema(), kAccept);
+    const double t_reduced = time_ms([&] { reduced = build_reduced_fdd(p); });
 
     Fdd late = Fdd::constant(p.schema(), kAccept);
     std::size_t peak = 0;
@@ -49,8 +50,8 @@ void ablation_reduction() {
       peak = late.path_count();
       reduce(late);
     });
-    std::printf("%8zu %18.1f %14zu %18.1f %14zu\n", n, t_inter,
-                interleaved.path_count(), t_late, peak);
+    std::printf("%8zu %18.1f %14zu %18.1f %14zu\n", n, t_reduced,
+                reduced.path_count(), t_late, peak);
     std::fflush(stdout);
   }
   std::printf("\n");

@@ -4,8 +4,9 @@
 // steady-state per-operation costs.
 //
 // The binary also owns the arena-vs-tree sweep: a custom main() first runs
-// the construct/shape/compare pipeline on both representations across
-// policy sizes, asserts their discrepancy outputs are identical, and
+// the construct/shape/compare pipeline on both representations (the arena
+// pipeline and the paper-literal tree reference) across policy sizes,
+// asserts their discrepancy outputs are identical, and
 // writes node counts, sharing factors, and wall times to
 // BENCH_fdd_arena.json, then hands over to google-benchmark. Pass
 // --skip-arena-sweep to go straight to the micro benchmarks.
@@ -48,6 +49,25 @@ Policy cached_policy(std::size_t n, std::uint64_t seed) {
   return synth_policy(config, rng);
 }
 
+// The paper-literal reduced FDD: Fig. 7 construction, then reduce().
+Fdd reference_fdd(const Policy& p) {
+  Fdd fdd = build_fdd(p);
+  reduce(fdd);
+  return fdd;
+}
+
+// The reference pairwise pipeline: reference_fdd, fragment-merged tree
+// shaping, tree comparison.
+std::vector<Discrepancy> reference_discrepancies(const Policy& a,
+                                                 const Policy& b) {
+  Fdd fa = reference_fdd(a);
+  Fdd fb = reference_fdd(b);
+  fa.validate();
+  fb.validate();
+  shape_pair(fa, fb);
+  return compare_fdds(fa, fb);
+}
+
 void BM_IntervalSetSubtract(benchmark::State& state) {
   IntervalSet a;
   IntervalSet b;
@@ -84,10 +104,8 @@ BENCHMARK(BM_ConstructReference)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_ConstructReduced(benchmark::State& state) {
   const Policy p = cached_policy(static_cast<std::size_t>(state.range(0)), 7);
-  ConstructOptions options;
-  options.use_arena = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_reduced_fdd(p, options));
+    benchmark::DoNotOptimize(reference_fdd(p));
   }
 }
 BENCHMARK(BM_ConstructReduced)->Arg(50)->Arg(200)->Arg(800);
@@ -133,10 +151,8 @@ void BM_EndToEndDiscrepancies(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Policy pa = cached_policy(n, 7);
   const Policy pb = cached_policy(n, 8);
-  CompareOptions options;
-  options.use_arena = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(discrepancies(pa, pb, options));
+    benchmark::DoNotOptimize(reference_discrepancies(pa, pb));
   }
 }
 BENCHMARK(BM_EndToEndDiscrepancies)->Arg(42)->Arg(200)->Arg(661);
@@ -145,10 +161,8 @@ void BM_EndToEndDiscrepanciesArena(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Policy pa = cached_policy(n, 7);
   const Policy pb = cached_policy(n, 8);
-  CompareOptions options;
-  options.use_arena = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(discrepancies(pa, pb, options));
+    benchmark::DoNotOptimize(discrepancies(pa, pb));
   }
 }
 BENCHMARK(BM_EndToEndDiscrepanciesArena)->Arg(42)->Arg(200)->Arg(661);
@@ -235,10 +249,14 @@ BENCHMARK(BM_BddEncodePolicy)->Arg(10)->Arg(40);
 // -- Arena-vs-tree sweep -----------------------------------------------------
 //
 // The whole pairwise pipeline (construct -> validate -> shape -> compare)
-// run on both representations. FddNode allocations are counted through the
-// tree factories' global counter; the arena's analog is the number of
-// nodes it materialises. sharing_factor = tree allocations / arena unique
+// run on both representations: the production arena pipeline against the
+// paper-literal tree reference (build_fdd, reduce, tree shaping and
+// comparison). FddNode allocations are counted through the tree
+// factories' global counter; the arena's analog is the number of nodes
+// it materialises. sharing_factor = tree allocations / arena unique
 // nodes, the size advantage hash-consing buys on the identical workload.
+// The reference never reduces while it builds: its unreduced trees pass
+// a million nodes per policy at 1000 rules, so the sweep stops there.
 bool arena_sweep() {
   std::FILE* json = std::fopen("BENCH_fdd_arena.json", "w");
   if (!json) {
@@ -253,23 +271,18 @@ bool arena_sweep() {
   std::fprintf(json, "{\n  \"bench\": \"fdd_arena\",\n  \"sweep\": [");
   bool all_identical = true;
   bool first = true;
-  for (const std::size_t n : {500u, 1000u, 2000u, 4000u}) {
+  for (const std::size_t n : {250u, 500u, 1000u}) {
     const Policy pa = cached_policy(n, 7);
     const Policy pb = cached_policy(n, 8);
-    CompareOptions tree_options;
-    tree_options.use_arena = false;
-    CompareOptions arena_options;
-    arena_options.use_arena = true;
-
     const std::size_t alloc_before = fdd_node_allocations();
     std::vector<Discrepancy> tree_out;
-    const double tree_ms =
-        bench::time_ms([&] { tree_out = discrepancies(pa, pb, tree_options); });
+    const double tree_ms = bench::time_ms(
+        [&] { tree_out = reference_discrepancies(pa, pb); });
     const std::size_t tree_nodes = fdd_node_allocations() - alloc_before;
 
     std::vector<Discrepancy> arena_out;
-    const double arena_ms = bench::time_ms(
-        [&] { arena_out = discrepancies(pa, pb, arena_options); });
+    const double arena_ms =
+        bench::time_ms([&] { arena_out = discrepancies(pa, pb); });
 
     // Untimed stats pass: same pipeline, arena kept alive for counters.
     FddArena arena(pa.schema());

@@ -38,7 +38,9 @@ DiverseDesign make_session(std::size_t teams, std::size_t rules,
   const Policy base = synth_policy(config, rng);
   session.submit("t0", base);
   for (std::size_t i = 1; i < teams; ++i) {
-    session.submit("t" + std::to_string(i), perturb_policy(base, 15.0, rng));
+    std::string name = "t";
+    name += std::to_string(i);
+    session.submit(std::move(name), perturb_policy(base, 15.0, rng));
   }
   return session;
 }

@@ -25,7 +25,6 @@ int main() {
   Executor pool(2);
   CompareOptions compare_options;
   compare_options.run.executor = &pool;
-  compare_options.fork_threshold = 4;
 
   // The router configuration being retired.
   const Policy router = parse_cisco_acl(

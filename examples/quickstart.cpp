@@ -68,9 +68,8 @@ int main(int argc, char** argv) {
               << "\n-- shaped FDD B (Fig. 5) --\n" << to_dot(fb, decisions);
   }
 
-  // Step 3 — comparison (Section 5): Table 3. CompareOptions carries the
-  // execution knobs; the defaults mean "serial, on this thread".
-  const std::vector<Discrepancy> diffs = compare_fdds(fa, fb, CompareOptions{});
+  // Step 3 — comparison (Section 5): Table 3.
+  const std::vector<Discrepancy> diffs = compare_fdds(fa, fb);
   std::cout << "== Functional discrepancies (Table 3) ==\n"
             << format_discrepancy_report(schema, decisions, diffs,
                                          {"Team A", "Team B"});

@@ -248,8 +248,12 @@ std::string emit_cisco_acl(const Policy& policy, std::string_view acl_id,
     } else {
       out += "ip";
     }
-    out += " " + address_spec(atom.sip) + port_spec(atom.sport);
-    out += " " + address_spec(atom.dip) + port_spec(atom.dport);
+    out += " ";
+    out += address_spec(atom.sip);
+    out += port_spec(atom.sport);
+    out += " ";
+    out += address_spec(atom.dip);
+    out += port_spec(atom.dport);
     out += "\n";
   }
   if (fallback == kAccept) {

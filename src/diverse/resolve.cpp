@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
-#include "fdd/construct.hpp"
-#include "fdd/shape.hpp"
-#include "gen/generate.hpp"
+#include "fdd/arena.hpp"
 #include "gen/redundancy.hpp"
 
 namespace dfw {
@@ -35,50 +34,61 @@ std::vector<Decision> agreed_by_index(
   return agreed;
 }
 
-std::vector<Fdd> build_shaped(const std::vector<Policy>& policies,
-                              const ObsOptions& obs = {}) {
+void require_teams(const std::vector<Policy>& policies) {
   if (policies.size() < 2) {
     throw std::invalid_argument("resolution: need at least two policies");
   }
-  std::vector<Fdd> fdds;
-  fdds.reserve(policies.size());
-  for (const Policy& p : policies) {
-    ConstructOptions construct;
-    construct.run.obs = obs;
-    fdds.push_back(build_reduced_fdd(p, construct));
-    fdds.back().validate();
-  }
-  shape_all(fdds);
-  return fdds;
 }
 
-// Walks the semi-isomorphic diagrams in the same depth-first order as the
-// comparison algorithm; at each discrepant terminal (not all decisions
-// equal) overwrites `base`'s terminal with the next agreed decision.
-void correct(std::vector<FddNode*>& nodes, FddNode* base,
-             const std::vector<Decision>& agreed, std::size_t& next) {
-  const FddNode* first = nodes.front();
-  if (first->is_terminal()) {
-    const bool all_equal = std::all_of(
-        nodes.begin(), nodes.end(), [&](const FddNode* n) {
-          return n->decision == first->decision;
-        });
-    if (!all_equal) {
+// Walks the shaped diagrams in lockstep, in FddArena::compare_into's
+// depth-first order, and rebuilds `roots[base]` through canonical(): at
+// every discrepant terminal tuple (not all ids equal) the next agreed
+// decision replaces the base team's. Tuples that hold no discrepancy are
+// rebuilt once and memoised; the rebuilt diagram is reduced.
+ArenaNodeId correct(FddArena& arena, const std::vector<ArenaNodeId>& roots,
+                    std::size_t base, const std::vector<Decision>& agreed) {
+  std::unordered_map<std::vector<ArenaNodeId>, ArenaNodeId, ArenaIdTupleHash>
+      agreeing;
+  std::size_t next = 0;
+  const auto walk = [&](auto&& self,
+                        const std::vector<ArenaNodeId>& nodes) -> ArenaNodeId {
+    const ArenaNodeId first = nodes.front();
+    if (arena.is_terminal(first)) {
+      if (std::all_of(nodes.begin(), nodes.end(),
+                      [&](ArenaNodeId n) { return n == first; })) {
+        return first;
+      }
       if (next >= agreed.size()) {
         throw std::logic_error("resolution: discrepancy walk out of sync");
       }
-      base->decision = agreed[next++];
+      return arena.terminal(agreed[next++]);
     }
-    return;
-  }
-  for (std::size_t e = 0; e < first->edges.size(); ++e) {
-    std::vector<FddNode*> children;
-    children.reserve(nodes.size());
-    for (FddNode* n : nodes) {
-      children.push_back(n->edges[e].target.get());
+    if (const auto it = agreeing.find(nodes); it != agreeing.end()) {
+      return it->second;
     }
-    correct(children, base->edges[e].target.get(), agreed, next);
+    const std::size_t before = next;
+    const std::size_t f = arena.field(first);
+    const std::size_t edge_count = arena.edges(first).size();
+    std::vector<ArenaEdge> out;
+    out.reserve(edge_count);
+    std::vector<ArenaNodeId> children(nodes.size());
+    for (std::size_t e = 0; e < edge_count; ++e) {
+      for (std::size_t k = 0; k < nodes.size(); ++k) {
+        children[k] = arena.edges(nodes[k])[e].target;
+      }
+      out.push_back({arena.edges(nodes[base])[e].label, self(self, children)});
+    }
+    const ArenaNodeId result = arena.canonical(f, std::move(out));
+    if (next == before) {
+      agreeing.emplace(nodes, result);
+    }
+    return result;
+  };
+  const ArenaNodeId root = walk(walk, roots);
+  if (next != agreed.size()) {
+    throw std::logic_error("resolve_via_fdd: correction walk out of sync");
   }
+  return root;
 }
 
 }  // namespace
@@ -121,48 +131,53 @@ ResolutionPlan plan_by_majority(
 
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team) {
-  return resolve_via_fdd(policies, plan, base_team, ObsOptions{});
+  return resolve_via_fdd(policies, plan, base_team, RunOptions{});
 }
 
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team,
-                       const ObsOptions& obs) {
+                       const RunOptions& run) {
   if (base_team >= policies.size()) {
     throw std::invalid_argument("resolve_via_fdd: no such team");
   }
-  std::vector<Fdd> fdds = build_shaped(policies, obs);
-  const std::vector<Discrepancy> discrepancies = compare_fdds_many(fdds);
-  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
-
-  std::vector<FddNode*> roots;
-  roots.reserve(fdds.size());
-  for (Fdd& f : fdds) {
-    roots.push_back(&f.mutable_root());
+  require_teams(policies);
+  std::vector<const Policy*> inputs;
+  inputs.reserve(policies.size());
+  for (const Policy& p : policies) {
+    inputs.push_back(&p);
   }
-  std::size_t next = 0;
-  correct(roots, &fdds[base_team].mutable_root(), agreed, next);
-  if (next != agreed.size()) {
-    throw std::logic_error("resolve_via_fdd: correction walk out of sync");
+  FddArena arena(policies.front().schema());
+  std::vector<Discrepancy> discrepancies;
+  const std::vector<ArenaNodeId> roots =
+      compare_policies(arena, inputs, run, discrepancies);
+  const ArenaNodeId corrected =
+      correct(arena, roots, base_team, agreed_by_index(discrepancies, plan));
+  PhaseSpan phase(run.obs, "generate");
+  Policy resolved = arena.generate(corrected);
+  if (run.obs.metrics != nullptr) {
+    absorb(*run.obs.metrics, arena.stats());
+    run.obs.metrics->counter("gen.rules_emitted").add(resolved.size());
   }
-  GenerateOptions generate;
-  generate.run.obs = obs;
-  return generate_policy(fdds[base_team], generate);
+  return resolved;
 }
 
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
                                std::size_t base_team) {
-  return resolve_via_corrections(policies, plan, base_team, ObsOptions{});
+  return resolve_via_corrections(policies, plan, base_team, RunOptions{});
 }
 
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
-                               std::size_t base_team, const ObsOptions& obs) {
+                               std::size_t base_team, const RunOptions& run) {
   if (base_team >= policies.size()) {
     throw std::invalid_argument("resolve_via_corrections: no such team");
   }
-  std::vector<Fdd> fdds = build_shaped(policies, obs);
-  const std::vector<Discrepancy> discrepancies = compare_fdds_many(fdds);
+  require_teams(policies);
+  CompareOptions compare;
+  compare.run = run;
+  const std::vector<Discrepancy> discrepancies =
+      discrepancies_many(policies, compare);
   const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
 
   const Policy& base = policies[base_team];

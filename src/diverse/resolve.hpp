@@ -42,16 +42,20 @@ ResolutionPlan plan_by_majority(const std::vector<Discrepancy>& discrepancies,
 /// Method 1 (Section 6.1): correct the shaped FDD of team `base_team` at
 /// every discrepant terminal and generate a compact policy from it.
 /// `policies` are the original team firewalls (>= 2, same schema,
-/// comprehensive); `plan` must cover all their discrepancies.
+/// comprehensive); `plan` must cover all their discrepancies. Runs in the
+/// comparison pipeline's arena (fdd/arena.hpp): the correction rebuilds
+/// the shaped base diagram canonically, and generation reads the DAG.
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team = 0);
 
-/// Observable variant: the internal rebuild/shape/compare walk runs with
-/// the given sinks (per-policy "build_reduced_fdd" spans) and the final
-/// regeneration emits its "generate" span and "gen.rules_emitted" count.
+/// Same, on the given execution knobs: `run.executor` builds the teams'
+/// diagrams concurrently, `run.context` governs the whole resolution, and
+/// `run.obs` sees the comparison pipeline's spans and arena stats plus the
+/// regeneration's "generate" span and "gen.rules_emitted" count. The
+/// result is identical for every executor.
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team,
-                       const ObsOptions& obs);
+                       const RunOptions& run);
 
 /// Method 2 (Section 6.2): take team `base_team`'s original firewall,
 /// prepend (in plan order) the resolved rules on which that team's decision
@@ -60,9 +64,9 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
                                std::size_t base_team);
 
-/// Observable variant; see the observable resolve_via_fdd.
+/// Same, on the given execution knobs; see resolve_via_fdd.
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
-                               std::size_t base_team, const ObsOptions& obs);
+                               std::size_t base_team, const RunOptions& run);
 
 }  // namespace dfw

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "diverse/discrepancy.hpp"
-#include "fdd/construct.hpp"
+#include "fdd/arena.hpp"
 #include "rt/executor.hpp"
 #include "rt/parallel.hpp"
 
@@ -15,8 +15,6 @@ DiverseDesign::DiverseDesign(DecisionSet decisions, WorkflowOptions options)
 CompareOptions DiverseDesign::compare_options() const {
   CompareOptions options;
   options.run = options_.run;
-  options.fork_threshold = options_.fork_threshold;
-  options.use_arena = options_.use_arena;
   return options;
 }
 
@@ -29,11 +27,16 @@ std::size_t DiverseDesign::submit(std::string team_name, Policy policy) {
   // Comprehensiveness gate: a rule sequence must cover every packet to
   // serve as a firewall (Section 3.1). Governed sessions bound this build
   // too — a hostile submission must not hang the design phase.
-  ConstructOptions construct;
-  construct.run.context = options_.run.context;
-  construct.run.obs = options_.run.obs;
-  Fdd fdd = build_reduced_fdd(policy, construct);
-  fdd.validate();
+  FddArena arena(policy.schema());
+  arena.set_context(options_.run.context);
+  {
+    ScopedSpan build(options_.run.obs.tracer, "build_reduced_fdd", "rules",
+                     policy.size());
+    arena.validate(arena.build_reduced(policy));
+  }
+  if (options_.run.obs.metrics != nullptr) {
+    absorb(*options_.run.obs.metrics, arena.stats());
+  }
   names_.push_back(std::move(team_name));
   policies_.push_back(std::move(policy));
   return policies_.size() - 1;
@@ -79,16 +82,12 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
   }
   // Each pair is an independent construct->shape->compare pipeline; run
   // them as pool tasks. The pair pipelines get a serial CompareOptions so
-  // the pool's threads each own one whole pipeline instead of contending
-  // over intra-pair subtasks.
+  // the pool's threads each own one whole pipeline, arenas included,
+  // instead of contending over intra-pair subtasks.
   Executor& ex = executor_or_inline(options_.run);
-  // A serial pipeline per pair keeps each task on one thread; use_arena
-  // then gives every task its own task-local arena.
   CompareOptions pair_options;
   pair_options.run.context = options_.run.context;
   pair_options.run.obs = options_.run.obs;
-  pair_options.fork_threshold = options_.fork_threshold;
-  pair_options.use_arena = options_.use_arena;
   const auto run_pair = [&](std::size_t i) {
     const auto [a, b] = pairs[i];
     // One span per unordered pair, on whichever pool thread runs it; the
@@ -149,10 +148,10 @@ Policy DiverseDesign::resolve(const ResolutionPlan& plan,
                   base_team);
   switch (method) {
     case ResolutionMethod::kCorrectedFdd:
-      return resolve_via_fdd(policies_, plan, base_team, options_.run.obs);
+      return resolve_via_fdd(policies_, plan, base_team, options_.run);
     case ResolutionMethod::kPrependAndTrim:
       return resolve_via_corrections(policies_, plan, base_team,
-                                     options_.run.obs);
+                                     options_.run);
   }
   throw std::invalid_argument("resolve: unknown method");
 }

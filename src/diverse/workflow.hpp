@@ -56,18 +56,12 @@ struct WorkflowOptions {
   /// session: submissions run under "workflow.submit" spans, the
   /// comparison phase under "workflow.compare"/"workflow.cross_compare"
   /// with one "pair" span per unordered pair, and resolution under
-  /// "workflow.resolve"; the underlying pipelines inherit the sinks
-  /// through CompareOptions/ConstructOptions/GenerateOptions.
+  /// "workflow.resolve"; the underlying pipelines inherit the sinks.
   RunOptions run = {};
   ResolutionMethod resolution = ResolutionMethod::kCorrectedFdd;
   /// Team whose rule sequence seeds the resolution phase.
   std::size_t base_team = 0;
   ComparisonMode comparison = ComparisonMode::kDirect;
-  /// Forwarded to the comparison pipeline (see CompareOptions).
-  std::size_t fork_threshold = 4;
-  /// Forwarded to the comparison pipeline: run serial comparisons
-  /// arena-native (see CompareOptions::use_arena).
-  bool use_arena = true;
 };
 
 /// One pairwise comparison result from cross comparison. In a governed

@@ -30,21 +30,20 @@ std::uint64_t pack_pair(ArenaNodeId a, ArenaNodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-struct IdVectorHash {
-  std::size_t operator()(const std::vector<ArenaNodeId>& v) const {
-    std::uint64_t h = 0xb7e151628aed2a6bull;
-    for (const ArenaNodeId id : v) {
-      h = mix(h, id);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 bool wildcard(const Schema& schema, const Rule& rule, std::size_t field) {
   return rule.conjunct(field) == schema.domain_set(field);
 }
 
 }  // namespace
+
+std::size_t ArenaIdTupleHash::operator()(
+    const std::vector<ArenaNodeId>& ids) const {
+  std::uint64_t h = 0xb7e151628aed2a6bull;
+  for (const ArenaNodeId id : ids) {
+    h = mix(h, id);
+  }
+  return static_cast<std::size_t>(h);
+}
 
 FddArena::FddArena(Schema schema) : schema_(std::move(schema)) {}
 
@@ -243,6 +242,36 @@ ArenaNodeId FddArena::from_tree(const FddNode& node) {
 
 ArenaNodeId FddArena::from_tree_canonical(const FddNode& node) {
   return from_tree_impl(node, true);
+}
+
+ArenaNodeId FddArena::import(const FddArena& source, ArenaNodeId root) {
+  if (!(source.schema_ == schema_)) {
+    throw std::invalid_argument("FddArena::import: schema mismatch");
+  }
+  if (&source == this) {
+    return root;
+  }
+  // The source is valid and its edges sorted, so nodes are interned as
+  // they stand: no re-sorting, merging or splicing.
+  std::vector<ArenaNodeId> node_map(source.nodes_.size(), kNoNode);
+  std::vector<ArenaLabelId> label_map(source.labels_.size(), kNoNode);
+  const auto visit = [&](auto&& self, ArenaNodeId id) -> ArenaNodeId {
+    if (node_map[id] != kNoNode) {
+      return node_map[id];
+    }
+    std::vector<ArenaEdge> out;
+    out.reserve(source.edges(id).size());
+    for (const ArenaEdge& e : source.edges(id)) {
+      if (label_map[e.label] == kNoNode) {
+        label_map[e.label] = intern(source.labels_[e.label]);
+      }
+      out.push_back({label_map[e.label], self(self, e.target)});
+    }
+    node_map[id] =
+        intern_node(source.field(id), source.decision(id), std::move(out));
+    return node_map[id];
+  };
+  return visit(visit, root);
 }
 
 std::unique_ptr<FddNode> FddArena::to_tree(ArenaNodeId root) const {
@@ -445,7 +474,7 @@ ArenaNodeId FddArena::build_reduced(const Policy& policy) {
   // Appending the first rule to the empty diagram yields its lone decision
   // path (Fig. 6); every further rule is appended at the root. Canonical
   // node creation keeps each intermediate maximally reduced, so no
-  // interleaved reduce passes (and none of their re-hashing) are needed.
+  // reduce passes (and none of their re-hashing) are needed.
   ArenaNodeId root = kEmpty;
   for (const Rule& rule : policy.rules()) {
     root = append_rule(root, rule);
@@ -611,7 +640,7 @@ void FddArena::compare_into(const std::vector<ArenaNodeId>& roots,
   // every later encounter. Tuples that do disagree must be re-walked (the
   // records carry the path predicate), but those are exactly the regions
   // the output has to spell out anyway.
-  std::unordered_map<std::vector<ArenaNodeId>, bool, IdVectorHash> memo;
+  std::unordered_map<std::vector<ArenaNodeId>, bool, ArenaIdTupleHash> memo;
   const auto walk = [&](auto&& self,
                         const std::vector<ArenaNodeId>& nodes) -> bool {
     // The walk materialises no nodes, so it carries its own checkpoint;
@@ -792,7 +821,9 @@ Policy FddArena::generate(ArenaNodeId root) {
       return;
     }
     // Elect the default branch: highest rule cost, ties broken toward the
-    // larger value region (mirrors the tree generator exactly).
+    // larger value region (the "everything else" branch human authors
+    // would leave for last, and the one most likely to be absorbed by an
+    // outer default during redundancy removal).
     const std::span<const ArenaEdge> out = edges(id);
     std::size_t default_edge = 0;
     std::size_t best_cost = 0;

@@ -38,6 +38,7 @@
 #include "fdd/fdd.hpp"
 #include "fdd/stats.hpp"
 #include "fw/policy.hpp"
+#include "rt/run_options.hpp"
 
 namespace dfw {
 
@@ -56,6 +57,12 @@ struct ArenaEdge {
   ArenaNodeId target;
 
   friend bool operator==(const ArenaEdge&, const ArenaEdge&) = default;
+};
+
+/// Hash of a node-id tuple (one id per diagram walked in lockstep), for
+/// memo tables keyed on such tuples.
+struct ArenaIdTupleHash {
+  std::size_t operator()(const std::vector<ArenaNodeId>& ids) const;
 };
 
 class RunContext;
@@ -169,6 +176,12 @@ class FddArena {
   /// Interns a tree through canonical(), i.e. the arena image of
   /// reduce()-ing the tree.
   ArenaNodeId from_tree_canonical(const FddNode& node);
+
+  /// Interns the diagram under `root` of `source` (same schema) node for
+  /// node, memoised per source node, and returns its id here: a diagram
+  /// this arena already holds maps to its existing id. Nodes and labels
+  /// new to this arena are charged to its context.
+  ArenaNodeId import(const FddArena& source, ArenaNodeId root);
 
   /// Expands the diagram under `root` into an owning tree.
   std::unique_ptr<FddNode> to_tree(ArenaNodeId root) const;
@@ -302,5 +315,19 @@ class FddArena {
   // Nodes from this id on are past the last mark(); none before a mark.
   std::size_t mark_nodes_ = SIZE_MAX;
 };
+
+/// The production comparison pipeline — construct, validate, shape,
+/// compare — behind discrepancies(), discrepancies_many(), their _governed
+/// forms and resolve_via_fdd(). Each policy is built in its own arena, one
+/// run.executor task per policy; the canonical roots are imported into
+/// `arena` (over the policies' schema), which validates, shapes and
+/// compares them. Appends the discrepancies to `out` — a governance breach
+/// leaves the ones found so far — and returns the shaped roots in input
+/// order. run.context governs every arena. run.obs sees the four phase
+/// spans plus one "build_reduced_fdd" span per policy, and absorbs each
+/// per-policy arena's stats; absorbing `arena`'s is the caller's part.
+std::vector<ArenaNodeId> compare_policies(
+    FddArena& arena, std::span<const Policy* const> policies,
+    const RunOptions& run, std::vector<Discrepancy>& out);
 
 }  // namespace dfw

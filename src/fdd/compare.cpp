@@ -2,30 +2,20 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "fdd/arena.hpp"
-#include "fdd/construct.hpp"
-#include "fdd/shape.hpp"
-#include "rt/executor.hpp"
 #include "rt/parallel.hpp"
 
 namespace dfw {
 namespace {
 
-Executor& resolve_executor(const CompareOptions& options) {
-  return executor_or_inline(options.run);
-}
-
 // Lockstep walk over N semi-isomorphic subtrees accumulating the common
 // path predicate; emits a record at terminals with disagreeing decisions.
-// Governed walks checkpoint here; unwinding leaves the discrepancies found
-// so far in `out` (caller-owned), which is what partial reports surface.
 void walk(const Schema& schema, const std::vector<const FddNode*>& nodes,
-          std::vector<IntervalSet>& conjuncts, std::vector<Discrepancy>& out,
-          RunContext* ctx) {
-  govern::checkpoint(ctx);
+          std::vector<IntervalSet>& conjuncts, std::vector<Discrepancy>& out) {
   const FddNode* first = nodes.front();
   if (first->is_terminal()) {
     const bool all_equal =
@@ -50,235 +40,54 @@ void walk(const Schema& schema, const std::vector<const FddNode*>& nodes,
     for (const FddNode* n : nodes) {
       children.push_back(n->edges[e].target.get());
     }
-    walk(schema, children, conjuncts, out, ctx);
+    walk(schema, children, conjuncts, out);
   }
   conjuncts[first->field] = IntervalSet(schema.domain(first->field));
 }
 
-void compare_impl(const Schema& schema, std::vector<const FddNode*> roots,
-                  const CompareOptions& options,
-                  std::vector<Discrepancy>& out) {
+std::vector<Discrepancy> compare_trees(const Schema& schema,
+                                       const std::vector<const FddNode*>& roots) {
   std::vector<IntervalSet> conjuncts;
   conjuncts.reserve(schema.field_count());
   for (std::size_t i = 0; i < schema.field_count(); ++i) {
     conjuncts.emplace_back(schema.domain(i));
   }
-  Executor& ex = resolve_executor(options);
-  const FddNode* first = roots.front();
-  if (!ex.is_inline() && !first->is_terminal() &&
-      first->edges.size() >= std::max<std::size_t>(1, options.fork_threshold)) {
-    // Fork the root's subtree recursions as independent tasks. Each task
-    // walks with its own conjunct stack; concatenating the per-edge output
-    // in edge order reproduces the serial depth-first order exactly. The
-    // staging vector lives here, not in parallel_map, so a governed abort
-    // can still flush every completed task's findings into `out`.
-    std::vector<std::vector<Discrepancy>> parts(first->edges.size());
-    const auto flush = [&] {
-      for (std::vector<Discrepancy>& part : parts) {
-        out.insert(out.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-      }
-    };
-    try {
-      ex.parallel_for(
-          first->edges.size(),
-          [&](std::size_t e) {
-            std::vector<IntervalSet> local = conjuncts;
-            local[first->field] = first->edges[e].label;
-            std::vector<const FddNode*> children;
-            children.reserve(roots.size());
-            for (const FddNode* n : roots) {
-              children.push_back(n->edges[e].target.get());
-            }
-            walk(schema, children, local, parts[e], options.run.context);
-          },
-          options.run.context, options.run.obs);
-    } catch (...) {
-      flush();
-      throw;
-    }
-    flush();
-    return;
-  }
-  walk(schema, roots, conjuncts, out, options.run.context);
-}
-
-// Whole pipeline on ids: build canonical diagrams, validate, shape, and
-// compare without ever expanding a tree. Canonical construction makes the
-// diagrams reduced; shaping and comparison memoise inside the arena. The
-// obs sink sees the four phases plus one "build_reduced_fdd" span per
-// policy; the arena's lifetime stats land in the registry even when a
-// governance breach unwinds mid-phase.
-void arena_discrepancies(const std::vector<const Policy*>& policies,
-                         RunContext* ctx, const ObsOptions& obs,
-                         std::vector<Discrepancy>& out) {
-  FddArena arena(policies.front()->schema());
-  arena.set_context(ctx);
-  struct StatsFlush {
-    const FddArena& arena;
-    MetricsRegistry* metrics;
-    ~StatsFlush() {
-      if (metrics != nullptr) {
-        absorb(*metrics, arena.stats());
-      }
-    }
-  } flush{arena, obs.metrics};
-  std::vector<ArenaNodeId> roots;
-  roots.reserve(policies.size());
-  {
-    PhaseSpan phase(obs, "construct");
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-      ScopedSpan span(obs.tracer, "build_reduced_fdd", "rules",
-                      policies[i]->size(), "policy", i);
-      roots.push_back(arena.build_reduced(*policies[i]));
-    }
-  }
-  {
-    PhaseSpan phase(obs, "validate");
-    for (const ArenaNodeId root : roots) {
-      arena.validate(root);  // rejects non-comprehensive inputs up front
-    }
-  }
-  {
-    PhaseSpan phase(obs, "shape");
-    arena.shape_all(roots);
-  }
-  PhaseSpan phase(obs, "compare");
-  arena.compare_into(roots, out);
-}
-
-}  // namespace
-
-std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b,
-                                      const CompareOptions& options) {
-  if (!semi_isomorphic(a, b)) {
-    throw std::invalid_argument("compare_fdds: FDDs are not semi-isomorphic");
-  }
   std::vector<Discrepancy> out;
-  compare_impl(a.schema(), {&a.root(), &b.root()}, options, out);
+  walk(schema, roots, conjuncts, out);
   return out;
 }
 
-std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds,
-                                           const CompareOptions& options) {
-  if (fdds.empty()) {
-    throw std::invalid_argument("compare_fdds_many: no FDDs");
-  }
-  std::vector<const FddNode*> roots;
-  roots.reserve(fdds.size());
-  for (std::size_t i = 1; i < fdds.size(); ++i) {
-    if (!semi_isomorphic(fdds[0], fdds[i])) {
-      throw std::invalid_argument(
-          "compare_fdds_many: FDDs are not pairwise semi-isomorphic");
+// Absorbs an arena's lifetime stats into the registry (nullable) when it
+// leaves scope, so they land there even when a governance breach unwinds
+// mid-phase.
+struct StatsFlush {
+  const FddArena& arena;
+  MetricsRegistry* metrics;
+  ~StatsFlush() {
+    if (metrics != nullptr) {
+      absorb(*metrics, arena.stats());
     }
   }
-  for (const Fdd& f : fdds) {
-    roots.push_back(&f.root());
-  }
-  std::vector<Discrepancy> out;
-  compare_impl(fdds[0].schema(), std::move(roots), options, out);
-  return out;
-}
+};
 
-namespace {
-
-void discrepancies_pair_into(const Policy& a, const Policy& b,
-                             const CompareOptions& options,
-                             std::vector<Discrepancy>& out) {
-  if (options.use_arena && resolve_executor(options).is_inline()) {
-    arena_discrepancies({&a, &b}, options.run.context, options.run.obs, out);
-    return;
-  }
-  // Construction dominates the pipeline (Fig. 13) and the two diagrams
-  // are independent until shaping — with a pool executor they build as
-  // two concurrent tasks. use_arena still applies to construction here:
-  // each task builds through its own task-local arena and expands the
-  // result, which threads fine; only shaping/comparison need the tree.
-  ConstructOptions construct;
-  construct.run.context = options.run.context;
-  construct.run.obs = options.run.obs;
-  construct.use_arena = options.use_arena;
-  const Policy* inputs[2] = {&a, &b};
-  std::vector<Fdd> fdds;
-  {
-    PhaseSpan phase(options.run.obs, "construct");
-    fdds = parallel_map<Fdd>(
-        resolve_executor(options), 2,
-        [&](std::size_t i) {
-          return build_reduced_fdd(*inputs[i], construct);
-        },
-        options.run.context, options.run.obs);
-  }
-  {
-    PhaseSpan phase(options.run.obs, "validate");
-    fdds[0].validate();  // rejects non-comprehensive inputs up front
-    fdds[1].validate();
-  }
-  {
-    PhaseSpan phase(options.run.obs, "shape");
-    shape_pair(fdds[0], fdds[1], options.run.context);
-    if (!semi_isomorphic(fdds[0], fdds[1])) {
-      throw std::invalid_argument(
-          "compare_fdds: FDDs are not semi-isomorphic");
-    }
-  }
-  PhaseSpan phase(options.run.obs, "compare");
-  compare_impl(fdds[0].schema(), {&fdds[0].root(), &fdds[1].root()}, options,
-               out);
-}
-
-void discrepancies_many_into(const std::vector<Policy>& policies,
-                             const CompareOptions& options,
-                             std::vector<Discrepancy>& out) {
+void discrepancies_into(std::span<const Policy* const> policies,
+                        const CompareOptions& options,
+                        std::vector<Discrepancy>& out) {
   if (policies.empty()) {
     throw std::invalid_argument("discrepancies_many: no policies");
   }
-  if (options.use_arena && resolve_executor(options).is_inline()) {
-    std::vector<const Policy*> inputs;
-    inputs.reserve(policies.size());
-    for (const Policy& p : policies) {
-      inputs.push_back(&p);
-    }
-    arena_discrepancies(inputs, options.run.context, options.run.obs, out);
-    return;
+  FddArena arena(policies.front()->schema());
+  const StatsFlush flush{arena, options.run.obs.metrics};
+  compare_policies(arena, policies, options.run, out);
+}
+
+std::vector<const Policy*> addresses(const std::vector<Policy>& policies) {
+  std::vector<const Policy*> out;
+  out.reserve(policies.size());
+  for (const Policy& p : policies) {
+    out.push_back(&p);
   }
-  ConstructOptions construct;
-  construct.run.context = options.run.context;
-  construct.run.obs = options.run.obs;
-  construct.use_arena = options.use_arena;
-  std::vector<Fdd> fdds;
-  {
-    PhaseSpan phase(options.run.obs, "construct");
-    fdds = parallel_map<Fdd>(
-        resolve_executor(options), policies.size(),
-        [&](std::size_t i) {
-          return build_reduced_fdd(policies[i], construct);
-        },
-        options.run.context, options.run.obs);
-  }
-  {
-    PhaseSpan phase(options.run.obs, "validate");
-    for (Fdd& f : fdds) {
-      f.validate();
-    }
-  }
-  {
-    PhaseSpan phase(options.run.obs, "shape");
-    shape_all(fdds, options.run.context);
-  }
-  std::vector<const FddNode*> roots;
-  roots.reserve(fdds.size());
-  for (std::size_t i = 1; i < fdds.size(); ++i) {
-    if (!semi_isomorphic(fdds[0], fdds[i])) {
-      throw std::invalid_argument(
-          "compare_fdds_many: FDDs are not pairwise semi-isomorphic");
-    }
-  }
-  for (const Fdd& f : fdds) {
-    roots.push_back(&f.root());
-  }
-  PhaseSpan phase(options.run.obs, "compare");
-  compare_impl(fdds[0].schema(), std::move(roots), options, out);
+  return out;
 }
 
 CompareOutcome run_governed(
@@ -299,36 +108,116 @@ CompareOutcome run_governed(
 
 }  // namespace
 
+std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b) {
+  if (!semi_isomorphic(a, b)) {
+    throw std::invalid_argument("compare_fdds: FDDs are not semi-isomorphic");
+  }
+  return compare_trees(a.schema(), {&a.root(), &b.root()});
+}
+
+std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds) {
+  if (fdds.empty()) {
+    throw std::invalid_argument("compare_fdds_many: no FDDs");
+  }
+  std::vector<const FddNode*> roots;
+  roots.reserve(fdds.size());
+  for (std::size_t i = 1; i < fdds.size(); ++i) {
+    if (!semi_isomorphic(fdds[0], fdds[i])) {
+      throw std::invalid_argument(
+          "compare_fdds_many: FDDs are not pairwise semi-isomorphic");
+    }
+  }
+  for (const Fdd& f : fdds) {
+    roots.push_back(&f.root());
+  }
+  return compare_trees(fdds[0].schema(), roots);
+}
+
+std::vector<ArenaNodeId> compare_policies(
+    FddArena& arena, std::span<const Policy* const> policies,
+    const RunOptions& run, std::vector<Discrepancy>& out) {
+  arena.set_context(run.context);
+  std::vector<ArenaNodeId> roots;
+  roots.reserve(policies.size());
+  {
+    PhaseSpan phase(run.obs, "construct");
+    // Construction dominates the pipeline (Fig. 13) and the diagrams are
+    // independent until shaping, so each builds in an arena of its own —
+    // a pool task apiece — and its canonical root is then imported into
+    // the one arena that shapes and compares.
+    struct Built {
+      std::unique_ptr<FddArena> arena;
+      ArenaNodeId root;
+    };
+    const std::vector<Built> built = parallel_map<Built>(
+        executor_or_inline(run), policies.size(),
+        [&](std::size_t i) {
+          ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
+                          policies[i]->size(), "policy", i);
+          auto own = std::make_unique<FddArena>(arena.schema());
+          own->set_context(run.context);
+          const StatsFlush flush{*own, run.obs.metrics};
+          const ArenaNodeId root = own->build_reduced(*policies[i]);
+          return Built{std::move(own), root};
+        },
+        run.context, run.obs);
+    for (const Built& b : built) {
+      roots.push_back(arena.import(*b.arena, b.root));
+    }
+  }
+  {
+    PhaseSpan phase(run.obs, "validate");
+    for (const ArenaNodeId root : roots) {
+      arena.validate(root);  // rejects non-comprehensive inputs up front
+    }
+  }
+  {
+    PhaseSpan phase(run.obs, "shape");
+    arena.shape_all(roots);
+  }
+  PhaseSpan phase(run.obs, "compare");
+  arena.compare_into(roots, out);
+  return roots;
+}
+
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,
                                        const CompareOptions& options) {
+  const Policy* inputs[] = {&a, &b};
   std::vector<Discrepancy> out;
-  discrepancies_pair_into(a, b, options, out);
+  discrepancies_into(inputs, options, out);
   return out;
 }
 
 std::vector<Discrepancy> discrepancies_many(
     const std::vector<Policy>& policies, const CompareOptions& options) {
   std::vector<Discrepancy> out;
-  discrepancies_many_into(policies, options, out);
+  discrepancies_into(addresses(policies), options, out);
   return out;
 }
 
 CompareOutcome discrepancies_governed(const Policy& a, const Policy& b,
                                       const CompareOptions& options) {
+  const Policy* inputs[] = {&a, &b};
   return run_governed([&](std::vector<Discrepancy>& out) {
-    discrepancies_pair_into(a, b, options, out);
+    discrepancies_into(inputs, options, out);
   });
 }
 
 CompareOutcome discrepancies_many_governed(
     const std::vector<Policy>& policies, const CompareOptions& options) {
   return run_governed([&](std::vector<Discrepancy>& out) {
-    discrepancies_many_into(policies, options, out);
+    discrepancies_into(addresses(policies), options, out);
   });
 }
 
 bool equivalent(const Policy& a, const Policy& b) {
-  return discrepancies(a, b).empty();
+  // Canonical construction makes id equality semantic equality.
+  FddArena arena(a.schema());
+  const ArenaNodeId root_a = arena.build_reduced(a);
+  const ArenaNodeId root_b = arena.build_reduced(b);
+  arena.validate(root_a);
+  arena.validate(root_b);
+  return root_a == root_b;
 }
 
 Value discrepancy_packet_count(const Discrepancy& d) {

@@ -23,8 +23,6 @@
 
 namespace dfw {
 
-class Executor;
-
 /// One functional discrepancy: a predicate (one value set per schema
 /// field) plus the decision each compared firewall assigns to packets
 /// matching it. decisions.size() equals the number of compared firewalls,
@@ -39,29 +37,19 @@ struct Discrepancy {
 /// Options threaded through the comparison pipeline.
 struct CompareOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.executor`: with a
-  /// pool, the constructions run concurrently and the comparison walk
-  /// forks; results are identical for every executor. `run.context`:
-  /// cancellation, deadline, and resource budgets observed throughout the
-  /// pipeline — construction charges nodes, shaping charges
-  /// inserted/cloned nodes, and the comparison walk takes amortized
-  /// checkpoints. The vector-returning entry points let a breach propagate
-  /// as dfw::Error; the *_governed entry points catch it and return the
-  /// discrepancies found so far with complete=false. `run.obs`: the
-  /// pipelines emit phase spans — "construct", "validate", "shape",
-  /// "compare" — plus per-policy "build_reduced_fdd" spans and per-chunk
-  /// "chunk" spans under a pool executor, and record phase durations into
-  /// the registry ("phase.<name>_ns"); arena pipelines absorb their
-  /// ArenaStats into the registry on completion.
+  /// pool, the policies' diagrams build concurrently, one task each, and
+  /// shaping and comparison run on the calling thread; results are
+  /// identical for every executor. `run.context`: cancellation, deadline,
+  /// and resource budgets observed throughout the pipeline — construction
+  /// and shaping charge the nodes they intern and every phase takes
+  /// amortized checkpoints. The vector-returning entry points let a breach
+  /// propagate as dfw::Error; the *_governed entry points catch it and
+  /// return the discrepancies found so far with complete=false. `run.obs`:
+  /// the pipelines emit phase spans — "construct", "validate", "shape",
+  /// "compare" — plus one "build_reduced_fdd" span and one executor
+  /// "chunk" span per policy, record phase durations into the registry
+  /// ("phase.<name>_ns"), and absorb every arena's ArenaStats into it.
   RunOptions run = {};
-  /// Minimum outgoing edges at an FDD root before the comparison walk
-  /// forks its top-level subtrees as independent pool tasks.
-  std::size_t fork_threshold = 4;
-  /// Run the discrepancies pipelines arena-native (fdd/arena.hpp):
-  /// construct, shape, and compare on hash-consed node ids, with memoised
-  /// shaping and identical-subdiagram pruning, never expanding a tree.
-  /// Output is identical either way. An arena is single-threaded, so a
-  /// pool executor always takes the tree path regardless of this flag.
-  bool use_arena = true;
 };
 
 /// Result of a governed comparison. When `complete` is false the pipeline
@@ -77,18 +65,17 @@ struct CompareOutcome {
 
 /// Compares two semi-isomorphic FDDs; requires semi_isomorphic(a, b).
 /// Returns one Discrepancy per differing companion-rule pair, in decision-
-/// path (depth-first) order.
-std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b,
-                                      const CompareOptions& options = {});
+/// path (depth-first) order. The paper's tree walk, serial and ungoverned:
+/// the reference the arena pipeline below is tested against.
+std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b);
 
 /// N-way comparison of pairwise semi-isomorphic FDDs (e.g. from
 /// shape_all). A path is reported when not all N decisions agree.
-std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds,
-                                           const CompareOptions& options = {});
+std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds);
 
 /// Full pipeline on policies: construct, shape, compare. Policies must be
-/// comprehensive and share a schema. With a pool executor the two FDDs
-/// are constructed concurrently and the comparison walk forks.
+/// comprehensive and share a schema. With a pool executor the two
+/// diagrams are constructed concurrently.
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,
                                        const CompareOptions& options = {});
 
@@ -109,7 +96,9 @@ CompareOutcome discrepancies_many_governed(
     const std::vector<Policy>& policies, const CompareOptions& options);
 
 /// Two firewalls are equivalent iff they have no functional discrepancy
-/// (Section 3.1's f1 == f2 mapping equality).
+/// (Section 3.1's f1 == f2 mapping equality): both are built canonically
+/// in one arena, where equal functions share one root id. Throws like
+/// discrepancies() on non-comprehensive or mismatched-schema input.
 bool equivalent(const Policy& a, const Policy& b);
 
 /// The number of *packets* covered by a discrepancy's predicate

@@ -4,9 +4,7 @@
 
 #include "fdd/arena.hpp"
 #include "fdd/node.hpp"
-#include "fdd/reduce.hpp"
 #include "rt/fault.hpp"
-#include "rt/govern.hpp"
 
 namespace dfw {
 namespace {
@@ -19,19 +17,16 @@ bool is_wildcard(const Schema& schema, const Rule& rule, std::size_t field) {
 // of single-edge nodes ending in a terminal (the partial FDD of one rule).
 // Wildcard fields are skipped; reduction would splice them out anyway.
 std::unique_ptr<FddNode> build_path(const Schema& schema, const Rule& rule,
-                                    std::size_t field,
-                                    RunContext* ctx = nullptr) {
+                                    std::size_t field) {
   if (field == schema.field_count()) {
-    govern::charge_nodes(ctx);
     return FddNode::make_terminal(rule.decision());
   }
   if (is_wildcard(schema, rule, field)) {
-    return build_path(schema, rule, field + 1, ctx);
+    return build_path(schema, rule, field + 1);
   }
-  govern::charge_nodes(ctx);
   auto node = FddNode::make_internal(field);
   node->edges.emplace_back(rule.conjunct(field),
-                           build_path(schema, rule, field + 1, ctx));
+                           build_path(schema, rule, field + 1));
   return node;
 }
 
@@ -39,8 +34,7 @@ std::unique_ptr<FddNode> build_path(const Schema& schema, const Rule& rule,
 // so that a rule constraining a spliced-out (or never-materialised) field
 // has a node to split. Semantics preserving.
 void materialize(const Schema& schema, std::unique_ptr<FddNode>& slot,
-                 std::size_t field, RunContext* ctx = nullptr) {
-  govern::charge_nodes(ctx);
+                 std::size_t field) {
   auto inserted = FddNode::make_internal(field);
   inserted->edges.emplace_back(IntervalSet(schema.domain(field)),
                                std::move(slot));
@@ -51,9 +45,7 @@ void materialize(const Schema& schema, std::unique_ptr<FddNode>& slot,
 // generalised to diagrams whose paths may skip fields: a skipped field the
 // rule constrains is first re-inserted with a full-domain edge.
 void append(const Schema& schema, std::unique_ptr<FddNode>& slot,
-            const Rule& rule, std::size_t from_field,
-            RunContext* ctx = nullptr) {
-  govern::checkpoint(ctx);
+            const Rule& rule, std::size_t from_field) {
   // A packet reaching a terminal was decided by an earlier (higher
   // priority) rule; under first-match the appended rule never applies
   // there, whatever its remaining conjuncts say.
@@ -61,7 +53,7 @@ void append(const Schema& schema, std::unique_ptr<FddNode>& slot,
                                                 : slot->field;
   for (std::size_t g = from_field; g < label; ++g) {
     if (!is_wildcard(schema, rule, g)) {
-      materialize(schema, slot, g, ctx);
+      materialize(schema, slot, g);
       break;
     }
   }
@@ -75,8 +67,7 @@ void append(const Schema& schema, std::unique_ptr<FddNode>& slot,
   // that decides the new rule.
   const IntervalSet uncovered = s.subtract(v.edge_label_union());
   if (!uncovered.empty()) {
-    v.edges.emplace_back(uncovered,
-                         build_path(schema, rule, v.field + 1, ctx));
+    v.edges.emplace_back(uncovered, build_path(schema, rule, v.field + 1));
   }
 
   // Fold S into each pre-existing edge. The new edge added above is
@@ -90,20 +81,16 @@ void append(const Schema& schema, std::unique_ptr<FddNode>& slot,
     }
     if (common == v.edges[i].label) {
       // case (2): edge fully inside S — recurse.
-      append(schema, v.edges[i].target, rule, v.field + 1, ctx);
+      append(schema, v.edges[i].target, rule, v.field + 1);
       continue;
     }
     // case (3): split e into e' (outside S, keeps the old subtree) and
-    // e'' (inside S, gets a copy that the rule is appended to). The clone
-    // is the tree path's unit of blowup — charge its full size up front.
-    if (ctx != nullptr) {
-      ctx->charge_nodes(subtree_node_count(*v.edges[i].target));
-    }
+    // e'' (inside S, gets a copy that the rule is appended to).
     const IntervalSet outside = v.edges[i].label.subtract(common);
     std::unique_ptr<FddNode> copy = v.edges[i].target->clone();
     v.edges[i].label = outside;
     v.edges.emplace_back(common, std::move(copy));
-    append(schema, v.edges.back().target, rule, v.field + 1, ctx);
+    append(schema, v.edges.back().target, rule, v.field + 1);
   }
 }
 
@@ -140,37 +127,12 @@ Fdd build_reduced_fdd(const Policy& policy,
   // Phase-boundary fault site: fires before any construction state
   // exists, modelling a failure at the hand-off into this phase.
   fault::hit(options.run.faults, fault::sites::kConstructPhase);
-  if (options.use_arena) {
-    FddArena arena(policy.schema());
-    arena.set_context(options.run.context);
-    arena.set_faults(options.run.faults);
-    Fdd fdd = arena.to_fdd(arena.build_reduced(policy));
-    if (options.run.obs.metrics != nullptr) {
-      absorb(*options.run.obs.metrics, arena.stats());
-    }
-    return fdd;
-  }
-  Fdd fdd(policy.schema(),
-          build_path(policy.schema(), policy.rule(0), 0, options.run.context));
-  // Reduce whenever the diagram outgrows a budget proportional to the
-  // rules consumed: appends then always run against a near-minimal tree,
-  // which is what keeps million-path intermediates from ever existing.
-  std::size_t budget = 256;
-  for (std::size_t i = 1; i < policy.size(); ++i) {
-    append(policy.schema(), fdd.root_slot(), policy.rule(i), 0,
-           options.run.context);
-    if (fdd.node_count() > budget) {
-      ScopedSpan reduce_span(options.run.obs.tracer, "reduce", "nodes",
-                             fdd.node_count());
-      reduce(fdd);
-      budget = fdd.node_count() * 2 + 256;
-    }
-  }
-  {
-    ScopedSpan reduce_span(options.run.obs.tracer, "reduce", "nodes",
-                           fdd.node_count());
-    fault::hit(options.run.faults, fault::sites::kReducePhase);
-    reduce(fdd);
+  FddArena arena(policy.schema());
+  arena.set_context(options.run.context);
+  arena.set_faults(options.run.faults);
+  Fdd fdd = arena.to_fdd(arena.build_reduced(policy));
+  if (options.run.obs.metrics != nullptr) {
+    absorb(*options.run.obs.metrics, arena.stats());
   }
   return fdd;
 }

@@ -35,31 +35,23 @@ Fdd build_partial_fdd(const Policy& policy, std::size_t count);
 /// Knobs for the production construction entry point.
 struct ConstructOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the build: every node the construction materialises — arena or tree,
-  /// including case-3 subtree clones — is charged against the node budget,
-  /// and the recursion takes amortized cancellation/deadline checkpoints.
-  /// A breach throws dfw::Error; construction cannot return a partial
-  /// diagram (a half-appended rule has no policy semantics), so callers
-  /// wanting partial *reports* catch at the workflow layer. `run.obs`
-  /// observes it: each build emits a "build_reduced_fdd" trace span, and
-  /// the tree path traces its interleaved "reduce" passes. `run.executor`
-  /// is accepted for uniformity but unused — one diagram builds serially.
+  /// the build: every node the arena materialises and every tree node the
+  /// expansion builds is charged against the node budget, and the
+  /// recursion takes amortized cancellation/deadline checkpoints. A breach
+  /// throws dfw::Error; construction cannot return a partial diagram (a
+  /// half-appended rule has no policy semantics), so callers wanting
+  /// partial *reports* catch at the workflow layer. `run.obs` observes it:
+  /// each build emits a "build_reduced_fdd" trace span and absorbs the
+  /// arena's stats. `run.executor` is accepted for uniformity but unused —
+  /// one diagram builds serially.
   RunOptions run = {};
-
-  /// Build through the hash-consed FddArena (fdd/arena.hpp): canonical by
-  /// construction, with copy-on-write appends instead of subtree clones.
-  /// The result, expanded back into the tree representation, is
-  /// structurally identical to the tree path's reduced output — the
-  /// reduced ordered FDD of a policy is unique. Off restores the pure
-  /// tree pipeline (append + interleaved reduce).
-  bool use_arena = true;
 };
 
-/// Construction with interleaved reduction: equivalent to
-/// reduce(build_fdd(policy)) but never materialises the unreduced
+/// The reduced FDD of the policy, built canonically in an FddArena
+/// (fdd/arena.hpp) and expanded into the tree representation: equal to
+/// reduce(build_fdd(policy)), without ever materialising the unreduced
 /// intermediate tree, whose size — not the reduced result's — is what
-/// blows up on large rule sets. This is the production entry point the
-/// comparison pipeline uses; build_fdd remains the paper-faithful
+/// blows up on large rule sets. build_fdd remains the paper-faithful
 /// reference implementation of Fig. 7.
 Fdd build_reduced_fdd(const Policy& policy,
                       const ConstructOptions& options = {});

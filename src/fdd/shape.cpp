@@ -5,7 +5,6 @@
 
 #include "fdd/node.hpp"
 #include "fdd/simplify.hpp"
-#include "rt/govern.hpp"
 
 namespace dfw {
 namespace {
@@ -20,8 +19,7 @@ std::size_t label_rank(const FddNode& n) {
 // Node insertion (Section 4, operation 1): hoist `slot` under a fresh
 // node labeled `field` whose single edge spans the whole domain.
 void insert_above(const Schema& schema, std::unique_ptr<FddNode>& slot,
-                  std::size_t field, RunContext* ctx = nullptr) {
-  govern::charge_nodes(ctx);
+                  std::size_t field) {
   auto inserted = FddNode::make_internal(field);
   inserted->edges.emplace_back(IntervalSet(schema.domain(field)),
                                std::move(slot));
@@ -40,15 +38,13 @@ void insert_above(const Schema& schema, std::unique_ptr<FddNode>& slot,
 // the same source edge share that edge's subtree via cloning (subgraph
 // replication, operation 3). Recurses on each aligned child pair.
 void shape_nodes(const Schema& schema, std::unique_ptr<FddNode>& a_slot,
-                 std::unique_ptr<FddNode>& b_slot,
-                 RunContext* ctx = nullptr) {
-  govern::checkpoint(ctx);
+                 std::unique_ptr<FddNode>& b_slot) {
   // Step 1: make both labels equal.
   while (label_rank(*a_slot) != label_rank(*b_slot)) {
     if (label_rank(*a_slot) < label_rank(*b_slot)) {
-      insert_above(schema, b_slot, a_slot->field, ctx);
+      insert_above(schema, b_slot, a_slot->field);
     } else {
-      insert_above(schema, a_slot, b_slot->field, ctx);
+      insert_above(schema, a_slot, b_slot->field);
     }
   }
   FddNode& a = *a_slot;
@@ -103,7 +99,7 @@ void shape_nodes(const Schema& schema, std::unique_ptr<FddNode>& a_slot,
     a.edges = std::move(a_new);
     b.edges = std::move(b_new);
     for (std::size_t k = 0; k < a.edges.size(); ++k) {
-      shape_nodes(schema, a.edges[k].target, b.edges[k].target, ctx);
+      shape_nodes(schema, a.edges[k].target, b.edges[k].target);
     }
     return;
   }
@@ -122,18 +118,10 @@ void shape_nodes(const Schema& schema, std::unique_ptr<FddNode>& a_slot,
   a_new.reserve(fragments.size());
   b_new.reserve(fragments.size());
   for (const Fragment& f : fragments) {
-    // Subgraph replication is shaping's unit of blowup: charge every clone
-    // by its full subtree size before building it.
-    if (ctx != nullptr && a_remaining[f.a_edge] > 1) {
-      ctx->charge_nodes(subtree_node_count(*a.edges[f.a_edge].target));
-    }
     std::unique_ptr<FddNode> a_child =
         (--a_remaining[f.a_edge] == 0)
             ? std::move(a.edges[f.a_edge].target)
             : a.edges[f.a_edge].target->clone();
-    if (ctx != nullptr && b_remaining[f.b_edge] > 1) {
-      ctx->charge_nodes(subtree_node_count(*b.edges[f.b_edge].target));
-    }
     std::unique_ptr<FddNode> b_child =
         (--b_remaining[f.b_edge] == 0)
             ? std::move(b.edges[f.b_edge].target)
@@ -144,7 +132,7 @@ void shape_nodes(const Schema& schema, std::unique_ptr<FddNode>& a_slot,
   a.edges = std::move(a_new);
   b.edges = std::move(b_new);
   for (std::size_t k = 0; k < a.edges.size(); ++k) {
-    shape_nodes(schema, a.edges[k].target, b.edges[k].target, ctx);
+    shape_nodes(schema, a.edges[k].target, b.edges[k].target);
   }
 }
 
@@ -207,18 +195,14 @@ void shape_pair_simple(Fdd& a, Fdd& b) {
   shape_nodes_simple(a.mutable_root(), b.mutable_root());
 }
 
-void shape_pair(Fdd& a, Fdd& b) { shape_pair(a, b, nullptr); }
-
-void shape_pair(Fdd& a, Fdd& b, RunContext* context) {
+void shape_pair(Fdd& a, Fdd& b) {
   if (!(a.schema() == b.schema())) {
     throw std::invalid_argument("shape_pair: schemas differ");
   }
-  shape_nodes(a.schema(), a.root_slot(), b.root_slot(), context);
+  shape_nodes(a.schema(), a.root_slot(), b.root_slot());
 }
 
-void shape_all(std::vector<Fdd>& fdds) { shape_all(fdds, nullptr); }
-
-void shape_all(std::vector<Fdd>& fdds, RunContext* context) {
+void shape_all(std::vector<Fdd>& fdds) {
   if (fdds.empty()) {
     throw std::invalid_argument("shape_all: no FDDs");
   }
@@ -228,13 +212,13 @@ void shape_all(std::vector<Fdd>& fdds, RunContext* context) {
   }
   // Pass 1: funnel every refinement into fdds[0].
   for (std::size_t i = 1; i < fdds.size(); ++i) {
-    shape_pair(fdds[0], fdds[i], context);
+    shape_pair(fdds[0], fdds[i]);
   }
   // Pass 2: fdds[0] is now the common refinement; aligning the others
   // against it splits only *their* edges (fdds[0] is already at least as
   // fine), leaving fdds[0] untouched and making all pairs semi-isomorphic.
   for (std::size_t i = 1; i + 1 < fdds.size(); ++i) {
-    shape_pair(fdds[0], fdds[i], context);
+    shape_pair(fdds[0], fdds[i]);
   }
 }
 

@@ -19,19 +19,12 @@
 
 namespace dfw {
 
-class RunContext;
-
 /// Makes two FDDs semi-isomorphic in place. Both must be valid, complete,
 /// ordered FDDs over the same schema (they need not be simple yet; shaping
-/// simplifies them first). Postcondition: semi_isomorphic(a, b).
+/// simplifies them first). Postcondition: semi_isomorphic(a, b). Serial
+/// and ungoverned: with compare_fdds it is the tree reference for the
+/// production pipeline (FddArena::shape_pair mirrors it on ids).
 void shape_pair(Fdd& a, Fdd& b);
-
-/// Governed shape_pair: inserted nodes and subgraph-replication clones are
-/// charged against `context`'s node budget (null = ungoverned) and the
-/// recursion takes amortized cancellation/deadline checkpoints. A breach
-/// throws dfw::Error; the diagrams are left valid but possibly partially
-/// shaped — rebuild them before reuse.
-void shape_pair(Fdd& a, Fdd& b, RunContext* context);
 
 /// The paper-literal variant of shape_pair: first makes both diagrams
 /// simple (single-interval edges, every field on every path), then runs
@@ -49,8 +42,5 @@ void shape_pair_simple(Fdd& a, Fdd& b);
 /// nodes), so re-aligning already-shaped diagrams against the final
 /// fdds[0] converges after a second pass.
 void shape_all(std::vector<Fdd>& fdds);
-
-/// Governed shape_all; see the governed shape_pair for semantics.
-void shape_all(std::vector<Fdd>& fdds, RunContext* context);
 
 }  // namespace dfw

@@ -159,7 +159,9 @@ std::string format_policy_table(const Policy& policy,
                                 const DecisionSet& decisions) {
   std::string out;
   for (std::size_t i = 0; i < policy.size(); ++i) {
-    out += "r" + std::to_string(i + 1) + ": ";
+    out += "r";
+    out += std::to_string(i + 1);
+    out += ": ";
     const Rule& rule = policy.rule(i);
     for (std::size_t f = 0; f < policy.schema().field_count(); ++f) {
       const Field& field = policy.schema().field(f);

@@ -4,61 +4,6 @@
 #include "rt/govern.hpp"
 
 namespace dfw {
-namespace {
-
-// Number of rules gen() would emit for this subtree.
-std::size_t rule_cost(const FddNode& n) {
-  if (n.is_terminal()) {
-    return 1;
-  }
-  std::size_t total = 0;
-  for (const FddEdge& e : n.edges) {
-    total += rule_cost(*e.target);
-  }
-  return total;
-}
-
-// Emits rules for the subtree under `node` given the constraints
-// accumulated so far. The default (last-emitted) branch leaves its field
-// unconstrained; correctness rests on the earlier, explicitly-constrained
-// rules having carved out every other branch's packets.
-void gen(const Schema& schema, const FddNode& node,
-         std::vector<IntervalSet>& conjuncts, std::vector<Rule>& out,
-         RunContext* ctx = nullptr) {
-  govern::checkpoint(ctx);
-  if (node.is_terminal()) {
-    govern::charge_rules(ctx);
-    out.emplace_back(schema, conjuncts, node.decision);
-    return;
-  }
-  // Elect the default branch: highest rule cost, ties broken toward the
-  // larger value region (the "everything else" branch human authors would
-  // leave for last, and the one most likely to be absorbed by an outer
-  // default during redundancy removal).
-  std::size_t default_edge = 0;
-  std::size_t best_cost = 0;
-  Value best_width = 0;
-  for (std::size_t i = 0; i < node.edges.size(); ++i) {
-    const std::size_t cost = rule_cost(*node.edges[i].target);
-    const Value width = node.edges[i].label.size();
-    if (cost > best_cost || (cost == best_cost && width > best_width)) {
-      best_cost = cost;
-      best_width = width;
-      default_edge = i;
-    }
-  }
-  for (std::size_t i = 0; i < node.edges.size(); ++i) {
-    if (i == default_edge) {
-      continue;
-    }
-    conjuncts[node.field] = node.edges[i].label;
-    gen(schema, *node.edges[i].target, conjuncts, out, ctx);
-  }
-  conjuncts[node.field] = IntervalSet(schema.domain(node.field));
-  gen(schema, *node.edges[default_edge].target, conjuncts, out, ctx);
-}
-
-}  // namespace
 
 Policy generate_disjoint_policy(const Fdd& fdd, Decision fallback,
                                 const GenerateOptions& options) {
@@ -66,30 +11,23 @@ Policy generate_disjoint_policy(const Fdd& fdd, Decision fallback,
   const Schema& schema = fdd.schema();
   RunContext* context = options.run.context;
   std::vector<Rule> rules;
-  const auto emit = [&](const std::vector<IntervalSet>& conjuncts,
-                        Decision decision) {
-    govern::checkpoint(context);
-    if (decision != fallback) {
-      govern::charge_rules(context);
-      rules.emplace_back(schema, conjuncts, decision);
-    }
-  };
-  if (options.reduce_first) {
-    // Interning through canonical() is the arena image of reduce(); the
-    // clone-and-reduce of the tree path is never materialised, and shared
-    // subdiagrams are expanded per path only while enumerating.
-    FddArena arena(schema);
-    arena.set_context(context);
-    const ArenaNodeId root = arena.from_tree_canonical(fdd.root());
-    arena.for_each_path(root, emit);
-    if (options.run.obs.metrics != nullptr) {
-      absorb(*options.run.obs.metrics, arena.stats());
-    }
-  } else {
-    fdd.for_each_path(emit);
-  }
+  // Interning through canonical() is the arena image of reduce(); the
+  // clone-and-reduce of the tree is never materialised, and shared
+  // subdiagrams are expanded per path only while enumerating.
+  FddArena arena(schema);
+  arena.set_context(context);
+  arena.for_each_path(arena.from_tree_canonical(fdd.root()),
+                      [&](const std::vector<IntervalSet>& conjuncts,
+                          Decision decision) {
+                        govern::checkpoint(context);
+                        if (decision != fallback) {
+                          govern::charge_rules(context);
+                          rules.emplace_back(schema, conjuncts, decision);
+                        }
+                      });
   rules.push_back(Rule::catch_all(schema, fallback));
   if (options.run.obs.metrics != nullptr) {
+    absorb(*options.run.obs.metrics, arena.stats());
     options.run.obs.metrics->counter("gen.rules_emitted").add(rules.size());
   }
   return Policy(schema, std::move(rules));
@@ -97,30 +35,14 @@ Policy generate_disjoint_policy(const Fdd& fdd, Decision fallback,
 
 Policy generate_policy(const Fdd& fdd, const GenerateOptions& options) {
   PhaseSpan phase(options.run.obs, "generate");
-  const Schema& schema = fdd.schema();
-  Policy out = [&] {
-    if (options.reduce_first) {
-      // Arena path: canonical interning is reduce(), and the default-branch
-      // election's rule-cost recursion — quadratic on trees — is memoised
-      // by node id, once per unique subdiagram.
-      FddArena arena(schema);
-      arena.set_context(options.run.context);
-      Policy p = arena.generate(arena.from_tree_canonical(fdd.root()));
-      if (options.run.obs.metrics != nullptr) {
-        absorb(*options.run.obs.metrics, arena.stats());
-      }
-      return p;
-    }
-    std::vector<IntervalSet> conjuncts;
-    conjuncts.reserve(schema.field_count());
-    for (std::size_t i = 0; i < schema.field_count(); ++i) {
-      conjuncts.emplace_back(schema.domain(i));
-    }
-    std::vector<Rule> rules;
-    gen(schema, fdd.root(), conjuncts, rules, options.run.context);
-    return Policy(schema, std::move(rules));
-  }();
+  // Canonical interning is reduce(), and the default-branch election's
+  // rule-cost recursion — quadratic on trees — is memoised by node id,
+  // once per unique subdiagram.
+  FddArena arena(fdd.schema());
+  arena.set_context(options.run.context);
+  Policy out = arena.generate(arena.from_tree_canonical(fdd.root()));
   if (options.run.obs.metrics != nullptr) {
+    absorb(*options.run.obs.metrics, arena.stats());
     options.run.obs.metrics->counter("gen.rules_emitted").add(out.size());
   }
   return out;

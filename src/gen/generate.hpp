@@ -19,8 +19,6 @@
 
 namespace dfw {
 
-class RunContext;
-
 /// Knobs for the generation entry points, in the same options-struct idiom
 /// as ConstructOptions/CompareOptions.
 struct GenerateOptions {
@@ -36,16 +34,11 @@ struct GenerateOptions {
   /// "gen.rules_emitted". `run.executor` is accepted for uniformity but
   /// unused — generation is a single serial walk.
   RunOptions run = {};
-
-  /// Reduce the diagram first (through the arena's canonical interning);
-  /// false generates from the diagram exactly as given.
-  bool reduce_first = true;
 };
 
 /// Generates a comprehensive policy equivalent to the FDD. Requires a
-/// valid, complete FDD. The FDD is reduced internally first; set
-/// `options.reduce_first = false` to generate from the diagram exactly as
-/// given.
+/// valid, complete FDD. The FDD is reduced first, through the arena's
+/// canonical interning (FddArena::generate).
 Policy generate_policy(const Fdd& fdd, const GenerateOptions& options = {});
 
 /// Alternative generation for deployment: one rule per decision path whose

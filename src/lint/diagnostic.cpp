@@ -77,7 +77,9 @@ std::string compute_fingerprint(const Diagnostic& d, const Policy* policy,
       // must not churn the baseline.
       h.feed(format_rule(policy->schema(), *decisions, policy->rule(index)));
     } else {
-      h.feed("#" + std::to_string(index));
+      std::string tag = "#";
+      tag += std::to_string(index);
+      h.feed(tag);
     }
   };
   feed_rule(d.rule);

@@ -27,7 +27,9 @@ namespace dfw::lint {
 namespace {
 
 std::string rule_ref(std::size_t index) {
-  return "r" + std::to_string(index + 1);
+  std::string ref = "r";
+  ref += std::to_string(index + 1);
+  return ref;
 }
 
 std::string rule_text(const PassState& state, std::size_t index) {

@@ -33,7 +33,8 @@ std::string render_text(const LintInput& input, const LintReport& report) {
   for (const Diagnostic& d : report.diagnostics) {
     out += input.source_name;
     if (d.line != 0) {
-      out += ":" + std::to_string(d.line);
+      out += ":";
+      out += std::to_string(d.line);
     }
     out += ": ";
     out += to_string(d.severity);

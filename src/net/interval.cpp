@@ -35,10 +35,15 @@ Interval Interval::merge(const Interval& other) const {
 }
 
 std::string Interval::to_string() const {
-  if (lo_ == hi_) {
-    return "[" + std::to_string(lo_) + "]";
+  // Built by appends: GCC 12's -Wrestrict misfires on "literal" + string.
+  std::string out = "[";
+  out += std::to_string(lo_);
+  if (lo_ != hi_) {
+    out += ", ";
+    out += std::to_string(hi_);
   }
-  return "[" + std::to_string(lo_) + ", " + std::to_string(hi_) + "]";
+  out += "]";
+  return out;
 }
 
 }  // namespace dfw

@@ -115,7 +115,11 @@ std::string MetricsExporter::jsonl(const MetricsSnapshot& snapshot,
     for (const auto& [lo, n] : h.buckets) {
       out += first_bucket ? "" : ", ";
       first_bucket = false;
-      out += "[" + std::to_string(lo) + ", " + std::to_string(n) + "]";
+      out += "[";
+      out += std::to_string(lo);
+      out += ", ";
+      out += std::to_string(n);
+      out += "]";
     }
     out += "], \"p50\": " + format_double(h.quantile(0.50)) +
            ", \"p90\": " + format_double(h.quantile(0.90)) +

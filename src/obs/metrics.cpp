@@ -216,7 +216,11 @@ std::string MetricsSnapshot::to_json() const {
     for (const auto& [lo, n] : h.buckets) {
       out += first_bucket ? "" : ", ";
       first_bucket = false;
-      out += "[" + std::to_string(lo) + ", " + std::to_string(n) + "]";
+      out += "[";
+      out += std::to_string(lo);
+      out += ", ";
+      out += std::to_string(n);
+      out += "]";
     }
     out += "]}";
   }

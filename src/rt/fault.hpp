@@ -47,8 +47,6 @@ namespace fault::sites {
 inline constexpr const char* kArenaAlloc = "fdd.arena.alloc";
 /// Entry into build_reduced_fdd (the construct phase boundary).
 inline constexpr const char* kConstructPhase = "fdd.construct.phase";
-/// The final reduce pass of the tree construction path.
-inline constexpr const char* kReducePhase = "fdd.reduce.phase";
 /// Classifier backend compilation (engine/classifier.cpp, every backend).
 inline constexpr const char* kBackendCompile = "engine.backend.compile";
 /// Snapshot serialization (serve/snapshot.cpp, encode side).

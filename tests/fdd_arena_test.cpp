@@ -15,29 +15,12 @@
 #include "fdd/reduce.hpp"
 #include "fdd/shape.hpp"
 #include "gen/generate.hpp"
+#include "rt/govern.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
 namespace {
-
-CompareOptions arena_options() {
-  CompareOptions o;
-  o.use_arena = true;
-  return o;
-}
-
-CompareOptions tree_options() {
-  CompareOptions o;
-  o.use_arena = false;
-  return o;
-}
-
-ConstructOptions tree_construct() {
-  ConstructOptions o;
-  o.use_arena = false;
-  return o;
-}
 
 Packet random_packet(const Schema& schema, std::mt19937_64& rng) {
   Packet p(schema.field_count());
@@ -97,13 +80,13 @@ TEST(FddArena, CanonicalMergesAndSplices) {
 }
 
 TEST(FddArena, BuildReducedMatchesTreeReducedPipeline) {
-  // Canonical-by-construction must land on the same diagram as the tree
-  // pipeline's interleaved reduce: the reduced ordered FDD is unique.
+  // Canonical-by-construction must land on the same diagram as the
+  // paper-literal build-then-reduce: the reduced ordered FDD is unique.
   std::mt19937_64 rng(7);
   for (int round = 0; round < 40; ++round) {
     const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
     const Policy policy = test::random_policy(schema, 8, rng);
-    const Fdd tree = build_reduced_fdd(policy, tree_construct());
+    const Fdd tree = test::reference_fdd(policy);
     FddArena arena(schema);
     const ArenaNodeId root = arena.build_reduced(policy);
     const Fdd expanded = arena.to_fdd(root);
@@ -121,8 +104,7 @@ TEST(FddArena, DefaultBuildReducedFddUsesArenaAndMatchesTreePath) {
   for (int round = 0; round < 10; ++round) {
     const Policy policy = test::random_policy(test::tiny3(), 10, rng);
     EXPECT_TRUE(structurally_equal(build_reduced_fdd(policy),
-                                   build_reduced_fdd(policy,
-                                                     tree_construct())));
+                                   test::reference_fdd(policy)));
   }
 }
 
@@ -130,7 +112,7 @@ TEST(FddArena, TreeRoundTripIsLossless) {
   std::mt19937_64 rng(3);
   for (int round = 0; round < 20; ++round) {
     const Policy policy = test::random_policy(test::tiny2(), 6, rng);
-    const Fdd tree = build_reduced_fdd(policy, tree_construct());
+    const Fdd tree = test::reference_fdd(policy);
     FddArena arena(tree.schema());
     const ArenaNodeId root = arena.from_tree(tree.root());
     EXPECT_TRUE(structurally_equal(arena.to_fdd(root), tree));
@@ -147,6 +129,79 @@ TEST(FddArena, FromTreeCanonicalIsReduce) {
     reduce(reduced);
     EXPECT_TRUE(structurally_equal(arena.to_fdd(root), reduced));
   }
+}
+
+TEST(FddArena, ImportIsStructurallyEqualToTheSource) {
+  std::mt19937_64 rng(29);
+  for (int round = 0; round < 20; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    const Policy policy = test::random_policy(schema, 8, rng);
+    FddArena source(schema);
+    const ArenaNodeId root = source.build_reduced(policy);
+    // The destination already holds unrelated work, so ids differ.
+    FddArena dest(schema);
+    dest.build_reduced(test::random_policy(schema, 5, rng));
+    const ArenaNodeId imported = dest.import(source, root);
+    EXPECT_TRUE(
+        structurally_equal(dest.to_fdd(imported), source.to_fdd(root)));
+    dest.validate(imported);
+  }
+}
+
+TEST(FddArena, ImportReturnsTheExistingId) {
+  std::mt19937_64 rng(31);
+  for (int round = 0; round < 20; ++round) {
+    const Policy policy = test::random_policy(test::tiny3(), 8, rng);
+    FddArena source(policy.schema());
+    const ArenaNodeId root = source.build_reduced(policy);
+
+    FddArena dest(policy.schema());
+    const ArenaNodeId first = dest.import(source, root);
+    const std::size_t size = dest.unique_node_count();
+    EXPECT_EQ(dest.import(source, root), first);
+    EXPECT_EQ(dest.unique_node_count(), size);
+
+    // A diagram the destination built itself is found, not copied.
+    FddArena built(policy.schema());
+    const ArenaNodeId own = built.build_reduced(policy);
+    const std::size_t built_size = built.unique_node_count();
+    EXPECT_EQ(built.import(source, root), own);
+    EXPECT_EQ(built.unique_node_count(), built_size);
+    EXPECT_EQ(built.import(built, own), own);
+  }
+}
+
+TEST(FddArena, ImportChargesTheDestinationContext) {
+  std::mt19937_64 rng(37);
+  const Policy policy = test::random_policy(test::tiny3(), 10, rng);
+  FddArena source(policy.schema());
+  const ArenaNodeId root = source.build_reduced(policy);
+
+  RunContext ctx;
+  FddArena dest(policy.schema());
+  dest.set_context(&ctx);
+  dest.import(source, root);
+  EXPECT_EQ(ctx.nodes_charged(), dest.unique_node_count());
+  EXPECT_GT(ctx.label_bytes_charged(), 0u);
+  dest.import(source, root);  // nothing new: nothing charged
+  EXPECT_EQ(ctx.nodes_charged(), dest.unique_node_count());
+
+  RunContext tight = RunContext::with_budgets({.max_nodes = 2});
+  FddArena capped(policy.schema());
+  capped.set_context(&tight);
+  try {
+    capped.import(source, root);
+    FAIL() << "expected a node budget breach";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNodeBudgetExceeded);
+  }
+}
+
+TEST(FddArena, ImportRejectsAnotherSchema) {
+  FddArena source(test::tiny2());
+  FddArena dest(test::tiny3());
+  EXPECT_THROW(dest.import(source, source.terminal(kAccept)),
+               std::invalid_argument);
 }
 
 TEST(FddArena, AppendIsCopyOnWrite) {
@@ -288,8 +343,9 @@ TEST(FddArena, ValidateMatchesTreeMessages) {
 // -- Randomized equivalence harness -----------------------------------------
 //
 // ~200 synthetic five-tuple policies (100 base/perturbed pairs): the arena
-// pipeline and the tree pipeline must agree decision-for-decision under
-// packet sampling and produce byte-identical discrepancy reports.
+// pipeline and the paper-literal tree reference must agree decision-for-
+// decision under packet sampling and produce byte-identical discrepancy
+// reports.
 
 TEST(FddArenaEquivalence, PairwiseDiscrepanciesMatchTreePipeline) {
   Rng rng(2026);
@@ -299,16 +355,15 @@ TEST(FddArenaEquivalence, PairwiseDiscrepanciesMatchTreePipeline) {
     config.num_rules = 20 + static_cast<std::size_t>(round % 30);
     const Policy a = synth_policy(config, rng);
     const Policy b = perturb_policy(a, 20.0, rng);
-    const std::vector<Discrepancy> via_arena =
-        discrepancies(a, b, arena_options());
+    const std::vector<Discrepancy> via_arena = discrepancies(a, b);
     const std::vector<Discrepancy> via_tree =
-        discrepancies(a, b, tree_options());
+        test::reference_discrepancies({a, b});
     ASSERT_EQ(via_arena, via_tree) << "round " << round;
 
     // Decision-for-decision agreement under packet sampling.
     FddArena arena(a.schema());
     const ArenaNodeId root = arena.build_reduced(a);
-    const Fdd tree = build_reduced_fdd(a, tree_construct());
+    const Fdd tree = test::reference_fdd(a);
     for (int s = 0; s < 20; ++s) {
       const Packet p = random_packet(a.schema(), packet_rng);
       const Decision expected = a.evaluate(p);
@@ -326,8 +381,7 @@ TEST(FddArenaEquivalence, NWayDiscrepanciesMatchTreePipeline) {
     const Policy a = synth_policy(config, rng);
     std::vector<Policy> teams{a, perturb_policy(a, 15.0, rng),
                               perturb_policy(a, 30.0, rng)};
-    EXPECT_EQ(discrepancies_many(teams, arena_options()),
-              discrepancies_many(teams, tree_options()))
+    EXPECT_EQ(discrepancies_many(teams), test::reference_discrepancies(teams))
         << "round " << round;
   }
 }
@@ -340,7 +394,7 @@ TEST(FddArenaEquivalence, GeneratedPoliciesStayEquivalent) {
   for (int round = 0; round < 20; ++round) {
     const Schema schema = test::tiny3();
     const Policy policy = test::random_policy(schema, 9, rng);
-    const Fdd fdd = build_reduced_fdd(policy, tree_construct());
+    const Fdd fdd = test::reference_fdd(policy);
     const Policy generated = generate_policy(fdd);
     for (const Packet& p : test::all_packets(schema)) {
       EXPECT_EQ(generated.evaluate(p), policy.evaluate(p));

@@ -90,9 +90,13 @@ TEST_P(PipelineProperty, EquivalentRewritesAreDetectedAsEquivalent) {
   const Policy p = test::random_policy(tiny3(), 5, rng);
   // Swapping two *non-conflicting* adjacent rules preserves semantics:
   // craft it by duplicating a rule with the same decision.
-  std::vector<Rule> rules = p.rules();
-  Rule copy = rules[1];
-  rules.insert(rules.begin() + 1, copy);
+  std::vector<Rule> rules;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    rules.push_back(p.rule(i));
+    if (i == 1) {
+      rules.push_back(p.rule(i));
+    }
+  }
   const Policy padded(p.schema(), std::move(rules));
   EXPECT_TRUE(equivalent(p, padded));
 }

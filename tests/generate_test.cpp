@@ -38,18 +38,6 @@ TEST(Generate, RoundTripPreservesSemantics) {
   }
 }
 
-TEST(Generate, WithoutReductionAlsoCorrect) {
-  std::mt19937_64 rng(32);
-  const Policy original = test::random_policy(tiny3(), 5, rng);
-  const Fdd fdd = build_fdd(original);
-  GenerateOptions no_reduce;
-  no_reduce.reduce_first = false;
-  const Policy regenerated = generate_policy(fdd, no_reduce);
-  for (const Packet& pkt : test::all_packets(tiny3())) {
-    EXPECT_EQ(regenerated.evaluate(pkt), original.evaluate(pkt));
-  }
-}
-
 TEST(Generate, DefaultBranchMakesOutputCompact) {
   // A policy whose FDD has one big default region. The raw generator may
   // emit one intermediate shadow rule ("x=3 -> accept" before the final
@@ -90,9 +78,7 @@ TEST(Generate, GeneratedRuleCountNeverExceedsPathCount) {
     const Policy original = test::random_policy(tiny3(), 6, rng);
     Fdd fdd = build_fdd(original);
     reduce(fdd);
-    GenerateOptions no_reduce;
-    no_reduce.reduce_first = false;
-    const Policy regenerated = generate_policy(fdd, no_reduce);
+    const Policy regenerated = generate_policy(fdd);
     EXPECT_LE(regenerated.size(), fdd.path_count());
   }
 }

@@ -16,6 +16,8 @@
 #include "diverse/workflow.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
+#include "fdd/reduce.hpp"
+#include "fdd/shape.hpp"
 #include "gen/generate.hpp"
 #include "rt/govern.hpp"
 
@@ -67,24 +69,21 @@ Policy constant_policy(Decision d) {
 
 TEST(GovernTest, WorstCasePairUnderNodeBudgetFailsFastWithPartialReport) {
   // With hash-consing the symmetric adversarial geometry costs ~(2n-1)^2
-  // arena nodes (the tree path pays the full (2n-1)^3 bound), so n = 128
-  // wants ~65k nodes on both paths — far past the 10k budget.
+  // arena nodes (a tree would pay the full (2n-1)^3 bound), so n = 128
+  // wants ~65k nodes — far past the 10k budget.
   const Policy a = adversarial(128, false);
   const Policy b = adversarial(128, true);
-  for (const bool use_arena : {true, false}) {
-    RunContext ctx = RunContext::with_budgets({.max_nodes = 10000});
-    CompareOptions options;
-    options.use_arena = use_arena;
-    options.run.context = &ctx;
-    const auto start = Clock::now();
-    const CompareOutcome outcome = discrepancies_governed(a, b, options);
-    const double elapsed = ms_since(start);
-    EXPECT_FALSE(outcome.complete) << "use_arena=" << use_arena;
-    EXPECT_EQ(outcome.status, ErrorCode::kNodeBudgetExceeded);
-    EXPECT_FALSE(outcome.message.empty());
-    EXPECT_LT(elapsed, 1000.0) << "use_arena=" << use_arena;
-    EXPECT_GT(ctx.nodes_charged(), 10000u);
-  }
+  RunContext ctx = RunContext::with_budgets({.max_nodes = 10000});
+  CompareOptions options;
+  options.run.context = &ctx;
+  const auto start = Clock::now();
+  const CompareOutcome outcome = discrepancies_governed(a, b, options);
+  const double elapsed = ms_since(start);
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_EQ(outcome.status, ErrorCode::kNodeBudgetExceeded);
+  EXPECT_FALSE(outcome.message.empty());
+  EXPECT_LT(elapsed, 1000.0);
+  EXPECT_GT(ctx.nodes_charged(), 10000u);
 }
 
 TEST(GovernTest, LabelBudgetAlsoCutsTheArenaPipeline) {
@@ -102,23 +101,27 @@ TEST(GovernTest, LabelBudgetAlsoCutsTheArenaPipeline) {
 // Governance off (null context or no budgets) must be invisible.
 
 TEST(GovernTest, NoBudgetsProducesIdenticalOutputOnBothPaths) {
+  // Governed but idle, the pipeline reports exactly what the ungoverned
+  // pipeline and the paper-literal tree reference report.
   const Policy a = adversarial(8, false);
   const Policy b = adversarial(8, true);
-  for (const bool use_arena : {true, false}) {
-    CompareOptions plain;
-    plain.use_arena = use_arena;
-    const std::vector<Discrepancy> expected = discrepancies(a, b, plain);
-    ASSERT_FALSE(expected.empty());
+  const std::vector<Discrepancy> expected = discrepancies(a, b);
+  ASSERT_FALSE(expected.empty());
+  Fdd fa = build_fdd(a);
+  Fdd fb = build_fdd(b);
+  reduce(fa);
+  reduce(fb);
+  shape_pair(fa, fb);
+  EXPECT_EQ(compare_fdds(fa, fb), expected);
 
-    RunContext ctx;  // no budgets, no deadline, no cancellation
-    CompareOptions governed = plain;
-    governed.run.context = &ctx;
-    const CompareOutcome outcome = discrepancies_governed(a, b, governed);
-    EXPECT_TRUE(outcome.complete) << "use_arena=" << use_arena;
-    EXPECT_EQ(outcome.status, ErrorCode::kOk);
-    EXPECT_TRUE(outcome.message.empty());
-    EXPECT_EQ(outcome.discrepancies, expected) << "use_arena=" << use_arena;
-  }
+  RunContext ctx;  // no budgets, no deadline, no cancellation
+  CompareOptions governed;
+  governed.run.context = &ctx;
+  const CompareOutcome outcome = discrepancies_governed(a, b, governed);
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_EQ(outcome.status, ErrorCode::kOk);
+  EXPECT_TRUE(outcome.message.empty());
+  EXPECT_EQ(outcome.discrepancies, expected);
 }
 
 TEST(GovernTest, GeneratedPolicyIdenticalWithIdleContext) {
@@ -297,12 +300,13 @@ TEST(GovernTest, GovernedDirectCompareMatchesUngovernedWhenIdle) {
 TEST(GovernTest, SubmissionBreachPropagatesAsStructuredError) {
   // Submission validates by constructing the team FDD, so a hostile team
   // firewall is rejected at the session boundary — the plain entry points
-  // let the structured error propagate rather than report partially.
+  // let the structured error propagate rather than report partially. The
+  // n = 64 geometry wants ~5.2k arena nodes, well past the 2k budget.
   RunContext ctx = RunContext::with_budgets({.max_nodes = 2000});
   WorkflowOptions options;
   options.run.context = &ctx;
   DiverseDesign session(default_decisions(), options);
-  EXPECT_THROW(session.submit("a", adversarial(32, false)), Error);
+  EXPECT_THROW(session.submit("a", adversarial(64, false)), Error);
   EXPECT_TRUE(ctx.aborted());
   EXPECT_EQ(ctx.abort_code(), ErrorCode::kNodeBudgetExceeded);
 }

@@ -400,7 +400,6 @@ TEST(MetricsTest, AbsorbUnifiesLegacyStructsUnderDottedNames) {
   RunContext context(config);
   Policy policy = synth(20, 3);
   ConstructOptions governed;
-  governed.use_arena = true;
   governed.run.context = &context;
   (void)build_reduced_fdd(policy, governed);
   absorb(registry, context);
@@ -568,6 +567,8 @@ TEST(PipelineObsTest, WorkflowSnapshotUnifiesAllSubsystems) {
 // The work-independent counters (arena structure, governance charges) must
 // not depend on how many threads the work was spread over, and the reports
 // themselves must be identical — parallelism reorders work, never output.
+// Cross comparison runs one pipeline per pair task; direct comparison and
+// resolution build one arena per policy task.
 TEST(ObsDeterminismTest, ArenaCountersIdenticalAcrossThreadCounts) {
   const Policy base = synth(80, 11);
   Rng rng(12);
@@ -576,6 +577,7 @@ TEST(ObsDeterminismTest, ArenaCountersIdenticalAcrossThreadCounts) {
 
   std::vector<MetricsSnapshot> snaps;
   std::vector<std::vector<PairwiseReport>> reports;
+  std::vector<std::vector<Rule>> resolved;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     Executor pool(threads);
     MetricsRegistry registry;
@@ -587,10 +589,13 @@ TEST(ObsDeterminismTest, ArenaCountersIdenticalAcrossThreadCounts) {
     session.submit("t1", variant_a);
     session.submit("t2", variant_b);
     reports.push_back(session.cross_compare());
+    const ResolutionPlan plan = plan_by_majority(session.compare());
+    resolved.push_back(session.resolve(plan).rules());
     snaps.push_back(registry.snapshot());
   }
   for (std::size_t i = 1; i < snaps.size(); ++i) {
     EXPECT_EQ(reports[i], reports[0]);
+    EXPECT_EQ(resolved[i], resolved[0]);
     // Counter values are exactly reproducible; timing histograms keep
     // reproducible counts with run-dependent sums.
     EXPECT_EQ(snaps[i].counters, snaps[0].counters);

@@ -1,8 +1,8 @@
 // Determinism guarantees of the parallel runtime: for every executor
 // width (serial, 1, 2, 8 threads), N-way direct comparison, cross
-// comparison, batch classification, and the forked comparison walk must
-// return results *identical* to the serial path — same discrepancies, in
-// the same order, with the same counts.
+// comparison, the pairwise pipeline, both resolution methods, and batch
+// classification must return results *identical* to the serial path —
+// same discrepancies and rules, in the same order, with the same counts.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,9 @@ DiverseDesign make_session(const std::vector<Policy>& teams,
                            const WorkflowOptions& options) {
   DiverseDesign session(DecisionSet(), options);
   for (std::size_t i = 0; i < teams.size(); ++i) {
-    session.submit("t" + std::to_string(i), teams[i]);
+    std::string name = "t";
+    name += std::to_string(i);
+    session.submit(std::move(name), teams[i]);
   }
   return session;
 }
@@ -53,7 +55,6 @@ TEST(ParallelDeterminismTest, DirectNWayComparisonMatchesSerial) {
     Executor pool(width);
     WorkflowOptions options;
     options.run.executor = &pool;
-    options.fork_threshold = 1;  // force the forked walk even at tiny roots
     EXPECT_EQ(make_session(teams, options).compare(), serial)
         << "width " << width;
   }
@@ -81,9 +82,27 @@ TEST(ParallelDeterminismTest, PairwisePipelineMatchesSerial) {
     Executor pool(width);
     CompareOptions options;
     options.run.executor = &pool;
-    options.fork_threshold = 1;
     EXPECT_EQ(discrepancies(teams[0], teams[1], options), serial)
         << "width " << width;
+  }
+}
+
+TEST(ParallelDeterminismTest, ResolutionMatchesSerial) {
+  const std::vector<Policy> teams = make_teams(4, 60, 31);
+  const DiverseDesign serial_session = make_session(teams, WorkflowOptions{});
+  const ResolutionPlan plan = plan_by_majority(serial_session.compare(), 1);
+  ASSERT_FALSE(plan.empty());
+  for (const ResolutionMethod method :
+       {ResolutionMethod::kCorrectedFdd, ResolutionMethod::kPrependAndTrim}) {
+    const Policy serial = serial_session.resolve(plan, method, 2);
+    for (const std::size_t width : kThreadWidths) {
+      Executor pool(width);
+      WorkflowOptions options;
+      options.run.executor = &pool;
+      EXPECT_EQ(make_session(teams, options).resolve(plan, method, 2).rules(),
+                serial.rules())
+          << "width " << width;
+    }
   }
 }
 

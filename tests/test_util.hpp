@@ -9,7 +9,11 @@
 #include <random>
 #include <vector>
 
+#include "fdd/compare.hpp"
+#include "fdd/construct.hpp"
 #include "fdd/fdd.hpp"
+#include "fdd/reduce.hpp"
+#include "fdd/shape.hpp"
 #include "fw/policy.hpp"
 
 namespace dfw::test {
@@ -91,6 +95,28 @@ inline bool fdd_matches_policy(const Fdd& fdd, const Policy& policy) {
     }
   }
   return true;
+}
+
+/// The paper-literal reduced FDD: Fig. 7 construction, then reduce().
+inline Fdd reference_fdd(const Policy& policy) {
+  Fdd fdd = build_fdd(policy);
+  reduce(fdd);
+  return fdd;
+}
+
+/// The reference comparison pipeline the production arena pipeline is
+/// checked against: reference_fdd per policy, fragment-merged tree
+/// shape_all, tree compare_fdds_many.
+inline std::vector<Discrepancy> reference_discrepancies(
+    const std::vector<Policy>& policies) {
+  std::vector<Fdd> fdds;
+  fdds.reserve(policies.size());
+  for (const Policy& p : policies) {
+    fdds.push_back(reference_fdd(p));
+    fdds.back().validate();
+  }
+  shape_all(fdds);
+  return compare_fdds_many(fdds);
 }
 
 }  // namespace dfw::test
