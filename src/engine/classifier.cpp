@@ -19,8 +19,7 @@ Classifier Classifier::compile(const Fdd& fdd, const CompileOptions& options) {
   {
     PhaseSpan span(options.run.obs, compile_phase_name(options.backend));
     fault::hit(options.run.faults, fault::sites::kBackendCompile);
-    c.backend_ = compile_backend(options.backend, fdd,
-                                 options.bit_parallel_max_paths);
+    c.backend_ = compile_backend(options.backend, fdd);
   }
   c.options_ = options;
   return c;
@@ -67,8 +66,14 @@ void Classifier::run_batch(std::span<const Packet> packets,
   executor.parallel_for_chunked(
       packets.size(), std::max<std::size_t>(1, options_.batch_grain),
       [&](std::size_t begin, std::size_t end) {
-        backend_->classify_range(packets.data() + begin, end - begin,
-                                 out.data() + begin);
+        // Plain locals: the virtual call may touch anything the closure
+        // reaches, so captured spans would be reloaded on every packet.
+        const ClassifierBackend* backend = backend_.get();
+        const Packet* in = packets.data();
+        Decision* dst = out.data();
+        for (std::size_t i = begin; i < end; ++i) {
+          dst[i] = backend->classify_one(in[i].data());
+        }
       },
       run.context, obs);
   if (obs.metrics != nullptr) {

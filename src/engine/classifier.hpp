@@ -3,11 +3,11 @@
 // FDDs are not only an analysis vehicle — they are an efficient execution
 // form for the very firewalls they model (the paper's FDD lineage, ref
 // [10], introduced them for specification *and* lookup). This module
-// compiles a policy's reduced FDD into one of several flat, cache-friendly
-// layouts (engine/backend.hpp): the default flat-slab form, a prefix-trie
-// form for IPv4-heavy policies, and a bit-parallel form for batched
-// lookups. All backends produce byte-identical decisions; the choice is a
-// pure performance knob (docs/classifier.md compares the cost models).
+// compiles a policy's reduced FDD into one of two flat, cache-friendly
+// layouts (engine/backend.hpp): the default flat-slab form and a
+// prefix-trie form for IPv4-heavy policies. Both produce byte-identical
+// decisions; the choice is a pure performance knob (docs/classifier.md
+// compares the cost models).
 //
 // The classifier is the deployment-side counterpart of the comparison
 // pipeline: resolve the teams' discrepancies, compile the agreed policy
@@ -47,15 +47,9 @@ struct CompileOptions {
   std::size_t batch_grain = 512;
 
   /// Which compiled layout to execute (engine/backend.hpp). The default
-  /// is the historical flat-slab form; every backend is byte-identical in
-  /// output.
+  /// is the historical flat-slab form; both backends are byte-identical
+  /// in output.
   ClassifierBackendKind backend = ClassifierBackendKind::kFlatSlab;
-
-  /// Decision-path budget for the bit-parallel backend, whose memory and
-  /// per-lookup reduction scale with the path count; compilation throws
-  /// dfw::Error(ErrorCode::kCapacityExceeded) beyond it so callers can
-  /// degrade to another backend. Ignored by the other backends.
-  std::size_t bit_parallel_max_paths = std::size_t{1} << 14;
 };
 
 /// An immutable compiled classifier. Copyable; a shared handle to an

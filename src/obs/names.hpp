@@ -20,11 +20,9 @@ inline constexpr const char* kServeSwapCompileNs = "serve.swap.compile_ns";
 /// Retry attempts taken inside self-healing swaps (transient failures:
 /// injected faults, deadline breaches, allocation failure).
 inline constexpr const char* kServeSwapRetries = "serve.swap.retries";
-/// Swaps that fell back to the flat_slab backend after the configured
-/// backend breached a capacity cap (kCapacityExceeded).
-inline constexpr const char* kServeSwapDegraded = "serve.swap.degraded";
-/// Swaps that failed permanently after retries/degradation were
-/// exhausted (the served version is untouched — last-good guarantee).
+/// Swaps that failed permanently: a deterministic error, or a transient
+/// one after retries were exhausted (the served version is untouched —
+/// last-good guarantee).
 inline constexpr const char* kServeSwapFailed = "serve.swap.failed";
 /// High-water mark of the limbo list (a gauge: reported through
 /// ServeStats::limbo_peak and the health JSON, not the counter registry).
@@ -55,8 +53,6 @@ inline constexpr const char* kServeLookupCount = "serve.lookup.count";
 inline constexpr const char* kServeBackendFlatSlab = "serve.backend.flat_slab";
 inline constexpr const char* kServeBackendPrefixTrie =
     "serve.backend.prefix_trie";
-inline constexpr const char* kServeBackendBitParallel =
-    "serve.backend.bit_parallel";
 
 /// Telemetry ticks taken by the serve reporter thread (one per interval
 /// elapse while the core is up; on-demand telemetry_now() calls do not
@@ -122,8 +118,6 @@ inline constexpr const char* kClassifierCompileFlatSlab =
     "classifier.compile.flat_slab";
 inline constexpr const char* kClassifierCompilePrefixTrie =
     "classifier.compile.prefix_trie";
-inline constexpr const char* kClassifierCompileBitParallel =
-    "classifier.compile.bit_parallel";
 /// Packet lookups through Classifier::classify* (recorded per batch).
 inline constexpr const char* kClassifierLookupCount =
     "engine.classifier.lookup.count";

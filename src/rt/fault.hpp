@@ -5,7 +5,7 @@
 // allocation failures mid-build, a backend compile dying under memory
 // pressure, a serialization write torn by the machine rebooting. Those
 // failures are rare and non-reproducible in the wild, which is exactly why
-// the recovery paths that handle them — serve's retry/degrade/last-good
+// the recovery paths that handle them — serve's retry/last-good
 // machinery, the snapshot loader's rejection paths — rot unless a test can
 // trigger them on demand, deterministically, at a named point.
 //
@@ -77,7 +77,7 @@ struct FaultSpec {
   double probability = 0.0;
   /// The structured error a fire throws. kFaultInjected is the transient
   /// class serve's retry loop heals; use other codes to mimic specific
-  /// failures (e.g. kCapacityExceeded to force backend degradation).
+  /// failures (e.g. kCapacityExceeded, which a swap must not retry).
   ErrorCode code = ErrorCode::kFaultInjected;
   /// Appended to the thrown error's message.
   std::string message;

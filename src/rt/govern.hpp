@@ -52,7 +52,7 @@ enum class ErrorCode {
   kInvalidInput,         ///< structurally invalid input (ids, bounds)
   kInternal,             ///< invariant violation inside the library
   kOverloaded,           ///< admission control refused the request (serve)
-  kCapacityExceeded,     ///< compiled layout over a hard size cap (backends)
+  kCapacityExceeded,     ///< compiled layout over its 31-bit index cap
   kFaultInjected,        ///< deterministic injected fault (rt/fault.hpp)
 };
 

@@ -27,7 +27,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 std::unique_ptr<PolicyVersion> compile_version(
     Policy policy, std::uint64_t sequence, RunContext* context,
-    const ServeOptions& options, ClassifierBackendKind backend) {
+    const ServeOptions& options) {
   // The FDD is built once and kept on the version: the classifier
   // compiles from it here, and snapshot_text() serializes it later
   // without recompute.
@@ -42,11 +42,11 @@ std::unique_ptr<PolicyVersion> compile_version(
   compile.run.obs = options.run.obs;
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
-  compile.backend = backend;
-  compile.bit_parallel_max_paths = options.bit_parallel_max_paths;
+  compile.backend = options.backend;
   Classifier classifier = Classifier::compile(fdd, compile);
   if (options.run.obs.metrics != nullptr) {
-    options.run.obs.metrics->counter(serve_backend_counter_name(backend))
+    options.run.obs.metrics
+        ->counter(serve_backend_counter_name(options.backend))
         .add();
   }
   return std::make_unique<PolicyVersion>(sequence, std::move(policy),
@@ -56,8 +56,7 @@ std::unique_ptr<PolicyVersion> compile_version(
 
 std::unique_ptr<PolicyVersion> boot_version(Policy initial,
                                             const ServeOptions& options) {
-  return compile_version(std::move(initial), 1, nullptr, options,
-                         options.backend);
+  return compile_version(std::move(initial), 1, nullptr, options);
 }
 
 std::unique_ptr<PolicyVersion> restored_version(
@@ -71,7 +70,6 @@ std::unique_ptr<PolicyVersion> restored_version(
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
   compile.backend = restored.backend;
-  compile.bit_parallel_max_paths = options.bit_parallel_max_paths;
   Classifier classifier = Classifier::compile(restored.fdd, compile);
   if (options.run.obs.metrics != nullptr) {
     options.run.obs.metrics
@@ -83,9 +81,9 @@ std::unique_ptr<PolicyVersion> restored_version(
       std::move(restored.fdd), std::move(classifier));
 }
 
-/// Worth another attempt: the cause can vanish on retry. Budget breaches
-/// and validation errors are deterministic — retrying them burns the
-/// backoff schedule for nothing.
+/// Worth another attempt: the cause can vanish on retry. Budget and
+/// capacity breaches and validation errors are deterministic — retrying
+/// them burns the backoff schedule for nothing.
 bool is_transient(ErrorCode code) {
   return code == ErrorCode::kFaultInjected ||
          code == ErrorCode::kDeadlineExceeded;
@@ -188,9 +186,7 @@ Result<std::uint64_t> ServeCore::swap(const Policy& next) {
   std::lock_guard<std::mutex> lock(swap_mu_);
   PhaseSpan span(options_.run.obs, names::kSpanServeSwap);
   MetricsRegistry* metrics = options_.run.obs.metrics;
-  ClassifierBackendKind backend = options_.backend;
   std::size_t retries = 0;
-  bool degraded = false;
 
   const auto fail = [&](const Error& error) {
     swaps_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -236,8 +232,7 @@ Result<std::uint64_t> ServeCore::swap(const Policy& next) {
     std::unique_ptr<PolicyVersion> version;
     try {
       fault::hit(options_.run.faults, fault::sites::kSwapCompile);
-      version =
-          compile_version(next, next_sequence_, &context, options_, backend);
+      version = compile_version(next, next_sequence_, &context, options_);
       if (metrics != nullptr) {
         const auto elapsed = std::chrono::steady_clock::now() - start;
         metrics->histogram(names::kServeSwapCompileNs)
@@ -251,19 +246,6 @@ Result<std::uint64_t> ServeCore::swap(const Policy& next) {
       // freed right here — before any backoff sleep, never parked in
       // limbo — and the served version is untouched.
       version.reset();
-      if (error.code() == ErrorCode::kCapacityExceeded &&
-          options_.degrade_on_capacity && !degraded &&
-          backend != ClassifierBackendKind::kFlatSlab) {
-        // The flat-slab layout has no path cap; retry there immediately
-        // (a different compile, not another roll of the same dice).
-        degraded = true;
-        backend = ClassifierBackendKind::kFlatSlab;
-        swap_degraded_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics != nullptr) {
-          metrics->counter(names::kServeSwapDegraded).add();
-        }
-        continue;
-      }
       if (is_transient(error.code()) &&
           retries < options_.swap_max_retries) {
         ++retries;
@@ -298,7 +280,7 @@ Result<std::uint64_t> ServeCore::swap(const Policy& next) {
     const std::uint64_t sequence = next_sequence_++;
     handle_.publish(std::move(version));
     swaps_.fetch_add(1, std::memory_order_relaxed);
-    served_backend_.store(backend, std::memory_order_relaxed);
+    served_backend_.store(options_.backend, std::memory_order_relaxed);
     last_swap_ok_.store(true, std::memory_order_relaxed);
     if (metrics != nullptr) {
       metrics->counter(names::kServeSwapCount).add();
@@ -325,7 +307,6 @@ ServeStats ServeCore::stats() const {
   s.swaps = swaps_.load(std::memory_order_relaxed);
   s.swaps_rejected = swaps_rejected_.load(std::memory_order_relaxed);
   s.swap_retries = swap_retries_.load(std::memory_order_relaxed);
-  s.swap_degraded = swap_degraded_.load(std::memory_order_relaxed);
   s.swap_failed = swap_failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batches_rejected = batches_rejected_.load(std::memory_order_relaxed);
@@ -446,14 +427,13 @@ std::string ServeCore::snapshot_text() {
 
 std::string ServeHealth::to_json() const {
   std::ostringstream out;
-  out << "{\"schema\":\"dfw-serve-health-v1\""
+  out << "{\"schema\":\"dfw-serve-health-v2\""
       << ",\"sequence\":" << sequence
       << ",\"backend\":\"" << to_string(backend) << '"'
       << ",\"last_swap_ok\":" << (last_swap_ok ? "true" : "false")
       << ",\"swaps\":" << stats.swaps
       << ",\"swaps_rejected\":" << stats.swaps_rejected
       << ",\"swap_retries\":" << stats.swap_retries
-      << ",\"swap_degraded\":" << stats.swap_degraded
       << ",\"swap_failed\":" << stats.swap_failed
       << ",\"batches\":" << stats.batches
       << ",\"batches_rejected\":" << stats.batches_rejected

@@ -33,10 +33,9 @@
 // faults — injected faults from a FaultPlan (rt/fault.hpp), per-attempt
 // deadline breaches, allocation failure — are retried up to
 // swap_max_retries times under exponential backoff with deterministic
-// jitter; a capacity breach (kCapacityExceeded, e.g. the bit-parallel
-// path cap) degrades the compile to the flat_slab backend, which has no
-// path cap, instead of failing. Every recovery step is counted
-// (serve.swap.retries/degraded/failed) and surfaced through health().
+// jitter; deterministic errors (budget breach, capacity breach, invalid
+// policy) fail fast. Every recovery step is counted
+// (serve.swap.retries/failed) and surfaced through health().
 //
 // Everything observable lands in options.run.obs under the serve.*
 // names (obs/names.hpp); null sinks cost pointer tests, as everywhere.
@@ -95,14 +94,15 @@ struct ServeOptions {
   std::int64_t swap_deadline_ms = 0;
 
   /// Compiled layout every version (boot and swaps) executes — a pure
-  /// performance knob; all backends are byte-identical in output
+  /// performance knob; both backends are byte-identical in output
   /// (engine/backend.hpp). Each successful compile bumps the matching
   /// serve.backend.* counter.
   ClassifierBackendKind backend = ClassifierBackendKind::kFlatSlab;
 
   /// Extra swap attempts after a *transient* failure (injected fault,
   /// per-attempt deadline breach, std::bad_alloc). 0 = fail fast.
-  /// Deterministic failures (budget breach, invalid policy) never retry.
+  /// Deterministic failures (budget or capacity breach, invalid policy)
+  /// never retry.
   std::size_t swap_max_retries = 0;
 
   /// Exponential backoff between retry attempts: the n-th retry sleeps
@@ -112,19 +112,6 @@ struct ServeOptions {
   std::uint64_t swap_backoff_initial_ms = 1;
   std::uint64_t swap_backoff_max_ms = 100;
   std::uint64_t swap_jitter_seed = 0;
-
-  /// Decision-path cap for the bit_parallel backend (see
-  /// CompileOptions::bit_parallel_max_paths). A swap that breaches it
-  /// degrades to flat_slab when degrade_on_capacity is set; a *boot*
-  /// breach throws — boot is not self-healing, the operator chose the
-  /// backend knowingly.
-  std::size_t bit_parallel_max_paths = std::size_t{1} << 14;
-
-  /// Retry a kCapacityExceeded compile once on the flat_slab backend
-  /// (which has no path cap) instead of failing the swap. Decisions are
-  /// byte-identical across backends, so degradation trades lookup speed
-  /// for availability, never correctness.
-  bool degrade_on_capacity = true;
 
   /// Telemetry reporter cadence in milliseconds; 0 (default) starts no
   /// reporter thread. Each tick snapshots metrics + health into the
@@ -158,7 +145,6 @@ struct ServeStats {
   std::uint64_t swaps = 0;           ///< successful publishes
   std::uint64_t swaps_rejected = 0;  ///< refused swaps (any cause)
   std::uint64_t swap_retries = 0;    ///< retry attempts across all swaps
-  std::uint64_t swap_degraded = 0;   ///< swaps degraded to flat_slab
   std::uint64_t swap_failed = 0;     ///< swaps failed after self-healing
   std::uint64_t batches = 0;         ///< admitted batches
   std::uint64_t batches_rejected = 0;
@@ -172,7 +158,7 @@ struct ServeStats {
 
 /// A point-in-time health report: what is being served, whether the last
 /// operator action succeeded, and the full counter set. `to_json()` is
-/// the `health` command's wire format (schema dfw-serve-health-v1).
+/// the `health` command's wire format (schema dfw-serve-health-v2).
 struct ServeHealth {
   std::uint64_t sequence = 0;  ///< served version right now
   ClassifierBackendKind backend =
@@ -254,9 +240,8 @@ class ServeCore {
   /// current version (last-good guarantee — a failed attempt's compiled
   /// artifacts are released eagerly, before any retry sleep, never
   /// parked in limbo). Transient failures retry under the
-  /// swap_max_retries/backoff knobs; capacity breaches degrade to
-  /// flat_slab when degrade_on_capacity is set; deterministic failures
-  /// (budget breach, invalid policy) fail fast. Concurrent swaps
+  /// swap_max_retries/backoff knobs; deterministic failures (budget or
+  /// capacity breach, invalid policy) fail fast. Concurrent swaps
   /// serialize; each drains what it can from limbo on the way out.
   Result<std::uint64_t> swap(const Policy& next);
 
@@ -312,7 +297,6 @@ class ServeCore {
   std::atomic<std::uint64_t> swaps_{0};
   std::atomic<std::uint64_t> swaps_rejected_{0};
   std::atomic<std::uint64_t> swap_retries_{0};
-  std::atomic<std::uint64_t> swap_degraded_{0};
   std::atomic<std::uint64_t> swap_failed_{0};
   std::atomic<bool> last_swap_ok_{true};
   std::atomic<ClassifierBackendKind> served_backend_{

@@ -11,7 +11,7 @@
 //
 //   dfws 1                      header: magic + version
 //   sequence <n>                served version (>= 1)
-//   backend <name>              flat_slab | prefix_trie | bit_parallel
+//   backend <name>              flat_slab | prefix_trie
 //   policy <bytes>              byte count of the policy text that follows
 //   <policy text>
 //   fdd <bytes>                 byte count of the dfdd v2 text that follows
@@ -25,7 +25,8 @@
 // file is rejected with a structured error (exit 2 at the CLI), not
 // served. The decoder inherits the dfdd loaders' hardening (bounds
 // checks, byte counts capped by the input size, governed DAG expansion)
-// and throws dfw::Error only: kParseError for malformed text,
+// and throws dfw::Error only: kParseError for malformed text (including
+// a backend name this build does not know, e.g. a layout since removed),
 // kInvalidInput for structural violations and checksum mismatches.
 
 #pragma once

@@ -4,7 +4,7 @@
 //   * a null fault plan is byte-identical to an unfaulted build — the
 //     fault plane costs nothing when disarmed;
 //   * every injected fault travels a structured unwind path: swaps
-//     retry transient faults, degrade on capacity breaches, and never
+//     retry transient faults, fail fast on deterministic ones, and never
 //     disturb the served version on failure (last-good);
 //   * under seeded fault storms — hundreds of injected faults across
 //     several seeds — every classified batch stays byte-identical to a
@@ -37,7 +37,6 @@
 #include "fdd/construct.hpp"
 #include "fdd/serialize.hpp"
 #include "fw/decision.hpp"
-#include "fw/rule.hpp"
 #include "fw/schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -352,54 +351,47 @@ TEST(SelfHealingSwap, PublishFaultReleasesTheCompiledVersionEagerly) {
   EXPECT_LE(stats.limbo_peak, 1u);
 }
 
-TEST(SelfHealingSwap, CapacityBreachDegradesToFlatSlab) {
-  // Boot a single-path policy under a path cap of 1, then swap in a
-  // multi-path policy: the bit-parallel compile breaches the cap and the
-  // swap self-heals onto flat_slab (no cap) instead of failing.
-  const Schema schema = five_tuple_schema();
-  const Policy trivial(schema, {Rule::catch_all(schema, kAccept)});
-  MetricsRegistry registry;
-  ServeOptions options = chaos_options(nullptr, &registry);
-  options.backend = ClassifierBackendKind::kBitParallel;
-  options.bit_parallel_max_paths = 1;
-  ServeCore core(trivial, options);
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kBitParallel);
+TEST(SelfHealingSwap, DeterministicFailuresFailFastUnderRetries) {
+  // Retries heal transient faults only. A budget or capacity breach fails
+  // the same way on every attempt, so even with retries enabled the swap
+  // fails at once and the boot version keeps serving.
+  const Policy boot = make_policy(15, 51);
+  const Policy next = make_policy(20, 52);
+  Rng rng(53);
+  const std::vector<Packet> probes = synth_trace(boot, 200, rng);
 
-  const Policy next = make_policy(20, 51);
-  const auto result = core.swap(next);
-  ASSERT_TRUE(result.ok()) << result.error().what();
+  const auto expect_fail_fast = [&](ServeOptions options, ErrorCode code) {
+    options.swap_max_retries = 3;
+    ServeCore core(boot, options);
+    const auto result = core.swap(next);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), code);
+    const ServeStats stats = core.stats();
+    EXPECT_EQ(stats.swap_retries, 0u);
+    EXPECT_EQ(stats.swap_failed, 1u);
+    EXPECT_EQ(core.current_sequence(), 1u) << "last-good";
+    const BatchResult batch = core.classify_batch(probes);
+    EXPECT_EQ(batch.version, 1u);
+    EXPECT_EQ(batch.decisions, serial_replay(boot, probes));
+  };
 
-  const ServeStats stats = core.stats();
-  EXPECT_EQ(stats.swaps, 1u);
-  EXPECT_EQ(stats.swap_degraded, 1u);
-  EXPECT_EQ(stats.swap_failed, 0u);
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kFlatSlab);
-  EXPECT_EQ(registry.counter(names::kServeSwapDegraded).value(), 1u);
-
-  // Degradation trades layout, never output.
-  Rng rng(52);
-  const std::vector<Packet> probes = synth_trace(next, 200, rng);
-  EXPECT_EQ(core.classify_batch(probes).decisions,
-            serial_replay(next, probes));
-}
-
-TEST(SelfHealingSwap, CapacityBreachFailsWhenDegradationIsDisabled) {
-  const Schema schema = five_tuple_schema();
-  const Policy trivial(schema, {Rule::catch_all(schema, kAccept)});
-  ServeOptions options = chaos_options(nullptr, nullptr);
-  options.backend = ClassifierBackendKind::kBitParallel;
-  options.bit_parallel_max_paths = 1;
-  options.degrade_on_capacity = false;
-  ServeCore core(trivial, options);
-
-  const auto result = core.swap(make_policy(20, 53));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code(), ErrorCode::kCapacityExceeded);
-  const ServeStats stats = core.stats();
-  EXPECT_EQ(stats.swap_degraded, 0u);
-  EXPECT_EQ(stats.swap_failed, 1u);
-  EXPECT_EQ(core.current_sequence(), 1u) << "last-good";
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kBitParallel);
+  {
+    SCOPED_TRACE("node budget");
+    ServeOptions options = chaos_options(nullptr, nullptr);
+    options.swap_budgets.max_nodes = 4;  // the boot compile is ungoverned
+    expect_fail_fast(options, ErrorCode::kNodeBudgetExceeded);
+  }
+  {
+    SCOPED_TRACE("capacity");
+    // No test-sized policy reaches the slab layout's 31-bit index cap, so
+    // a single-shot fault stands in for it: were it retried, the second
+    // attempt would succeed.
+    FaultSpec spec = count_spec(fault::sites::kSwapCompile, 1);
+    spec.code = ErrorCode::kCapacityExceeded;
+    FaultPlan plan(1, {spec});
+    expect_fail_fast(chaos_options(&plan, nullptr),
+                     ErrorCode::kCapacityExceeded);
+  }
 }
 
 // -- Seeded chaos storms ------------------------------------------------------
@@ -640,7 +632,6 @@ TEST(ChaosStorm, ConcurrentReadersSurviveAFaultedSwapStorm) {
 constexpr ClassifierBackendKind kAllBackends[] = {
     ClassifierBackendKind::kFlatSlab,
     ClassifierBackendKind::kPrefixTrie,
-    ClassifierBackendKind::kBitParallel,
 };
 
 TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
@@ -824,6 +815,18 @@ TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {
   // Arbitrary garbage: same contract.
   std::ofstream(snapshot_, std::ios::binary) << "not a snapshot at all\n";
   EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n"), 2);
+
+  // A well-formed snapshot of a backend this build no longer has: the
+  // checksum holds, the backend line does not parse.
+  std::ofstream(snapshot_, std::ios::binary) << serve::snapshot::read_file(
+      std::string(DFW_CORPUS_DIR) + "/snapshot/bad_backend_bit_parallel.dfws");
+  err.clear();
+  EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n", nullptr,
+                &err),
+            2);
+  EXPECT_NE(err.find("ParseError"), std::string::npos) << err;
+  EXPECT_NE(err.find("unknown backend \"bit_parallel\""), std::string::npos)
+      << err;
 }
 
 TEST_F(ServeCliSnapshot, HealthIntervalAndHealthCommandReport) {
@@ -835,7 +838,7 @@ TEST_F(ServeCliSnapshot, HealthIntervalAndHealthCommandReport) {
   // One health line per command (interval 1) plus the explicit command.
   std::size_t count = 0;
   for (std::size_t pos = 0;
-       (pos = out.find("dfw-serve-health-v1", pos)) != std::string::npos;
+       (pos = out.find("dfw-serve-health-v2", pos)) != std::string::npos;
        ++pos) {
     ++count;
   }

@@ -356,15 +356,11 @@ TEST(ServeStorm, SerialReplayIsByteIdenticalAcrossHotSwaps) {
   run_swap_storm(ClassifierBackendKind::kFlatSlab, 100);
 }
 
-// The alternative backends run shorter storms: the gate is identical —
-// byte-equal serial replay under concurrent swaps — and the flat-slab
-// storm already soaks the swap machinery itself.
+// The prefix-trie storm runs shorter: the gate is identical — byte-equal
+// serial replay under concurrent swaps — and the flat-slab storm already
+// soaks the swap machinery itself.
 TEST(ServeStorm, PrefixTrieBackendReplaysByteIdentically) {
   run_swap_storm(ClassifierBackendKind::kPrefixTrie, 30);
-}
-
-TEST(ServeStorm, BitParallelBackendReplaysByteIdentically) {
-  run_swap_storm(ClassifierBackendKind::kBitParallel, 30);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // exit codes in-process); this translation unit only adapts main().
 //
 // See serve/cli.hpp for the command set and docs/serve.md for the
-// serving model: hot swaps with retry/backoff and backend degradation,
-// last-good fallback, crash-consistent snapshots, health reporting.
+// serving model: hot swaps with retry/backoff, last-good fallback,
+// crash-consistent snapshots, health reporting.
 
 #include <iostream>
 #include <string>
