@@ -10,7 +10,9 @@ std::string team_label(const std::vector<std::string>& names,
   if (i < names.size() && !names[i].empty()) {
     return names[i];
   }
-  return "team" + std::to_string(i + 1);
+  std::string label = "team";
+  label += std::to_string(i + 1);
+  return label;
 }
 
 }  // namespace
@@ -22,14 +24,16 @@ std::string format_discrepancy(const Schema& schema,
   std::string out;
   bool any_field = false;
   for (std::size_t i = 0; i < schema.field_count(); ++i) {
-    const Field& field = schema.field(i);
-    if (d.conjuncts[i] == IntervalSet(field.domain)) {
+    if (d.conjuncts[i] == schema.domain_set(i)) {
       continue;
     }
     if (any_field) {
       out += " ^ ";
     }
-    out += field.name + " in " + format_spec(field, d.conjuncts[i]);
+    const Field& field = schema.field(i);
+    out += field.name;
+    out += " in ";
+    out += format_spec(field, d.conjuncts[i]);
     any_field = true;
   }
   if (!any_field) {
@@ -40,8 +44,9 @@ std::string format_discrepancy(const Schema& schema,
     if (i != 0) {
       out += ", ";
     }
-    out += team_label(team_names, i) + "=" +
-           decisions.name(d.decisions[i]);
+    out += team_label(team_names, i);
+    out += '=';
+    out += decisions.name(d.decisions[i]);
   }
   return out;
 }
@@ -53,21 +58,27 @@ std::string format_discrepancy_report(
   if (discrepancies.empty()) {
     return "no functional discrepancies: the firewalls are equivalent\n";
   }
-  std::string out = "functional discrepancies (" +
-                    std::to_string(discrepancies.size()) + "):\n";
+  std::string out = "functional discrepancies (";
+  out += std::to_string(discrepancies.size());
+  out += "):\n";
   Value packets = 0;
   for (std::size_t i = 0; i < discrepancies.size(); ++i) {
-    out += "  d" + std::to_string(i + 1) + ": " +
-           format_discrepancy(schema, decisions, discrepancies[i],
-                              team_names) +
-           "\n";
+    out += "  d";
+    out += std::to_string(i + 1);
+    out += ": ";
+    out += format_discrepancy(schema, decisions, discrepancies[i],
+                              team_names);
+    out += '\n';
     const Value n = discrepancy_packet_count(discrepancies[i]);
     packets = (packets > UINT64_MAX - n) ? UINT64_MAX : packets + n;
   }
-  out += "  total packets affected: " +
-         (packets == UINT64_MAX ? std::string("2^64 or more (saturated)")
-                                : std::to_string(packets)) +
-         "\n";
+  out += "  total packets affected: ";
+  if (packets == UINT64_MAX) {
+    out += "2^64 or more (saturated)";
+  } else {
+    out += std::to_string(packets);
+  }
+  out += '\n';
   return out;
 }
 

@@ -148,15 +148,28 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
   }
   FddArena arena(policies.front().schema());
   std::vector<Discrepancy> discrepancies;
-  const std::vector<ArenaNodeId> roots =
+  const std::vector<ArenaNodeId> shaped =
       compare_policies(arena, inputs, run, discrepancies);
-  const ArenaNodeId corrected =
-      correct(arena, roots, base_team, agreed_by_index(discrepancies, plan));
-  PhaseSpan phase(run.obs, "generate");
-  Policy resolved = arena.generate(corrected);
+  Policy resolved =
+      correct_and_generate(arena, shaped, discrepancies, plan, base_team,
+                           run.obs);
   if (run.obs.metrics != nullptr) {
     absorb(*run.obs.metrics, arena.stats());
-    run.obs.metrics->counter("gen.rules_emitted").add(resolved.size());
+  }
+  return resolved;
+}
+
+Policy correct_and_generate(FddArena& arena,
+                            const std::vector<ArenaNodeId>& shaped,
+                            const std::vector<Discrepancy>& discrepancies,
+                            const ResolutionPlan& plan,
+                            std::size_t base_team, const ObsOptions& obs) {
+  const ArenaNodeId corrected =
+      correct(arena, shaped, base_team, agreed_by_index(discrepancies, plan));
+  PhaseSpan phase(obs, "generate");
+  Policy resolved = arena.generate(corrected);
+  if (obs.metrics != nullptr) {
+    obs.metrics->counter("gen.rules_emitted").add(resolved.size());
   }
   return resolved;
 }
@@ -176,11 +189,14 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
   require_teams(policies);
   CompareOptions compare;
   compare.run = run;
-  const std::vector<Discrepancy> discrepancies =
-      discrepancies_many(policies, compare);
-  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
+  return prepend_and_trim(policies[base_team], base_team,
+                          discrepancies_many(policies, compare), plan);
+}
 
-  const Policy& base = policies[base_team];
+Policy prepend_and_trim(const Policy& base, std::size_t base_team,
+                        const std::vector<Discrepancy>& discrepancies,
+                        const ResolutionPlan& plan) {
+  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
   std::vector<Rule> rules;
   for (std::size_t i = 0; i < discrepancies.size(); ++i) {
     // Only the resolutions the base team got wrong need prepending; the

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
 #include "fw/policy.hpp"
 
@@ -57,6 +58,17 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team,
                        const RunOptions& run);
 
+/// Method 1's tail, on a comparison already run: `shaped` and
+/// `discrepancies` as compare_diagrams() left them in `arena`. Corrects
+/// team `base_team`'s shaped diagram there and generates the policy from
+/// it under a "generate" phase span, counting "gen.rules_emitted".
+/// resolve_via_fdd() and DiverseDesign::resolve() both end here.
+Policy correct_and_generate(FddArena& arena,
+                            const std::vector<ArenaNodeId>& shaped,
+                            const std::vector<Discrepancy>& discrepancies,
+                            const ResolutionPlan& plan,
+                            std::size_t base_team, const ObsOptions& obs);
+
 /// Method 2 (Section 6.2): take team `base_team`'s original firewall,
 /// prepend (in plan order) the resolved rules on which that team's decision
 /// was wrong, and remove redundant rules from the result.
@@ -68,5 +80,13 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
                                std::size_t base_team, const RunOptions& run);
+
+/// Method 2's tail over a given discrepancy list, in which `base` is
+/// team `base_team`: prepends the corrections `base` got wrong and removes
+/// redundant rules. resolve_via_corrections() and DiverseDesign::resolve()
+/// both end here.
+Policy prepend_and_trim(const Policy& base, std::size_t base_team,
+                        const std::vector<Discrepancy>& discrepancies,
+                        const ResolutionPlan& plan);
 
 }  // namespace dfw

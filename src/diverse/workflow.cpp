@@ -1,5 +1,6 @@
 #include "diverse/workflow.hpp"
 
+#include <mutex>
 #include <stdexcept>
 
 #include "diverse/discrepancy.hpp"
@@ -8,15 +9,45 @@
 #include "rt/parallel.hpp"
 
 namespace dfw {
+namespace {
+
+// Absorbs what `arena` counted since the last flush into the registry
+// (nullable) when it leaves scope, also when a governance breach unwinds,
+// so a session arena that serves many calls is counted once per call.
+struct StatsDelta {
+  FddArena& arena;
+  MetricsRegistry* metrics;
+  ~StatsDelta() {
+    if (metrics != nullptr) {
+      absorb(*metrics, arena.stats());
+    }
+    arena.reset_stats();
+  }
+};
+
+}  // namespace
+
+struct DiverseDesign::State {
+  // One canonical diagram per team, built and validated by submit and
+  // never changed afterwards, so const calls read them without the lock.
+  std::vector<ArenaDiagram> diagrams;
+  // Guards the kept direct comparison: the session arena the diagrams
+  // were imported into (null when there is none), their shaped roots and
+  // the discrepancy list. Resolution method 1 also corrects in the arena.
+  std::mutex mutex;
+  std::unique_ptr<FddArena> arena;
+  std::vector<ArenaNodeId> shaped;
+  std::vector<Discrepancy> discrepancies;
+};
 
 DiverseDesign::DiverseDesign(DecisionSet decisions, WorkflowOptions options)
-    : decisions_(std::move(decisions)), options_(options) {}
+    : decisions_(std::move(decisions)),
+      options_(options),
+      state_(std::make_unique<State>()) {}
 
-CompareOptions DiverseDesign::compare_options() const {
-  CompareOptions options;
-  options.run = options_.run;
-  return options;
-}
+DiverseDesign::~DiverseDesign() = default;
+DiverseDesign::DiverseDesign(DiverseDesign&&) noexcept = default;
+DiverseDesign& DiverseDesign::operator=(DiverseDesign&&) noexcept = default;
 
 std::size_t DiverseDesign::submit(std::string team_name, Policy policy) {
   ScopedSpan span(options_.run.obs.tracer, "workflow.submit", "team",
@@ -27,18 +58,18 @@ std::size_t DiverseDesign::submit(std::string team_name, Policy policy) {
   // Comprehensiveness gate: a rule sequence must cover every packet to
   // serve as a firewall (Section 3.1). Governed sessions bound this build
   // too — a hostile submission must not hang the design phase.
-  FddArena arena(policy.schema());
-  arena.set_context(options_.run.context);
+  const Policy* input[] = {&policy};
+  ArenaDiagram diagram =
+      std::move(build_diagrams(policy.schema(), input, options_.run).front());
   {
-    ScopedSpan build(options_.run.obs.tracer, "build_reduced_fdd", "rules",
-                     policy.size());
-    arena.validate(arena.build_reduced(policy));
-  }
-  if (options_.run.obs.metrics != nullptr) {
-    absorb(*options_.run.obs.metrics, arena.stats());
+    PhaseSpan phase(options_.run.obs, "validate");
+    diagram.arena->validate(diagram.root);
   }
   names_.push_back(std::move(team_name));
   policies_.push_back(std::move(policy));
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  state_->diagrams.push_back(std::move(diagram));
+  state_->arena.reset();
   return policies_.size() - 1;
 }
 
@@ -49,22 +80,46 @@ const Policy& DiverseDesign::policy(std::size_t team) const {
   return policies_[team];
 }
 
-std::vector<Discrepancy> DiverseDesign::compare() const {
+DiverseDesign::State& DiverseDesign::compared() const {
   if (policies_.size() < 2) {
     throw std::logic_error("compare: need at least two teams");
   }
+  State& state = *state_;
+  if (state.arena != nullptr) {
+    return state;
+  }
   ScopedSpan span(options_.run.obs.tracer, "workflow.compare", "teams",
                   policies_.size());
-  return discrepancies_many(policies_, compare_options());
+  // A breach unwinds before the arena is kept, leaving the findings so far
+  // in state.discrepancies for compare_governed().
+  auto arena = std::make_unique<FddArena>(policies_.front().schema());
+  const StatsDelta flush{*arena, options_.run.obs.metrics};
+  state.discrepancies.clear();
+  state.shaped = compare_diagrams(*arena, state.diagrams, options_.run,
+                                  state.discrepancies);
+  state.arena = std::move(arena);
+  return state;
+}
+
+std::vector<Discrepancy> DiverseDesign::compare() const {
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  return compared().discrepancies;
 }
 
 CompareOutcome DiverseDesign::compare_governed() const {
-  if (policies_.size() < 2) {
-    throw std::logic_error("compare: need at least two teams");
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  CompareOutcome outcome;
+  try {
+    outcome.discrepancies = compared().discrepancies;
+  } catch (const Error& e) {
+    // Governance cuts become a partial report; anything else keeps
+    // propagating.
+    outcome.discrepancies = std::move(state_->discrepancies);
+    outcome.complete = false;
+    outcome.status = e.code();
+    outcome.message = e.what();
   }
-  ScopedSpan span(options_.run.obs.tracer, "workflow.compare", "teams",
-                  policies_.size());
-  return discrepancies_many_governed(policies_, compare_options());
+  return outcome;
 }
 
 std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
@@ -80,23 +135,22 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
       pairs.emplace_back(a, b);
     }
   }
-  // Each pair is an independent construct->shape->compare pipeline; run
-  // them as pool tasks. The pair pipelines get a serial CompareOptions so
-  // the pool's threads each own one whole pipeline, arenas included,
-  // instead of contending over intra-pair subtasks.
+  // Each pair shapes and compares its two submitted diagrams in an arena
+  // of its own, so pairs run as independent pool tasks that only read the
+  // team arenas.
+  const std::vector<ArenaDiagram>& diagrams = state_->diagrams;
   Executor& ex = executor_or_inline(options_.run);
   CompareOptions pair_options;
-  pair_options.run.context = options_.run.context;
-  pair_options.run.obs = options_.run.obs;
+  pair_options.run = options_.run;
   const auto run_pair = [&](std::size_t i) {
     const auto [a, b] = pairs[i];
     // One span per unordered pair, on whichever pool thread runs it; the
-    // pair's construct/shape/compare phase spans nest inside.
+    // pair's validate/shape/compare phase spans nest inside.
     ScopedSpan pair_span(options_.run.obs.tracer, "pair", "team_a", a, "team_b",
                          b);
+    const ArenaDiagram inputs[] = {diagrams[a], diagrams[b]};
     if (options_.run.context == nullptr) {
-      return PairwiseReport{
-          a, b, discrepancies(policies_[a], policies_[b], pair_options)};
+      return PairwiseReport{a, b, discrepancies(inputs, pair_options)};
     }
     // Governed session: each pair absorbs its own governance cut into a
     // per-pair status, so one breached pair never torpedoes the others'
@@ -110,8 +164,7 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
       report.status = options_.run.context->abort_code();
       return report;
     }
-    CompareOutcome outcome =
-        discrepancies_governed(policies_[a], policies_[b], pair_options);
+    CompareOutcome outcome = discrepancies_governed(inputs, pair_options);
     report.discrepancies = std::move(outcome.discrepancies);
     report.complete = outcome.complete;
     report.status = outcome.status;
@@ -125,16 +178,20 @@ std::string DiverseDesign::report() const {
   if (options_.comparison == ComparisonMode::kCross) {
     std::string out;
     for (const PairwiseReport& pair : cross_compare()) {
-      out += "== " + names_[pair.team_a] + " vs " + names_[pair.team_b] +
-             " ==\n";
+      out += "== ";
+      out += names_[pair.team_a];
+      out += " vs ";
+      out += names_[pair.team_b];
+      out += " ==\n";
       out += format_discrepancy_report(
           policies_[0].schema(), decisions_, pair.discrepancies,
           {names_[pair.team_a], names_[pair.team_b]});
     }
     return out;
   }
+  const std::lock_guard<std::mutex> lock(state_->mutex);
   return format_discrepancy_report(policies_[0].schema(), decisions_,
-                                   compare(), names_);
+                                   compared().discrepancies, names_);
 }
 
 Policy DiverseDesign::resolve(const ResolutionPlan& plan) const {
@@ -146,12 +203,24 @@ Policy DiverseDesign::resolve(const ResolutionPlan& plan,
                               std::size_t base_team) const {
   ScopedSpan span(options_.run.obs.tracer, "workflow.resolve", "base_team",
                   base_team);
+  if (base_team >= policies_.size()) {
+    throw std::invalid_argument("resolve: no such team");
+  }
+  if (policies_.size() < 2) {
+    throw std::invalid_argument("resolution: need at least two policies");
+  }
+  const std::lock_guard<std::mutex> lock(state_->mutex);
+  State& state = compared();
   switch (method) {
-    case ResolutionMethod::kCorrectedFdd:
-      return resolve_via_fdd(policies_, plan, base_team, options_.run);
+    case ResolutionMethod::kCorrectedFdd: {
+      const StatsDelta flush{*state.arena, options_.run.obs.metrics};
+      return correct_and_generate(*state.arena, state.shaped,
+                                  state.discrepancies, plan, base_team,
+                                  options_.run.obs);
+    }
     case ResolutionMethod::kPrependAndTrim:
-      return resolve_via_corrections(policies_, plan, base_team,
-                                     options_.run);
+      return prepend_and_trim(policies_[base_team], base_team,
+                              state.discrepancies, plan);
   }
   throw std::invalid_argument("resolve: unknown method");
 }

@@ -6,16 +6,27 @@
 // Cross comparison of all pairs (Section 7.3) is offered alongside the
 // direct N-way comparison.
 //
+// As in the paper's workflow, each team's diagram is built once: submit
+// builds and validates it in an arena of its own, which nothing changes
+// afterwards. The first call after the last submit that needs the direct
+// comparison imports the K diagrams into one session arena, shapes and
+// compares them there, and keeps the shaped diagrams and the discrepancy
+// list; compare(), report(), both resolution methods and
+// resolve_in_favour_of() all reuse them, and the next submit drops them.
+// Cross comparison shapes and compares each pair afresh from the same
+// submitted diagrams. Const calls may run concurrently: the kept
+// comparison sits behind one mutex.
+//
 // Session-wide knobs travel in WorkflowOptions: the resolution method and
-// base team, the comparison mode the report uses, and the executor the
-// comparison phase runs on. The executor default is serial
+// base team, the comparison mode the report uses, and the executor cross
+// comparison runs on. The executor default is serial
 // (Executor::inline_executor()); with a pool, cross comparison runs its
-// K(K-1)/2 pairs as independent tasks and direct comparison constructs
-// the K diagrams concurrently — with output identical to serial.
+// K(K-1)/2 pairs as independent tasks — with output identical to serial.
 
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,19 +55,21 @@ enum class ComparisonMode {
 /// Session-wide options for a DiverseDesign run.
 struct WorkflowOptions {
   /// Shared execution knobs (rt/run_options.hpp), honoured by the whole
-  /// session. `run.executor` (borrowed; null = serial) drives the
-  /// comparison phase: cross comparison runs its K(K-1)/2 pairs as
-  /// independent tasks and direct comparison constructs the K diagrams
-  /// concurrently, with output identical to serial. `run.context`
-  /// (borrowed, nullable) governs submission builds, comparison, and
-  /// resolution alike: with a context set, cross_compare() reports
-  /// per-pair status instead of throwing and compare_governed() returns
-  /// partial results; the plain entry points let the dfw::Error
-  /// propagate. `run.obs` (borrowed, nullable sinks) observes the
-  /// session: submissions run under "workflow.submit" spans, the
-  /// comparison phase under "workflow.compare"/"workflow.cross_compare"
-  /// with one "pair" span per unordered pair, and resolution under
-  /// "workflow.resolve"; the underlying pipelines inherit the sinks.
+  /// session. `run.executor` (borrowed; null = serial) runs cross
+  /// comparison's K(K-1)/2 pairs as independent tasks, with output
+  /// identical to serial; submit builds one diagram and the direct
+  /// comparison has none left to build, so neither needs the pool.
+  /// `run.context` (borrowed, nullable) governs submission builds,
+  /// comparison, and resolution alike: with a context set,
+  /// cross_compare() reports per-pair status instead of throwing and
+  /// compare_governed() returns partial results; the plain entry points
+  /// let the dfw::Error propagate. `run.obs` (borrowed, nullable sinks)
+  /// observes the session: each submission runs under a "workflow.submit"
+  /// span holding its "construct" and "validate" phases, the direct
+  /// comparison under "workflow.compare" once per submitted set, cross
+  /// comparison under "workflow.cross_compare" with one "pair" span per
+  /// unordered pair, and resolution under "workflow.resolve"; the
+  /// underlying pipelines inherit the sinks.
   RunOptions run = {};
   ResolutionMethod resolution = ResolutionMethod::kCorrectedFdd;
   /// Team whose rule sequence seeds the resolution phase.
@@ -79,16 +92,24 @@ struct PairwiseReport {
                          const PairwiseReport&) = default;
 };
 
+/// A diverse-design session. Move-only: it owns its teams' diagrams and
+/// the comparison it keeps of them.
 class DiverseDesign {
  public:
   /// Starts a session over the given decision vocabulary.
   explicit DiverseDesign(DecisionSet decisions, WorkflowOptions options = {});
+  ~DiverseDesign();
+  DiverseDesign(DiverseDesign&&) noexcept;
+  DiverseDesign& operator=(DiverseDesign&&) noexcept;
+  DiverseDesign(const DiverseDesign&) = delete;
+  DiverseDesign& operator=(const DiverseDesign&) = delete;
 
   const WorkflowOptions& options() const { return options_; }
 
   /// Design phase: registers one team's firewall. All firewalls must share
-  /// a schema and be comprehensive (validated on submit). Returns the team
-  /// index.
+  /// a schema and be comprehensive (validated on submit, in the team's
+  /// diagram, which the session then keeps). Drops the comparison kept so
+  /// far. Returns the team index.
   std::size_t submit(std::string team_name, Policy policy);
 
   std::size_t team_count() const { return policies_.size(); }
@@ -116,7 +137,9 @@ class DiverseDesign {
 
   /// Resolution phase: given an agreed decision per discrepancy (indices
   /// into compare()'s result), produce the final firewall using
-  /// options().resolution and options().base_team.
+  /// options().resolution and options().base_team. Equals
+  /// resolve_via_fdd() or resolve_via_corrections() on the submitted
+  /// policies.
   Policy resolve(const ResolutionPlan& plan) const;
   /// Same, with the session options overridden per call.
   Policy resolve(const ResolutionPlan& plan, ResolutionMethod method,
@@ -132,12 +155,17 @@ class DiverseDesign {
                               std::size_t base_team) const;
 
  private:
-  CompareOptions compare_options() const;
+  struct State;
+
+  /// The kept direct comparison, run first if there is none. The caller
+  /// holds the state's mutex.
+  State& compared() const;
 
   DecisionSet decisions_;
   WorkflowOptions options_;
   std::vector<std::string> names_;
   std::vector<Policy> policies_;
+  std::unique_ptr<State> state_;  // never null but when moved from
 };
 
 }  // namespace dfw

@@ -54,8 +54,9 @@ SlabLayout flatten_fdd(const Fdd& fdd);
 
 /// First slab in [begin, begin+n) whose upper bound is >= v, assuming one
 /// exists (completeness guarantees it for in-domain v; out-of-domain
-/// values clamp to the last slab). Branchless: the loop body compiles to
-/// a conditional move, so lookups over the sorted run never mispredict.
+/// values clamp to the last slab). Written branch-free, but GCC 12
+/// compiles the loop body to a compare and a conditional jump, not a
+/// conditional move, at -O2 and -O3 alike, so a lookup can mispredict.
 inline const Slab* branchless_lower_bound(const Slab* begin, std::size_t n,
                                           Value v) {
   const Slab* base = begin;

@@ -316,18 +316,49 @@ class FddArena {
   std::size_t mark_nodes_ = SIZE_MAX;
 };
 
-/// The production comparison pipeline — construct, validate, shape,
-/// compare — behind discrepancies(), discrepancies_many(), their _governed
-/// forms and resolve_via_fdd(). Each policy is built in its own arena, one
-/// run.executor task per policy; the canonical roots are imported into
-/// `arena` (over the policies' schema), which validates, shapes and
-/// compares them. Appends the discrepancies to `out` — a governance breach
-/// leaves the ones found so far — and returns the shaped roots in input
-/// order. run.context governs every arena. run.obs sees the four phase
-/// spans plus one "build_reduced_fdd" span per policy, and absorbs each
-/// per-policy arena's stats; absorbing `arena`'s is the caller's part.
+/// An immutable diagram handle: a root in an arena nobody changes any
+/// more. Copies share the arena, so any number of consumers, on any
+/// threads, can read one built diagram.
+struct ArenaDiagram {
+  std::shared_ptr<const FddArena> arena;
+  ArenaNodeId root = 0;
+};
+
+/// The comparison pipeline's build half: builds each policy canonically
+/// in an arena of its own over `schema`, one run.executor task per policy,
+/// and validates nothing. run.context governs every build. run.obs sees a
+/// "construct" phase span around the builds and one "build_reduced_fdd"
+/// span per policy, and absorbs each arena's stats.
+std::vector<ArenaDiagram> build_diagrams(
+    const Schema& schema, std::span<const Policy* const> policies,
+    const RunOptions& run);
+
+/// The pipeline's second half, on diagrams already built: imports each
+/// root into `arena` (over their schema) and validates it there, shapes
+/// them all, and compares them, under the "validate", "shape" and
+/// "compare" phase spans. Only reads the diagrams' arenas. Appends the
+/// discrepancies to `out` — a governance breach leaves the ones found so
+/// far — and returns the shaped roots in input order. run.context governs
+/// `arena`; absorbing its stats is the caller's part.
+std::vector<ArenaNodeId> compare_diagrams(
+    FddArena& arena, std::span<const ArenaDiagram> diagrams,
+    const RunOptions& run, std::vector<Discrepancy>& out);
+
+/// The production comparison pipeline behind discrepancies(),
+/// discrepancies_many(), their _governed forms and resolve_via_fdd():
+/// build_diagrams, then compare_diagrams into `arena`.
 std::vector<ArenaNodeId> compare_policies(
     FddArena& arena, std::span<const Policy* const> policies,
     const RunOptions& run, std::vector<Discrepancy>& out);
+
+/// The second half in an arena of its own whose stats options.run.obs
+/// absorbs, like discrepancies_many() on the policies the diagrams were
+/// built from, which it equals.
+std::vector<Discrepancy> discrepancies(std::span<const ArenaDiagram> diagrams,
+                                       const CompareOptions& options = {});
+
+/// Governed form; see discrepancies_governed() on policies.
+CompareOutcome discrepancies_governed(std::span<const ArenaDiagram> diagrams,
+                                      const CompareOptions& options);
 
 }  // namespace dfw

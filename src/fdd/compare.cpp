@@ -70,6 +70,17 @@ struct StatsFlush {
   }
 };
 
+void discrepancies_into(std::span<const ArenaDiagram> diagrams,
+                        const CompareOptions& options,
+                        std::vector<Discrepancy>& out) {
+  if (diagrams.empty()) {
+    throw std::invalid_argument("discrepancies: no diagrams");
+  }
+  FddArena arena(diagrams.front().arena->schema());
+  const StatsFlush flush{arena, options.run.obs.metrics};
+  compare_diagrams(arena, diagrams, options.run, out);
+}
+
 void discrepancies_into(std::span<const Policy* const> policies,
                         const CompareOptions& options,
                         std::vector<Discrepancy>& out) {
@@ -133,40 +144,38 @@ std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds) {
   return compare_trees(fdds[0].schema(), roots);
 }
 
-std::vector<ArenaNodeId> compare_policies(
-    FddArena& arena, std::span<const Policy* const> policies,
+std::vector<ArenaDiagram> build_diagrams(
+    const Schema& schema, std::span<const Policy* const> policies,
+    const RunOptions& run) {
+  // Construction dominates the pipeline (Fig. 13) and the diagrams are
+  // independent until shaping, so each builds in an arena of its own — a
+  // pool task apiece.
+  PhaseSpan phase(run.obs, "construct");
+  return parallel_map<ArenaDiagram>(
+      executor_or_inline(run), policies.size(),
+      [&](std::size_t i) {
+        ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
+                        policies[i]->size(), "policy", i);
+        auto arena = std::make_shared<FddArena>(schema);
+        arena->set_context(run.context);
+        const StatsFlush flush{*arena, run.obs.metrics};
+        const ArenaNodeId root = arena->build_reduced(*policies[i]);
+        return ArenaDiagram{std::move(arena), root};
+      },
+      run.context, run.obs);
+}
+
+std::vector<ArenaNodeId> compare_diagrams(
+    FddArena& arena, std::span<const ArenaDiagram> diagrams,
     const RunOptions& run, std::vector<Discrepancy>& out) {
   arena.set_context(run.context);
   std::vector<ArenaNodeId> roots;
-  roots.reserve(policies.size());
-  {
-    PhaseSpan phase(run.obs, "construct");
-    // Construction dominates the pipeline (Fig. 13) and the diagrams are
-    // independent until shaping, so each builds in an arena of its own —
-    // a pool task apiece — and its canonical root is then imported into
-    // the one arena that shapes and compares.
-    struct Built {
-      std::unique_ptr<FddArena> arena;
-      ArenaNodeId root;
-    };
-    const std::vector<Built> built = parallel_map<Built>(
-        executor_or_inline(run), policies.size(),
-        [&](std::size_t i) {
-          ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
-                          policies[i]->size(), "policy", i);
-          auto own = std::make_unique<FddArena>(arena.schema());
-          own->set_context(run.context);
-          const StatsFlush flush{*own, run.obs.metrics};
-          const ArenaNodeId root = own->build_reduced(*policies[i]);
-          return Built{std::move(own), root};
-        },
-        run.context, run.obs);
-    for (const Built& b : built) {
-      roots.push_back(arena.import(*b.arena, b.root));
-    }
-  }
+  roots.reserve(diagrams.size());
   {
     PhaseSpan phase(run.obs, "validate");
+    for (const ArenaDiagram& d : diagrams) {
+      roots.push_back(arena.import(*d.arena, d.root));
+    }
     for (const ArenaNodeId root : roots) {
       arena.validate(root);  // rejects non-comprehensive inputs up front
     }
@@ -178,6 +187,27 @@ std::vector<ArenaNodeId> compare_policies(
   PhaseSpan phase(run.obs, "compare");
   arena.compare_into(roots, out);
   return roots;
+}
+
+std::vector<ArenaNodeId> compare_policies(
+    FddArena& arena, std::span<const Policy* const> policies,
+    const RunOptions& run, std::vector<Discrepancy>& out) {
+  return compare_diagrams(arena, build_diagrams(arena.schema(), policies, run),
+                          run, out);
+}
+
+std::vector<Discrepancy> discrepancies(std::span<const ArenaDiagram> diagrams,
+                                       const CompareOptions& options) {
+  std::vector<Discrepancy> out;
+  discrepancies_into(diagrams, options, out);
+  return out;
+}
+
+CompareOutcome discrepancies_governed(std::span<const ArenaDiagram> diagrams,
+                                      const CompareOptions& options) {
+  return run_governed([&](std::vector<Discrepancy>& out) {
+    discrepancies_into(diagrams, options, out);
+  });
 }
 
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,

@@ -228,11 +228,14 @@ TEST(GovernTest, CancellationCutsALongComparisonShort) {
 TEST(GovernTest, CrossCompareReportsPerPairStatusUnderSharedBudget) {
   const Policy trivial_a = constant_policy(kAccept);
   const Policy trivial_b = constant_policy(kDiscard);
-  const Policy heavy = adversarial(16, false);
+  // Pairs reuse the submitted diagrams, so the heavy pair charges only
+  // its import and shaping: ~610 nodes at n = 32 (~180 at n = 16, inside
+  // the margin below).
+  const Policy heavy = adversarial(32, false);
 
-  // Probe 1: node cost of submitting all three teams (construction runs
-  // once per submit for validation). Deterministic, so the real run
-  // charges exactly the same.
+  // Probe 1: node cost of submitting all three teams (each submit builds
+  // its team's diagram once). Deterministic, so the real run charges
+  // exactly the same.
   RunContext submit_probe;
   WorkflowOptions probe_options;
   probe_options.comparison = ComparisonMode::kCross;
@@ -253,8 +256,8 @@ TEST(GovernTest, CrossCompareReportsPerPairStatusUnderSharedBudget) {
   const std::size_t pair_cost = pair_probe.nodes_charged();
 
   // Budget: submissions + the trivial pair + a margin far below the
-  // adversarial pair's construction cost. Pair (0,1) completes, pair
-  // (0,2) breaches, pair (1,2) is skipped by the sticky abort.
+  // adversarial pair's cost. Pair (0,1) completes, pair (0,2) breaches,
+  // pair (1,2) is skipped by the sticky abort.
   RunContext ctx = RunContext::with_budgets(
       {.max_nodes = submit_cost + pair_cost + 200});
   WorkflowOptions options;

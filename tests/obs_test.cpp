@@ -562,6 +562,33 @@ TEST(PipelineObsTest, WorkflowSnapshotUnifiesAllSubsystems) {
   EXPECT_EQ(v.name_counts.at("pair"), 3u);
 }
 
+// A session builds each team's diagram once, at submit: comparison,
+// report, both resolution methods and cross comparison all reuse them.
+TEST(PipelineObsTest, SessionBuildsEachTeamDiagramOnce) {
+  Tracer tracer;
+  MetricsRegistry registry;
+  WorkflowOptions options;
+  options.run.obs = ObsOptions{&tracer, &registry};
+  DiverseDesign session((DecisionSet()), options);
+  const Policy base = synth(60, 7);
+  Rng rng(99);
+  session.submit("t0", base);
+  session.submit("t1", perturb_policy(base, 15.0, rng));
+  session.submit("t2", perturb_policy(base, 15.0, rng));
+  const ResolutionPlan plan = plan_by_majority(session.compare());
+  EXPECT_FALSE(session.report().empty());
+  (void)session.resolve(plan, ResolutionMethod::kCorrectedFdd, 0);
+  (void)session.resolve(plan, ResolutionMethod::kPrependAndTrim, 1);
+  EXPECT_EQ(session.cross_compare().size(), 3u);
+
+  const TraceValidation v = validate_chrome_trace(tracer.chrome_trace_json());
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(v.name_counts.at("build_reduced_fdd"), 3u);
+  EXPECT_EQ(v.name_counts.at("workflow.compare"), 1u);
+  EXPECT_EQ(registry.snapshot().histograms.at("phase.construct_ns").count,
+            3u);
+}
+
 // -- Determinism across thread counts ----------------------------------------
 
 // The work-independent counters (arena structure, governance charges) must

@@ -3,11 +3,14 @@
 // comparison, the pairwise pipeline, both resolution methods, and batch
 // classification must return results *identical* to the serial path —
 // same discrepancies and rules, in the same order, with the same counts.
+// So must a session's const calls made from several threads at once.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "diverse/workflow.hpp"
@@ -103,6 +106,51 @@ TEST(ParallelDeterminismTest, ResolutionMatchesSerial) {
                 serial.rules())
           << "width " << width;
     }
+  }
+}
+
+TEST(ParallelDeterminismTest, ConcurrentConstCallsMatchSerial) {
+  const std::vector<Policy> teams = make_teams(4, 40, 17);
+  const DiverseDesign serial = make_session(teams, WorkflowOptions{});
+  const std::vector<Discrepancy> compared = serial.compare();
+  const std::string report = serial.report();
+  const ResolutionPlan plan = plan_by_majority(compared, 0);
+  const std::vector<Rule> resolved = serial.resolve(plan).rules();
+  const std::vector<PairwiseReport> cross = serial.cross_compare();
+
+  // Nothing is compared yet, so the threads also race to the first
+  // comparison the session keeps.
+  const DiverseDesign shared = make_session(teams, WorkflowOptions{});
+  constexpr std::size_t kThreads = 4;
+  std::array<bool, kThreads> ok{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool all_equal = true;
+      for (std::size_t step = 0; step < 8; ++step) {
+        switch ((t + step) % 4) {
+          case 0:
+            all_equal = all_equal && shared.compare() == compared;
+            break;
+          case 1:
+            all_equal = all_equal && shared.report() == report;
+            break;
+          case 2:
+            all_equal = all_equal && shared.resolve(plan).rules() == resolved;
+            break;
+          case 3:
+            all_equal = all_equal && shared.cross_compare() == cross;
+            break;
+        }
+      }
+      ok[t] = all_equal;
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[t]) << "thread " << t;
   }
 }
 
