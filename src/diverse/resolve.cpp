@@ -190,12 +190,13 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
   CompareOptions compare;
   compare.run = run;
   return prepend_and_trim(policies[base_team], base_team,
-                          discrepancies_many(policies, compare), plan);
+                          discrepancies_many(policies, compare), plan,
+                          run.context);
 }
 
 Policy prepend_and_trim(const Policy& base, std::size_t base_team,
                         const std::vector<Discrepancy>& discrepancies,
-                        const ResolutionPlan& plan) {
+                        const ResolutionPlan& plan, RunContext* context) {
   const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
   std::vector<Rule> rules;
   for (std::size_t i = 0; i < discrepancies.size(); ++i) {
@@ -208,7 +209,7 @@ Policy prepend_and_trim(const Policy& base, std::size_t base_team,
     }
   }
   rules.insert(rules.end(), base.rules().begin(), base.rules().end());
-  return remove_redundant(Policy(base.schema(), std::move(rules)));
+  return remove_redundant(Policy(base.schema(), std::move(rules)), context);
 }
 
 }  // namespace dfw

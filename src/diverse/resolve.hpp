@@ -83,10 +83,10 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
 
 /// Method 2's tail over a given discrepancy list, in which `base` is
 /// team `base_team`: prepends the corrections `base` got wrong and removes
-/// redundant rules. resolve_via_corrections() and DiverseDesign::resolve()
-/// both end here.
+/// redundant rules, governed by `context` (borrowed, nullable).
+/// resolve_via_corrections() and DiverseDesign::resolve() both end here.
 Policy prepend_and_trim(const Policy& base, std::size_t base_team,
                         const std::vector<Discrepancy>& discrepancies,
-                        const ResolutionPlan& plan);
+                        const ResolutionPlan& plan, RunContext* context);
 
 }  // namespace dfw

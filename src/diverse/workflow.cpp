@@ -220,7 +220,8 @@ Policy DiverseDesign::resolve(const ResolutionPlan& plan,
     }
     case ResolutionMethod::kPrependAndTrim:
       return prepend_and_trim(policies_[base_team], base_team,
-                              state.discrepancies, plan);
+                              state.discrepancies, plan,
+                              options_.run.context);
   }
   throw std::invalid_argument("resolve: unknown method");
 }

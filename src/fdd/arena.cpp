@@ -300,27 +300,20 @@ Fdd FddArena::to_fdd(ArenaNodeId root) const {
 // Construction (Fig. 7) with copy-on-write appends.
 
 ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
-  AppendMemo memo(rule);
-  return append_rule(root, memo);
-}
-
-ArenaNodeId FddArena::append_rule(ArenaNodeId root, AppendMemo& memo) {
-  const Rule& rule = memo.rule();
   if (rule.conjuncts().size() != schema_.field_count()) {
     throw std::invalid_argument("append_rule: rule arity mismatch");
   }
   // The memo makes appending the rule to a shared subdiagram an O(1)
   // lookup, and the path cache builds the rule's decision path once per
   // suffix instead of once per branch.
-  if (memo.path_.empty()) {
-    memo.path_.assign(schema_.field_count() + 1, kNoNode);
-  }
+  std::unordered_map<std::uint64_t, ArenaNodeId> memo;  // (node, field)
+  std::vector<ArenaNodeId> path(schema_.field_count() + 1, kNoNode);
 
   // Decision path for conjuncts[field..d-1] -> decision, wildcards skipped
   // (the canonical form would splice them out anyway).
   const auto build_path = [&](auto&& self, std::size_t f) -> ArenaNodeId {
-    if (memo.path_[f] != kNoNode) {
-      return memo.path_[f];
+    if (path[f] != kNoNode) {
+      return path[f];
     }
     ArenaNodeId result;
     if (f == schema_.field_count()) {
@@ -331,7 +324,7 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, AppendMemo& memo) {
       const ArenaNodeId child = self(self, f + 1);
       result = canonical(f, {{intern(rule.conjunct(f)), child}});
     }
-    memo.path_[f] = result;
+    path[f] = result;
     return result;
   };
   if (root == kEmpty) {
@@ -345,7 +338,7 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, AppendMemo& memo) {
                           std::size_t from) -> ArenaNodeId {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(v) << 32) | from;
-    if (const auto it = memo.results_.find(key); it != memo.results_.end()) {
+    if (const auto it = memo.find(key); it != memo.end()) {
       ++stats_.append_cache_hits;
       return it->second;
     }
@@ -403,68 +396,11 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, AppendMemo& memo) {
       }
       result = canonical(f, std::move(out));
     }
-    memo.results_.emplace(key, result);
-    if (v >= mark_nodes_ || result >= mark_nodes_) {
-      memo.past_mark_.push_back(key);
-    }
+    memo.emplace(key, result);
     return result;
   };
 
   return append(append, root, 0);
-}
-
-FddArena::Mark FddArena::mark() {
-  mark_nodes_ = nodes_.size();
-  return {nodes_.size(), labels_.size()};
-}
-
-void FddArena::rollback(const Mark& mark, std::span<AppendMemo> memos) {
-  const auto dropped = [&](ArenaNodeId id) {
-    return id != kNoNode && id >= mark.nodes;
-  };
-  for (AppendMemo& memo : memos) {
-    for (const std::uint64_t key : memo.past_mark_) {
-      const auto it = memo.results_.find(key);
-      if (it != memo.results_.end() &&
-          (dropped(static_cast<ArenaNodeId>(key >> 32)) ||
-           dropped(it->second))) {
-        memo.results_.erase(it);
-      }
-    }
-    memo.past_mark_.clear();
-    for (ArenaNodeId& id : memo.path_) {
-      if (dropped(id)) {
-        id = kNoNode;
-      }
-    }
-  }
-  // Ids are handed out in order and every bucket lists its ids in order,
-  // so the newest node is the last id of its bucket.
-  while (nodes_.size() > mark.nodes) {
-    const ArenaNodeId id = static_cast<ArenaNodeId>(nodes_.size() - 1);
-    const NodeRecord& r = nodes_[id];
-    const auto bucket =
-        node_buckets_.find(node_hash(r.field, r.decision, edges(id)));
-    bucket->second.pop_back();
-    if (bucket->second.empty()) {
-      node_buckets_.erase(bucket);
-    }
-    edge_pool_.resize(r.edge_begin);
-    nodes_.pop_back();
-  }
-  while (labels_.size() > mark.labels) {
-    const auto bucket = label_buckets_.find(hash_label(labels_.back()));
-    bucket->second.pop_back();
-    if (bucket->second.empty()) {
-      label_buckets_.erase(bucket);
-    }
-    labels_.pop_back();
-  }
-  shape_cache_.clear();
-  equiv_cache_.clear();
-  rule_cost_cache_.clear();
-  stats_.unique_nodes = nodes_.size();
-  stats_.unique_labels = labels_.size();
 }
 
 ArenaNodeId FddArena::build_reduced(const Policy& policy) {
@@ -480,6 +416,70 @@ ArenaNodeId FddArena::build_reduced(const Policy& policy) {
     root = append_rule(root, rule);
   }
   return root;
+}
+
+// ---------------------------------------------------------------------------
+// First-match overlay of partial diagrams, memoised on node-id pairs.
+
+ArenaNodeId FddArena::overlay(ArenaNodeId a, ArenaNodeId b) {
+  if (a == kEmpty || b == kEmpty) {
+    return a == kEmpty ? b : a;
+  }
+  if (a == b || is_terminal(a)) {
+    return a;  // `a` decides every packet that reaches it
+  }
+  const std::uint64_t key = pack_pair(a, b);
+  if (const auto it = overlay_cache_.find(key); it != overlay_cache_.end()) {
+    return it->second;
+  }
+  govern::checkpoint(govern_);
+  // Split on the earlier-ranked field; a side that skips it reads there as
+  // one full-domain edge.
+  const std::size_t f =
+      is_terminal(b) ? field(a) : std::min(field(a), field(b));
+  const auto edges_at = [&](ArenaNodeId n) -> std::vector<ArenaEdge> {
+    if (!is_terminal(n) && field(n) == f) {
+      const std::span<const ArenaEdge> view = edges(n);
+      return {view.begin(), view.end()};
+    }
+    return {{intern(schema_.domain_set(f)), n}};
+  };
+  const std::vector<ArenaEdge> a_edges = edges_at(a);
+  const std::vector<ArenaEdge> b_edges = edges_at(b);
+  const auto covered = [&](const std::vector<ArenaEdge>& side) {
+    IntervalSet all;
+    for (const ArenaEdge& e : side) {
+      all = all.unite(labels_[e.label]);
+    }
+    return all;
+  };
+  const IntervalSet a_covered = covered(a_edges);
+  const IntervalSet b_covered = covered(b_edges);
+  // Where both sides decide, overlay their children; where one side alone
+  // does, its child stands; where neither does, no edge.
+  std::vector<ArenaEdge> out;
+  for (const ArenaEdge& ea : a_edges) {
+    const IntervalSet lab = labels_[ea.label];  // intern() may reallocate
+    for (const ArenaEdge& eb : b_edges) {
+      const IntervalSet common = lab.intersect(labels_[eb.label]);
+      if (!common.empty()) {
+        out.push_back({intern(common), overlay(ea.target, eb.target)});
+      }
+    }
+    const IntervalSet a_only = lab.subtract(b_covered);
+    if (!a_only.empty()) {
+      out.push_back({intern(a_only), ea.target});
+    }
+  }
+  for (const ArenaEdge& eb : b_edges) {
+    const IntervalSet b_only = labels_[eb.label].subtract(a_covered);
+    if (!b_only.empty()) {
+      out.push_back({intern(b_only), eb.target});
+    }
+  }
+  const ArenaNodeId result = canonical(f, std::move(out));
+  overlay_cache_.emplace(key, result);
+  return result;
 }
 
 // ---------------------------------------------------------------------------

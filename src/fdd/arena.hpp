@@ -21,8 +21,13 @@
 // The tree Fdd remains the public/serialization format; to_tree/from_tree
 // are the lossless bridges. An arena is single-threaded and append-only:
 // ids stay valid for the arena's lifetime and memo caches never need
-// invalidation. The one exception is explicit: rollback() undoes the work
-// done since a mark(), for tentative computations whose ids nobody keeps.
+// invalidation.
+//
+// Partial diagrams (some packets undecided) are canonical too, with the
+// undecided region left edgeless and kEmpty standing for "nothing decided".
+// overlay() combines two of them by first match, which is what the
+// redundancy oracle (gen/redundancy.hpp) reads policies with: a prefix of
+// the rules overlaid on a suffix of them.
 
 #pragma once
 
@@ -68,35 +73,11 @@ struct ArenaIdTupleHash {
 class RunContext;
 class FaultPlan;
 
-/// The append memo of one rule, bound to that rule: what appending it to
-/// each (subdiagram, field) pair visited so far returned, plus its
-/// decision path per field suffix. Entries are ids of the arena the memo
-/// was used with, so a memo serves one FddArena, but it outlives any
-/// number of append_rule calls into it: appending the same rule to many
-/// diagrams that share subdiagrams costs only the parts they do not
-/// share. Holds `rule` by reference; the rule must outlive the memo.
-class AppendMemo {
- public:
-  explicit AppendMemo(const Rule& rule) : rule_(&rule) {}
-  explicit AppendMemo(Rule&&) = delete;  // would dangle
-
-  const Rule& rule() const { return *rule_; }
-
- private:
-  friend class FddArena;
-
-  const Rule* rule_;
-  std::unordered_map<std::uint64_t, ArenaNodeId> results_;  // (node, field)
-  std::vector<ArenaNodeId> path_;  // per-field suffix, sized on first use
-  // results_ keys that name a node past the arena's mark (FddArena::mark).
-  std::vector<std::uint64_t> past_mark_;
-};
-
 class FddArena {
  public:
   /// The empty partial diagram: no rule folded in, no packet decided. Only
-  /// append_rule accepts it, and appending a rule to it yields the rule's
-  /// lone decision path (Fig. 6), so policy prefixes start here.
+  /// append_rule and overlay accept it. Appending a rule to it yields the
+  /// rule's lone decision path (Fig. 6), so policy prefixes start here.
   static constexpr ArenaNodeId kEmpty = static_cast<ArenaNodeId>(-1);
 
   explicit FddArena(Schema schema);
@@ -201,28 +182,13 @@ class FddArena {
   /// root. The input diagram is unchanged (ids are immutable). `root` may
   /// be kEmpty.
   ArenaNodeId append_rule(ArenaNodeId root, const Rule& rule);
-  /// Same for memo.rule(), reusing and extending `memo`, which must not
-  /// have been used with another arena.
-  ArenaNodeId append_rule(ArenaNodeId root, AppendMemo& memo);
 
-  // -- Tentative work ------------------------------------------------------
-
-  /// How much the arena held at one moment.
-  struct Mark {
-    std::size_t nodes = 0;
-    std::size_t labels = 0;
-  };
-
-  /// The arena's current size. From here on, memos note the entries that
-  /// name a node past it, so rollback() can drop them.
-  Mark mark();
-
-  /// Undoes the work done since `mark`: drops every node and label
-  /// interned after it, the entries of `memos` that name a dropped node,
-  /// and the arena's own shape/compare/cost caches. For a computation
-  /// whose ids nobody keeps: ids past the mark are reused afterwards.
-  /// `memos` must include every memo appended with since the mark.
-  void rollback(const Mark& mark, std::span<AppendMemo> memos);
+  /// The diagram deciding like `a` wherever `a` decides and like `b`
+  /// elsewhere: `a`'s rules followed by `b`'s, first match, undecided
+  /// exactly where both are. Either side may be kEmpty. Canonical when
+  /// both sides are, so its id is the one append_rule would reach for the
+  /// concatenated rules. Memoised on (a, b) for the arena's lifetime.
+  ArenaNodeId overlay(ArenaNodeId a, ArenaNodeId b);
 
   /// NODE_SHAPING (Fig. 10) over ids: returns the semi-isomorphic pair.
   /// Memoised on (a, b); shape_pair(x, x) is O(1).
@@ -308,12 +274,11 @@ class FddArena {
   std::unordered_map<std::uint64_t, std::pair<ArenaNodeId, ArenaNodeId>>
       shape_cache_;
   std::unordered_map<std::uint64_t, bool> equiv_cache_;
+  std::unordered_map<std::uint64_t, ArenaNodeId> overlay_cache_;
   std::unordered_map<ArenaNodeId, std::size_t> rule_cost_cache_;
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection
-  // Nodes from this id on are past the last mark(); none before a mark.
-  std::size_t mark_nodes_ = SIZE_MAX;
 };
 
 /// An immutable diagram handle: a root in an arena nobody changes any

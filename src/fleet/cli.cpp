@@ -28,8 +28,7 @@ constexpr const char* kUsage =
     "  --no-simplify     skip the semantics-preserving simplify stage\n"
     "  --no-prove        skip the per-device FDD equivalence proofs\n"
     "  --passes=a,b,c    run only these lint passes\n"
-    "  --disable=a,b     remove lint passes (default: 'redundancy', the\n"
-    "        costliest pass; --disable= re-enables it)\n"
+    "  --disable=a,b     remove lint passes\n"
     "  --compare=none|pairs|nway   cross-device comparison (default none)\n"
     "  --max-divergences=N         divergence records kept (default 64)\n"
     "\n"
@@ -54,7 +53,7 @@ struct CliOptions {
   bool no_simplify = false;
   bool no_prove = false;
   std::vector<std::string> passes;
-  std::vector<std::string> disabled = {"redundancy"};
+  std::vector<std::string> disabled;
   std::string compare = "none";
   std::size_t max_divergences = 64;
   std::string output = "text";

@@ -1,6 +1,6 @@
 #include "gen/redundancy.hpp"
 
-#include <span>
+#include <algorithm>
 #include <stdexcept>
 
 #include "fdd/arena.hpp"
@@ -9,85 +9,41 @@
 namespace dfw {
 namespace {
 
-/// The prefix roots of a rule sequence in one arena. memos_[k] is the
-/// sequence's k-th rule with its append memo; prefix_[k] is the canonical
-/// partial diagram of rules [0, k), prefix_[0] the empty one. The rules
-/// are borrowed from the policy the oracle was built from.
-class PrefixRoots {
- public:
-  PrefixRoots(const Policy& policy, RunContext* context)
-      : arena_(policy.schema()) {
-    arena_.set_context(context);
-    memos_.reserve(policy.size());
-    for (const Rule& rule : policy.rules()) {
-      memos_.emplace_back(rule);
-    }
-    prefix_.push_back(FddArena::kEmpty);
-    extend_prefixes();
+/// The canonical prefix roots p_0..p_n of `policy` in `arena`: p_k decides
+/// like rules [0, k), so p_0 is kEmpty and p_n is build_reduced's root,
+/// built by the same append loop. Empty when p_n leaves some packet
+/// undecided: such a policy has no redundant rule here.
+std::vector<ArenaNodeId> prefix_roots(FddArena& arena, const Policy& policy) {
+  std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+  prefix.reserve(policy.size() + 1);
+  for (const Rule& rule : policy.rules()) {
+    prefix.push_back(arena.append_rule(prefix.back(), rule));
   }
-
-  std::size_t size() const { return memos_.size(); }
-
-  bool comprehensive() const {
-    try {
-      arena_.validate(prefix_.back());
-      return true;
-    } catch (const std::logic_error&) {
-      return false;  // some packet falls through
-    }
+  try {
+    arena.validate(prefix.back());
+  } catch (const std::logic_error&) {
+    prefix.clear();  // some packet falls through
   }
+  return prefix;
+}
 
-  /// True iff dropping rule k leaves the whole sequence's mapping
-  /// unchanged. The candidate is rules [0, j) without rule k, grown one
-  /// rule at a time from prefix_[k]; once it equals prefix_[j], appending
-  /// the same rules to both keeps them equal, so the answer is in.
-  bool redundant(std::size_t k) {
-    ArenaNodeId candidate = prefix_[k];
-    std::size_t j = k + 1;
-    for (; candidate != prefix_[j] && j < size(); ++j) {
-      candidate = arena_.append_rule(candidate, memos_[j]);
-    }
-    const bool equal = candidate == prefix_[j];
-    // No later test reads the candidate's nodes: drop them, so the oracle
-    // holds the prefixes and one candidate, not every candidate so far.
-    arena_.rollback(mark_, std::span(memos_).subspan(k + 1, j - k - 1));
-    return equal;
-  }
+/// Whether rule k can go from rules [0, k] followed by the rules whose
+/// diagram is `suffix`: it is dead there (p_{k+1} == p_k, upward
+/// redundant), or the rules around it decide like the whole policy
+/// without it (downward redundant). The first is O(1) and implies the
+/// second.
+bool redundant(FddArena& arena, const std::vector<ArenaNodeId>& prefix,
+               std::size_t k, ArenaNodeId suffix) {
+  return prefix[k + 1] == prefix[k] ||
+         arena.overlay(prefix[k], suffix) == prefix.back();
+}
 
-  /// Frees rule k's memo once no candidate will append rule k again.
-  void release(std::size_t k) { memos_[k] = AppendMemo(memos_[k].rule()); }
-
-  /// Drops rule k from the sequence. The prefixes up to k stay; the later
-  /// ones are rebuilt, mostly from the memos.
-  void erase(std::size_t k) {
-    memos_.erase(memos_.begin() + static_cast<std::ptrdiff_t>(k));
-    prefix_.resize(k + 1);
-    extend_prefixes();
-  }
-
-  Policy policy() const {
-    std::vector<Rule> rules;
-    rules.reserve(size());
-    for (const AppendMemo& memo : memos_) {
-      rules.push_back(memo.rule());
-    }
-    return Policy(arena_.schema(), std::move(rules));
-  }
-
- private:
-  // build_reduced's append loop, keeping every intermediate root.
-  void extend_prefixes() {
-    for (std::size_t k = prefix_.size() - 1; k < size(); ++k) {
-      prefix_.push_back(arena_.append_rule(prefix_[k], memos_[k]));
-    }
-    mark_ = arena_.mark();
-  }
-
-  FddArena arena_;
-  std::vector<AppendMemo> memos_;
-  std::vector<ArenaNodeId> prefix_;
-  FddArena::Mark mark_;  // the arena holding the prefixes and no candidate
-};
+/// The suffix root with `rule` put in front of `suffix`: the rule's
+/// decision where it matches, `suffix`'s elsewhere.
+ArenaNodeId push_front(FddArena& arena, const Rule& rule,
+                       ArenaNodeId suffix) {
+  return arena.overlay(arena.append_rule(FddArena::kEmpty, rule), suffix);
+}
 
 }  // namespace
 
@@ -96,46 +52,58 @@ bool is_redundant(const Policy& policy, std::size_t index,
   if (index >= policy.size()) {
     throw std::out_of_range("is_redundant: index out of range");
   }
-  PrefixRoots roots(policy, context);
-  return roots.comprehensive() && roots.redundant(index);
+  FddArena arena(policy.schema());
+  arena.set_context(context);
+  const std::vector<ArenaNodeId> prefix = prefix_roots(arena, policy);
+  if (prefix.empty()) {
+    return false;
+  }
+  ArenaNodeId suffix = FddArena::kEmpty;
+  for (std::size_t k = policy.size(); k-- > index + 1;) {
+    suffix = push_front(arena, policy.rule(k), suffix);
+  }
+  return redundant(arena, prefix, index, suffix);
 }
 
 std::vector<std::size_t> redundant_rules(const Policy& policy,
                                          RunContext* context) {
   std::vector<std::size_t> result;
-  PrefixRoots roots(policy, context);
-  if (!roots.comprehensive()) {
+  FddArena arena(policy.schema());
+  arena.set_context(context);
+  const std::vector<ArenaNodeId> prefix = prefix_roots(arena, policy);
+  if (prefix.empty()) {
     return result;
   }
-  for (std::size_t i = 0; i < roots.size(); ++i) {
+  ArenaNodeId suffix = FddArena::kEmpty;  // rules (k, n)
+  for (std::size_t k = policy.size(); k-- > 0;) {
     govern::checkpoint(context);
-    if (roots.redundant(i)) {
-      result.push_back(i);
+    if (redundant(arena, prefix, k, suffix)) {
+      result.push_back(k);
     }
-    // No later candidate appends rule i + 1: candidate i + 1 starts past it.
-    if (i + 1 < roots.size()) {
-      roots.release(i + 1);
-    }
+    suffix = push_front(arena, policy.rule(k), suffix);
   }
+  std::reverse(result.begin(), result.end());
   return result;
 }
 
-Policy remove_redundant(const Policy& policy) {
-  PrefixRoots roots(policy, nullptr);
-  if (!roots.comprehensive()) {
+Policy remove_redundant(const Policy& policy, RunContext* context) {
+  FddArena arena(policy.schema());
+  arena.set_context(context);
+  const std::vector<ArenaNodeId> prefix = prefix_roots(arena, policy);
+  if (prefix.empty()) {
     return policy;
   }
-  bool removed = true;
-  while (removed) {
-    removed = false;
-    for (std::size_t i = roots.size(); i-- > 0;) {
-      if (roots.redundant(i)) {
-        roots.erase(i);
-        removed = true;
-      }
+  std::vector<Rule> kept;
+  ArenaNodeId suffix = FddArena::kEmpty;  // the kept rules of (k, n)
+  for (std::size_t k = policy.size(); k-- > 0;) {
+    govern::checkpoint(context);
+    if (!redundant(arena, prefix, k, suffix)) {
+      kept.push_back(policy.rule(k));
+      suffix = push_front(arena, policy.rule(k), suffix);
     }
   }
-  return roots.policy();
+  std::reverse(kept.begin(), kept.end());
+  return Policy(policy.schema(), std::move(kept));
 }
 
 }  // namespace dfw

@@ -3,22 +3,27 @@
 // method 2 (Section 6.2).
 //
 // A rule is redundant iff removing it does not change the firewall's
-// mapping from packets to decisions. We decide that definitionally with a
-// prefix-root oracle in one hash-consed FddArena per policy. The arena
-// holds the canonical prefix diagrams p_0..p_n, p_k built from rules
-// [0, k) by build_reduced's own append loop. The candidate for rule i
-// starts at p_i and has rules i+1..n-1 appended one at a time; canonical
-// roots are equal iff the (partial) functions are, so each test is an id
-// comparison. Rule i is redundant as soon as the candidate with rules up
-// to j equals p_{j+1} — the rest of the sequence can no longer tell the
-// two apart — or else iff it ends equal to p_n. Each rule keeps one
-// append memo (AppendMemo) across all candidates, so a suffix rule is
-// appended once per subdiagram the candidates do not share. When a test
-// ends, the arena rolls back what its candidate added (FddArena::rollback),
-// so the oracle holds the prefixes and one candidate at a time.
-// remove_redundant tests greedily back to front against the shrinking
-// policy, so the final sequence has no redundant rule left (a maximal
-// removal set).
+// mapping from packets to decisions. We decide that definitionally in one
+// hash-consed FddArena per policy, where canonical roots are equal iff the
+// (partial) functions are, so each test is an id comparison. Two kinds of
+// root meet there:
+//
+//   * the prefix roots p_0..p_n, p_k built from rules [0, k) by
+//     build_reduced's own append loop;
+//   * the suffix roots, S_k for rules [k, n), grown back to front as
+//     S_k = overlay(path(r_k), S_{k+1}), path(r) being the rule's lone
+//     decision path and S_n the empty diagram.
+//
+// Dropping rule k leaves rules [0, k) in front of rules (k, n), a sequence
+// whose diagram is FddArena::overlay(p_k, S_{k+1}) (Hazelhurst's reading
+// of an access list as nested if-then-else). So rule k is redundant iff
+// that overlay is p_n, which holds at once when rule k is dead
+// (p_{k+1} == p_k), and every entry point is one back-to-front pass.
+// remove_redundant makes the same pass, leaving out of the suffix each
+// rule it drops. Because p_k does not change when a later rule goes, each
+// test is against the current sequence; and dropping an earlier rule never
+// makes a kept one redundant (the packet that needed it still first-matches
+// it), so the one pass leaves no redundant rule (a maximal removal set).
 //
 // All three are defined for comprehensive policies: a policy that lets
 // some packet fall through has no redundant rule here (is_redundant is
@@ -52,8 +57,10 @@ std::vector<std::size_t> redundant_rules(const Policy& policy,
                                          RunContext* context = nullptr);
 
 /// Returns an equivalent policy from which redundant rules have been
-/// removed greedily (back to front, re-testing after each removal) until
-/// none remains. A non-comprehensive policy comes back unchanged.
-Policy remove_redundant(const Policy& policy);
+/// removed greedily, back to front, each tested against the rules still
+/// kept, until none remains. A non-comprehensive policy comes back
+/// unchanged. Same `context` contract as is_redundant, plus a checkpoint
+/// per rule.
+Policy remove_redundant(const Policy& policy, RunContext* context = nullptr);
 
 }  // namespace dfw

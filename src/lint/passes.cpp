@@ -308,9 +308,10 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
 // --- pass: redundancy ------------------------------------------------------
 // Semantic per-rule redundancy (the paper's ref [19]): rules whose
 // removal provably leaves the packet-to-decision mapping unchanged. An
-// absence finding — warning, no witness. Decided by gen/redundancy's
-// prefix-root oracle: one arena per policy, one root-id comparison per
-// appended suffix rule.
+// absence finding — warning, no witness. Decided by gen/redundancy in one
+// back-to-front pass over one arena per policy: rule k is redundant iff
+// the prefix before it overlaid on the suffix after it is the whole
+// policy's root.
 
 void pass_redundancy(PassState& state, std::vector<Diagnostic>& out) {
   if (!state.comprehensive()) {

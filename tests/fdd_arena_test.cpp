@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "fdd/compare.hpp"
@@ -224,79 +225,70 @@ TEST(FddArena, AppendIsCopyOnWrite) {
   }
 }
 
-TEST(FddArena, PrefixRootsAndSharedMemosMatchFreshAppends) {
-  // Policy prefixes start at kEmpty and end at build_reduced's root; a
-  // memo kept across many append_rule calls returns exactly the ids a
-  // fresh append would, and a rule adding no packet leaves the root alone.
+TEST(FddArena, OverlayIsFirstMatchAcrossPartialDiagrams) {
+  // overlay(a, b) decides like a where a decides, like b elsewhere. Over a
+  // policy's prefixes it reproduces append_rule id for id, and folding the
+  // rules' decision paths back to front reproduces build_reduced; on two
+  // arbitrary partial diagrams it is first match, undecided exactly where
+  // both are.
   std::mt19937_64 rng(19);
-  for (int round = 0; round < 20; ++round) {
-    const Policy policy = test::random_policy(test::tiny3(), 8, rng);
-    FddArena arena(policy.schema());
-    std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
-    for (const Rule& rule : policy.rules()) {
-      prefix.push_back(arena.append_rule(prefix.back(), rule));
-    }
-    EXPECT_EQ(prefix.back(), arena.build_reduced(policy));
-    const Rule& last = policy.rules().back();
-    AppendMemo memo(last);
-    for (const ArenaNodeId root : prefix) {
-      EXPECT_EQ(arena.append_rule(root, memo), arena.append_rule(root, last));
-    }
-    EXPECT_EQ(arena.append_rule(prefix.back(), memo), prefix.back());
-  }
-}
-
-TEST(FddArena, RollbackDropsTentativeWorkAndKeepsMemosSound) {
-  // Work after a mark is undone exactly: the arena shrinks back to the
-  // mark, ids before it stay valid, and memos used past the mark still
-  // agree with fresh appends once the dropped ids name other nodes.
-  std::mt19937_64 rng(23);
-  const Schema schema = test::tiny3();
-  const std::vector<Packet> packets = test::all_packets(schema);
-  for (int round = 0; round < 20; ++round) {
-    const Policy policy = test::random_policy(schema, 8, rng);
-    const Policy other = test::random_policy(schema, 6, rng);
-    const Policy third = test::random_policy(schema, 6, rng);
-    FddArena arena(schema);
-    std::vector<AppendMemo> memos(policy.rules().begin(),
-                                  policy.rules().end());
-    ArenaNodeId root = FddArena::kEmpty;
-    for (AppendMemo& memo : memos) {
-      root = arena.append_rule(root, memo);
-    }
-    const FddArena::Mark mark = arena.mark();
-
-    // Tentative work: `other` without its catch-all, then the policy.
-    const std::vector<Rule> head(other.rules().begin(),
-                                 other.rules().end() - 1);
-    const auto append_policy = [&](bool with_memos) {
-      ArenaNodeId r = FddArena::kEmpty;
-      for (const Rule& rule : head) {
-        r = arena.append_rule(r, rule);
+  for (const Schema& schema : {test::tiny2(), test::tiny3()}) {
+    const std::vector<Packet> packets = test::all_packets(schema);
+    for (int round = 0; round < 20; ++round) {
+      const Policy policy = test::random_policy(schema, 8, rng);
+      FddArena arena(schema);
+      std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+      for (const Rule& rule : policy.rules()) {
+        const ArenaNodeId path = arena.append_rule(FddArena::kEmpty, rule);
+        prefix.push_back(arena.append_rule(prefix.back(), rule));
+        EXPECT_EQ(arena.overlay(prefix[prefix.size() - 2], path),
+                  prefix.back());
       }
-      for (std::size_t i = 0; i < memos.size(); ++i) {
-        r = with_memos ? arena.append_rule(r, memos[i])
-                       : arena.append_rule(r, policy.rule(i));
+      // Prefixes end at build_reduced's root, and a rule adding no packet
+      // leaves the root alone.
+      const ArenaNodeId root = arena.build_reduced(policy);
+      EXPECT_EQ(prefix.back(), root);
+      EXPECT_EQ(arena.append_rule(root, policy.rules().back()), root);
+      ArenaNodeId suffix = FddArena::kEmpty;
+      for (std::size_t k = policy.size(); k-- > 0;) {
+        suffix = arena.overlay(
+            arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix);
       }
-      return r;
-    };
-    append_policy(true);
-    arena.rollback(mark, memos);
-    EXPECT_EQ(arena.unique_node_count(), mark.nodes);
+      EXPECT_EQ(suffix, root);
 
-    // Reuse the dropped ids for other nodes first.
-    arena.build_reduced(third);
-    const ArenaNodeId with_memos = append_policy(true);
-    EXPECT_EQ(with_memos, append_policy(false));
-    std::vector<Rule> combined = head;
-    combined.insert(combined.end(), policy.rules().begin(),
-                    policy.rules().end());
-    const Policy sequence(schema, std::move(combined));
-    for (const Packet& p : packets) {
-      EXPECT_EQ(arena.evaluate(with_memos, p), sequence.evaluate(p));
-      EXPECT_EQ(arena.evaluate(root, p), policy.evaluate(p));
+      // Two partial diagrams: each policy without its catch-all.
+      const Policy other = test::random_policy(schema, 6, rng);
+      const std::vector<Rule> a_rules(policy.rules().begin(),
+                                      policy.rules().end() - 1);
+      const std::vector<Rule> b_rules(other.rules().begin(),
+                                      other.rules().end() - 1);
+      const auto build = [&](const std::vector<Rule>& rules) {
+        ArenaNodeId r = FddArena::kEmpty;
+        for (const Rule& rule : rules) {
+          r = arena.append_rule(r, rule);
+        }
+        return r;
+      };
+      const ArenaNodeId a = build(a_rules);
+      const ArenaNodeId b = build(b_rules);
+      EXPECT_EQ(arena.overlay(a, FddArena::kEmpty), a);
+      EXPECT_EQ(arena.overlay(FddArena::kEmpty, b), b);
+      const ArenaNodeId both = arena.overlay(a, b);
+      std::vector<Rule> sequence = a_rules;
+      sequence.insert(sequence.end(), b_rules.begin(), b_rules.end());
+      ASSERT_NE(both, FddArena::kEmpty);
+      EXPECT_EQ(both, build(sequence));
+      for (const Packet& p : packets) {
+        const auto match = std::find_if(
+            sequence.begin(), sequence.end(),
+            [&](const Rule& rule) { return rule.matches(p); });
+        if (match == sequence.end()) {
+          EXPECT_THROW(arena.evaluate(both, p), std::logic_error);
+        } else {
+          EXPECT_EQ(arena.evaluate(both, p), match->decision());
+        }
+      }
     }
-    EXPECT_EQ(arena.build_reduced(policy), root);
   }
 }
 

@@ -389,6 +389,23 @@ TEST(FleetCli, SarifOutputIsDeterministicAndValid) {
   EXPECT_TRUE(lint::validate_sarif(one).ok);
 }
 
+TEST(FleetCli, RedundancyPassRunsByDefault) {
+  // The CLI runs the library's default pass set; --disable=redundancy
+  // takes the pass out.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::path(::testing::TempDir()) / "fleet_cli_redundancy").string();
+  fs::remove_all(dir);
+  ASSERT_EQ(cli({"--generate=4", "--out=" + dir}, nullptr), 0);
+  std::string with_pass;
+  std::string without_pass;
+  EXPECT_EQ(cli({"--output=sarif", dir}, &with_pass), 1);
+  cli({"--output=sarif", "--disable=redundancy", dir}, &without_pass);
+  const std::string finding = "\"ruleId\":\"policy.redundant-rule\"";
+  EXPECT_NE(with_pass.find(finding), std::string::npos);
+  EXPECT_EQ(without_pass.find(finding), std::string::npos);
+}
+
 TEST(FleetCli, ReportFileAndExitCodes) {
   namespace fs = std::filesystem;
   // A clean single-device fleet exits 0.

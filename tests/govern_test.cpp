@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "diverse/resolve.hpp"
 #include "diverse/workflow.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
@@ -298,6 +299,38 @@ TEST(GovernTest, GovernedDirectCompareMatchesUngovernedWhenIdle) {
   EXPECT_TRUE(outcome.complete);
   EXPECT_EQ(outcome.status, ErrorCode::kOk);
   EXPECT_EQ(outcome.discrepancies, plain.compare());
+}
+
+TEST(GovernTest, PrependAndTrimResolutionIsGoverned) {
+  // Method 2 removes redundant rules in an arena of its own; the session's
+  // context governs that arena like the rest of resolution. Session a
+  // measures what submission and comparison charge; session b's budget
+  // lets exactly that through, so its resolution breaches.
+  RunContext measured;
+  WorkflowOptions options;
+  options.run.context = &measured;
+  DiverseDesign a(default_decisions(), options);
+  a.submit("a", adversarial(6, false));
+  a.submit("b", adversarial(6, true));
+  const std::vector<Discrepancy> found = a.compare();
+  ResolutionPlan plan;
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    plan.push_back(adopt(i, found[i], 1));
+  }
+  const std::size_t compared = measured.nodes_charged();
+  const Policy resolved = a.resolve(plan, ResolutionMethod::kPrependAndTrim, 0);
+  EXPECT_GT(measured.nodes_charged(), compared);
+  EXPECT_TRUE(equivalent(resolved, adversarial(6, true)));
+
+  RunContext tight = RunContext::with_budgets({.max_nodes = compared + 1});
+  options.run.context = &tight;
+  DiverseDesign b(default_decisions(), options);
+  b.submit("a", adversarial(6, false));
+  b.submit("b", adversarial(6, true));
+  EXPECT_EQ(b.compare(), found);
+  EXPECT_EQ(tight.nodes_charged(), compared);
+  EXPECT_THROW(b.resolve(plan, ResolutionMethod::kPrependAndTrim, 0), Error);
+  EXPECT_EQ(tight.abort_code(), ErrorCode::kNodeBudgetExceeded);
 }
 
 TEST(GovernTest, SubmissionBreachPropagatesAsStructuredError) {

@@ -1,17 +1,21 @@
 // Redundancy detection/removal tests (resolution method 2's engine), with
 // a brute-force differential over tiny schemas: every entry point, and
 // dead_rules from the same prefix roots, against its definition evaluated
-// over every packet.
+// over every packet. Brute force cannot reach realistic policies, so
+// metamorphic checks cover those.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "analysis/anomaly.hpp"
 #include "fdd/compare.hpp"
 #include "gen/redundancy.hpp"
 #include "rt/govern.hpp"
+#include "simplify/simplify.hpp"
+#include "synth/synth.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -118,12 +122,59 @@ TEST(Redundancy, TinyNodeBudgetThrows) {
   RunContext context = RunContext::with_budgets(tiny);
   EXPECT_THROW(redundant_rules(p, &context), Error);
   EXPECT_EQ(context.abort_code(), ErrorCode::kNodeBudgetExceeded);
+  RunContext removal = RunContext::with_budgets(tiny);
+  EXPECT_THROW(remove_redundant(p, &removal), Error);
+  EXPECT_EQ(removal.abort_code(), ErrorCode::kNodeBudgetExceeded);
   // A budget that holds changes nothing.
   Budgets generous;
   generous.max_nodes = 1000000;
   RunContext governed = RunContext::with_budgets(generous);
   EXPECT_EQ(redundant_rules(p, &governed), redundant_rules(p));
+  EXPECT_EQ(remove_redundant(p, &governed).rules(),
+            remove_redundant(p).rules());
   EXPECT_GT(governed.nodes_charged(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Metamorphic checks on realistic policies, where brute force cannot go:
+// removal keeps the mapping, leaves nothing redundant and is idempotent,
+// and the single-rule test agrees with the whole-policy one.
+
+void expect_removal_laws(const Policy& p, const std::string& name) {
+  const Policy trimmed = remove_redundant(p);
+  EXPECT_TRUE(equivalent(p, trimmed)) << name;
+  EXPECT_EQ(remove_redundant(trimmed).rules(), trimmed.rules()) << name;
+  EXPECT_TRUE(redundant_rules(trimmed).empty()) << name;
+  const std::vector<std::size_t> redundant = redundant_rules(p);
+  EXPECT_EQ(trimmed.size() < p.size(), !redundant.empty()) << name;
+  const std::size_t step = std::max<std::size_t>(1, p.size() / 4);
+  for (std::size_t i = 0; i < p.size(); i += step) {
+    const bool listed =
+        std::binary_search(redundant.begin(), redundant.end(), i);
+    EXPECT_EQ(is_redundant(p, i), listed) << name << ", rule " << i;
+  }
+}
+
+TEST(RedundancyMetamorphic, SynthPoliciesAt400Rules) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SynthConfig config;
+    config.num_rules = 400;
+    Rng rng(seed);
+    expect_removal_laws(synth_policy(config, rng),
+                        "synth seed " + std::to_string(seed));
+  }
+}
+
+TEST(RedundancyMetamorphic, SimplifiedFleetSitesAt400Rules) {
+  FleetSynthConfig config;
+  config.sites = 5;
+  config.base.num_rules = 400;
+  const std::vector<Policy> fleet = make_fleet(config);
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const SimplifyOutcome simplified = simplify_policy(fleet[i]);
+    ASSERT_TRUE(simplified.report.complete) << "site " << i;
+    expect_removal_laws(simplified.policy, "site " + std::to_string(i));
+  }
 }
 
 // ---------------------------------------------------------------------------
