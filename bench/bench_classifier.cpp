@@ -1,6 +1,6 @@
 // Classification-backend shoot-out (library extension, not a paper
 // figure): lookup latency and batch throughput of every execution form —
-// linear first-match scan, pointer-walking the reduced FDD, the bit-level
+// linear first-match scan, walking the reduced diagram, the bit-level
 // BDD baseline, and the two compiled backends (flat_slab, prefix_trie) —
 // swept across policy size, batch length, and executor thread count.
 // Compile cost per backend is reported separately as the one-time charge
@@ -14,10 +14,11 @@
 // memory; docs/classifier.md has the measured sweep.
 //
 // Writes BENCH_classifier.json (dfw-bench-obs-v1): "compile.<form>"
-// records (fdd, bdd, and one per backend with the
-// phase.classifier.compile.*_ns histogram), each the median of
-// kCompileReps compiles, and "classify.<form>" records with integer
-// params {rules, batch, threads} plus the engine.classifier.* counters.
+// records (fdd, the build_diagram every backend compiles from; bdd; and
+// one per backend with the phase.classifier.compile.*_ns histogram),
+// each the median of kCompileReps compiles, and "classify.<form>"
+// records with integer params {rules, batch, threads} plus the
+// engine.classifier.* counters.
 // --quick shrinks the sweep for CI smoke runs.
 
 #include <algorithm>
@@ -32,7 +33,6 @@
 #include "bdd/packet_encode.hpp"
 #include "bench_common.hpp"
 #include "engine/classifier.hpp"
-#include "fdd/construct.hpp"
 #include "rt/executor.hpp"
 #include "synth/synth.hpp"
 
@@ -136,20 +136,21 @@ int main(int argc, char** argv) {
       pool.push_back({ip(rng), ip(rng), port(rng), port(rng), proto(rng)});
     }
 
-    // The shared FDD build: every compiled backend starts from it, so its
-    // cost is charged once, not per backend.
-    Fdd fdd = Fdd::constant(policy.schema(), kAccept);
+    // The shared diagram build: every compiled backend starts from it, so
+    // its cost is charged once, not per backend.
+    ArenaDiagram diagram;
     {
       MetricsRegistry registry;
       const std::uint64_t ns = median_ns([&] {
-        fdd = Fdd::constant(policy.schema(), kAccept);  // teardown untimed
-        return time_ns([&] { fdd = build_reduced_fdd(policy); });
+        diagram = ArenaDiagram{};  // teardown untimed
+        return time_ns([&] { diagram = build_diagram(policy, {}); });
       });
       report.add("compile.fdd", {{"rules", n}}, ns, registry.snapshot());
     }
 
-    // Interpreted contenders: linear first-match scan and the FDD walk.
-    // Their decision sums are the cross-check every backend must hit.
+    // Interpreted contenders: linear first-match scan and the diagram
+    // walk. Their decision sums are the cross-check every backend must
+    // hit.
     std::uint64_t sum_expected = 0;
     {
       std::uint64_t sum_linear = 0;
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
       std::uint64_t sum_fdd = 0;
       const std::uint64_t fdd_ns = time_ns([&] {
         for (const Packet& p : pool) {
-          sum_fdd += fdd.evaluate(p);
+          sum_fdd += diagram.arena->evaluate(diagram.root, p);
         }
       });
       if (sum_linear != sum_fdd) {
@@ -209,7 +210,7 @@ int main(int argc, char** argv) {
       });
       std::uint64_t sum_subset = 0;
       for (std::size_t i = 0; i < kBddPackets; ++i) {
-        sum_subset += fdd.evaluate(pool[i]);
+        sum_subset += diagram.arena->evaluate(diagram.root, pool[i]);
       }
       if (sum_bdd != sum_subset) {
         std::printf("DISAGREEMENT bdd vs fdd at %zu rules!\n", n);
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
       const std::uint64_t compile_ns = median_ns([&] {
         compiled.reset();  // the previous copy's teardown stays untimed
         return time_ns(
-            [&] { compiled.emplace(Classifier::compile(fdd, options)); });
+            [&] { compiled.emplace(Classifier::compile(diagram, options)); });
       });
       const double compile_ms = static_cast<double>(compile_ns) / 1e6;
       report.add(std::string("compile.") + to_string(kind), {{"rules", n}},

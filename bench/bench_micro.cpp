@@ -188,9 +188,9 @@ BENCHMARK(BM_ClassifyCompiled);
 
 void BM_CompileClassifier(benchmark::State& state) {
   const Policy p = cached_policy(200, 7);
-  const Fdd fdd = build_reduced_fdd(p);
+  const ArenaDiagram diagram = build_diagram(p, {});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Classifier::compile(fdd));
+    benchmark::DoNotOptimize(Classifier::compile(diagram));
   }
 }
 BENCHMARK(BM_CompileClassifier);

@@ -2,12 +2,11 @@
 
 #include <stdexcept>
 
-#include "fdd/construct.hpp"
-
 namespace dfw {
 namespace {
 
-PropertyResult check_on_fdd(const Fdd& fdd, const Property& prop) {
+PropertyResult check_on_diagram(const ArenaDiagram& diagram,
+                                const Property& prop) {
   if (!prop.scope.decision.has_value()) {
     throw std::invalid_argument(
         "check_property: the property must require a decision");
@@ -18,7 +17,7 @@ PropertyResult check_on_fdd(const Fdd& fdd, const Property& prop) {
       // Counterexamples: scope traffic with any *other* decision.
       Query complement = prop.scope;
       complement.decision.reset();
-      for (QueryResult& r : run_query(fdd, complement)) {
+      for (QueryResult& r : run_query(diagram, complement)) {
         if (r.decision != *prop.scope.decision) {
           result.counterexamples.push_back(std::move(r));
         }
@@ -27,7 +26,7 @@ PropertyResult check_on_fdd(const Fdd& fdd, const Property& prop) {
       return result;
     }
     case PropertyMode::kExists: {
-      result.holds = !run_query(fdd, prop.scope).empty();
+      result.holds = !run_query(diagram, prop.scope).empty();
       return result;
     }
   }
@@ -37,16 +36,16 @@ PropertyResult check_on_fdd(const Fdd& fdd, const Property& prop) {
 }  // namespace
 
 PropertyResult check_property(const Policy& policy, const Property& prop) {
-  return check_on_fdd(build_reduced_fdd(policy), prop);
+  return check_on_diagram(build_diagram(policy, {}), prop);
 }
 
 std::vector<PropertyResult> check_properties(
     const Policy& policy, const std::vector<Property>& props) {
-  const Fdd fdd = build_reduced_fdd(policy);
+  const ArenaDiagram diagram = build_diagram(policy, {});
   std::vector<PropertyResult> results;
   results.reserve(props.size());
   for (const Property& prop : props) {
-    results.push_back(check_on_fdd(fdd, prop));
+    results.push_back(check_on_diagram(diagram, prop));
   }
   return results;
 }

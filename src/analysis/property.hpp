@@ -46,7 +46,7 @@ struct PropertyResult {
 /// and must be set.
 PropertyResult check_property(const Policy& policy, const Property& prop);
 
-/// Checks a batch against one policy (the FDD is built once).
+/// Checks a batch against one policy (the diagram is built once).
 std::vector<PropertyResult> check_properties(
     const Policy& policy, const std::vector<Property>& props);
 

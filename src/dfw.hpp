@@ -39,6 +39,5 @@
 #include "query/query.hpp"        // IWYU pragma: export
 #include "rt/executor.hpp"        // IWYU pragma: export
 #include "rt/parallel.hpp"        // IWYU pragma: export
-#include "stateful/stateful.hpp"  // IWYU pragma: export
 #include "synth/mutate.hpp"       // IWYU pragma: export
 #include "synth/synth.hpp"        // IWYU pragma: export

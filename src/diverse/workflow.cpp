@@ -59,8 +59,7 @@ std::size_t DiverseDesign::submit(std::string team_name, Policy policy) {
   // serve as a firewall (Section 3.1). Governed sessions bound this build
   // too — a hostile submission must not hang the design phase.
   const Policy* input[] = {&policy};
-  ArenaDiagram diagram =
-      std::move(build_diagrams(policy.schema(), input, options_.run).front());
+  ArenaDiagram diagram = std::move(build_diagrams(input, options_.run).front());
   {
     PhaseSpan phase(options_.run.obs, "validate");
     diagram.arena->validate(diagram.root);

@@ -46,14 +46,14 @@ const char* serve_backend_counter_name(ClassifierBackendKind kind) {
 }
 
 std::shared_ptr<const ClassifierBackend> compile_backend(
-    ClassifierBackendKind kind, const Fdd& fdd) {
+    ClassifierBackendKind kind, const ArenaDiagram& diagram) {
   switch (kind) {
     case ClassifierBackendKind::kPrefixTrie:
-      return compile_prefix_trie_backend(fdd);
+      return compile_prefix_trie_backend(diagram);
     case ClassifierBackendKind::kFlatSlab:
       break;
   }
-  return compile_flat_slab_backend(fdd);
+  return compile_flat_slab_backend(diagram);
 }
 
 }  // namespace dfw

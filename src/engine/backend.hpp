@@ -1,6 +1,6 @@
 // The compiled-classifier backend interface.
 //
-// One reduced FDD admits two execution layouts with different cost
+// One reduced diagram admits two execution layouts with different cost
 // models: the flat-slab form (d branchless binary searches over
 // contiguous slabs) and a prefix-trie form (multi-bit stride tables for
 // IPv4 fields, in the spirit of LPM forwarding tables, reusing
@@ -29,7 +29,7 @@
 
 namespace dfw {
 
-class Fdd;
+struct ArenaDiagram;
 
 /// The compiled layouts a Classifier can execute.
 enum class ClassifierBackendKind {
@@ -52,7 +52,7 @@ const char* compile_phase_name(ClassifierBackendKind kind);
 /// The "serve.backend.<backend>" counter literal for a kind.
 const char* serve_backend_counter_name(ClassifierBackendKind kind);
 
-/// One compiled execution form of a complete FDD. Implementations are
+/// One compiled execution form of a complete diagram. Implementations are
 /// immutable and safe to share across threads.
 class ClassifierBackend {
  public:
@@ -65,23 +65,25 @@ class ClassifierBackend {
   /// Classifier facade checks arity).
   virtual Decision classify_one(const Value* packet) const = 0;
 
-  /// Compiled interior nodes (one per FDD nonterminal in both layouts).
+  /// Compiled interior nodes: one per unique nonterminal of the
+  /// diagram, in both layouts.
   virtual std::size_t node_count() const = 0;
   /// Slab entries (flat-slab) or trie+slab entries (prefix-trie).
   virtual std::size_t slab_count() const = 0;
 };
 
 /// Per-backend compile factories. Each relies on the facade's prior
-/// fdd.validate() and never keeps a reference to the FDD. Both build on
-/// the slab layout, which throws dfw::Error(ErrorCode::kCapacityExceeded)
-/// past its 31-bit node index space.
+/// validation of the diagram and never keeps a reference to it. Both
+/// build on the slab layout, which throws
+/// dfw::Error(ErrorCode::kCapacityExceeded) past its 31-bit node index
+/// space.
 std::shared_ptr<const ClassifierBackend> compile_flat_slab_backend(
-    const Fdd& fdd);
+    const ArenaDiagram& diagram);
 std::shared_ptr<const ClassifierBackend> compile_prefix_trie_backend(
-    const Fdd& fdd);
+    const ArenaDiagram& diagram);
 
 /// Dispatches on `kind` to the factories above.
 std::shared_ptr<const ClassifierBackend> compile_backend(
-    ClassifierBackendKind kind, const Fdd& fdd);
+    ClassifierBackendKind kind, const ArenaDiagram& diagram);
 
 }  // namespace dfw

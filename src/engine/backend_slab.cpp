@@ -1,6 +1,6 @@
 // The flat-slab backend: the library's original compiled layout, now one
-// contender behind the ClassifierBackend interface. One record per FDD
-// nonterminal with a sorted (upper, next) slab run; a lookup is d
+// contender behind the ClassifierBackend interface. One record per unique
+// diagram nonterminal with a sorted (upper, next) slab run; a lookup is d
 // branchless binary searches over contiguous memory. This is the default
 // backend and the baseline every alternative must beat to earn a slot in
 // CompileOptions::backend.
@@ -46,8 +46,9 @@ class FlatSlabBackend final : public ClassifierBackend {
 }  // namespace
 
 std::shared_ptr<const ClassifierBackend> compile_flat_slab_backend(
-    const Fdd& fdd) {
-  return std::make_shared<FlatSlabBackend>(engine_detail::flatten_fdd(fdd));
+    const ArenaDiagram& diagram) {
+  return std::make_shared<FlatSlabBackend>(
+      engine_detail::flatten_diagram(diagram));
 }
 
 }  // namespace dfw

@@ -19,7 +19,7 @@
 
 #include "engine/backend.hpp"
 #include "engine/slab_layout.hpp"
-#include "fdd/fdd.hpp"
+#include "fdd/arena.hpp"
 #include "fw/schema.hpp"
 
 namespace dfw {
@@ -126,9 +126,9 @@ class PrefixTrieBackend final : public ClassifierBackend {
 }  // namespace
 
 std::shared_ptr<const ClassifierBackend> compile_prefix_trie_backend(
-    const Fdd& fdd) {
-  return std::make_shared<PrefixTrieBackend>(engine_detail::flatten_fdd(fdd),
-                                             fdd.schema());
+    const ArenaDiagram& diagram) {
+  return std::make_shared<PrefixTrieBackend>(
+      engine_detail::flatten_diagram(diagram), diagram.arena->schema());
 }
 
 }  // namespace dfw

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "fdd/construct.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
 #include "rt/executor.hpp"
@@ -12,14 +11,16 @@
 
 namespace dfw {
 
-Classifier Classifier::compile(const Fdd& fdd, const CompileOptions& options) {
-  fdd.validate();  // completeness makes every lookup land in a slab
+Classifier Classifier::compile(const ArenaDiagram& diagram,
+                               const CompileOptions& options) {
+  // Completeness makes every lookup land in a slab.
+  diagram.arena->validate(diagram.root);
   Classifier c;
-  c.field_count_ = fdd.schema().field_count();
+  c.field_count_ = diagram.arena->schema().field_count();
   {
     PhaseSpan span(options.run.obs, compile_phase_name(options.backend));
     fault::hit(options.run.faults, fault::sites::kBackendCompile);
-    c.backend_ = compile_backend(options.backend, fdd);
+    c.backend_ = compile_backend(options.backend, diagram);
   }
   c.options_ = options;
   return c;
@@ -27,11 +28,7 @@ Classifier Classifier::compile(const Fdd& fdd, const CompileOptions& options) {
 
 Classifier Classifier::compile(const Policy& policy,
                                const CompileOptions& options) {
-  ConstructOptions construct;
-  construct.run.context = options.run.context;
-  construct.run.obs = options.run.obs;
-  construct.run.faults = options.run.faults;
-  return compile(build_reduced_fdd(policy, construct), options);
+  return compile(build_diagram(policy, options.run), options);
 }
 
 Decision Classifier::classify(const Packet& p) const {

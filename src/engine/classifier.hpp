@@ -3,7 +3,8 @@
 // FDDs are not only an analysis vehicle — they are an efficient execution
 // form for the very firewalls they model (the paper's FDD lineage, ref
 // [10], introduced them for specification *and* lookup). This module
-// compiles a policy's reduced FDD into one of two flat, cache-friendly
+// compiles a policy's reduced diagram — the hash-consed DAG the analyses
+// read, never an expanded tree — into one of two flat, cache-friendly
 // layouts (engine/backend.hpp): the default flat-slab form and a
 // prefix-trie form for IPv4-heavy policies. Both produce byte-identical
 // decisions; the choice is a pure performance knob (docs/classifier.md
@@ -25,7 +26,7 @@
 #include <vector>
 
 #include "engine/backend.hpp"
-#include "fdd/fdd.hpp"
+#include "fdd/arena.hpp"
 #include "fw/policy.hpp"
 #include "rt/run_options.hpp"
 
@@ -38,8 +39,9 @@ struct CompileOptions {
   /// default executor for classify_batch calls on this classifier —
   /// borrowed, not owned, must outlive the classifier; null means serial
   /// (Executor::inline_executor()). Compiling from a Policy threads
-  /// `run.context`/`run.obs` through the internal build_reduced_fdd, so
-  /// compilation is governed and observable like every other pipeline.
+  /// `run.context`/`run.obs`/`run.faults` through build_diagram, so
+  /// compilation is governed, observable and faultable like every other
+  /// pipeline.
   RunOptions run = {};
 
   /// Packets per pool task in classify_batch; tune upward for tiny
@@ -56,13 +58,15 @@ struct CompileOptions {
 /// immutable backend plus the compile options.
 class Classifier {
  public:
-  /// Compiles a comprehensive policy (via its reduced FDD, governed and
+  /// Compiles a comprehensive policy (via build_diagram, governed and
   /// observed through `options.run`).
   static Classifier compile(const Policy& policy,
                             const CompileOptions& options = {});
 
-  /// Compiles an already-built complete FDD.
-  static Classifier compile(const Fdd& fdd,
+  /// Compiles an already-built diagram, which must be complete (throws
+  /// std::logic_error otherwise). Completeness is checked once per unique
+  /// node, and each unique nonterminal compiles to one node.
+  static Classifier compile(const ArenaDiagram& diagram,
                             const CompileOptions& options = {});
 
   /// The decision for packet p. O(sum over path fields of log(edges)).
@@ -89,7 +93,7 @@ class Classifier {
   /// The layout this classifier executes.
   ClassifierBackendKind backend() const { return backend_->kind(); }
 
-  /// Compiled interior nodes (backend-specific gauge; see backend.hpp).
+  /// Compiled interior nodes, one per unique diagram nonterminal.
   std::size_t node_count() const { return backend_->node_count(); }
   /// Slab/table entries across all nodes (backend-specific gauge).
   std::size_t slab_count() const { return backend_->slab_count(); }

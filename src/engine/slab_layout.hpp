@@ -1,13 +1,14 @@
 // The shared flat-slab layout the pointer-walking backends compile to.
 //
-// Both the flat-slab backend and the prefix-trie backend flatten the FDD
-// the same way: children first, so each node's slabs land contiguously;
-// one record per nonterminal holding a sorted run of (upper-bound, next)
-// slabs; `next` encodes either another node index or a terminal decision
-// through the high bit. The trie backend then augments IPv4-field nodes
-// with stride tables while keeping the slab run as its fallback and
-// build-time source of truth. Internal header — not part of the public
-// engine surface.
+// Both the flat-slab backend and the prefix-trie backend flatten the
+// diagram the same way: children first, so each node's slabs land
+// contiguously; one record per unique nonterminal of the hash-consed DAG
+// holding a sorted run of (upper-bound, next) slabs; `next` encodes either
+// another node index or a terminal decision through the high bit. A
+// subdiagram the DAG shares is flattened once and shared by index. The
+// trie backend then augments IPv4-field nodes with stride tables while
+// keeping the slab run as its fallback and build-time source of truth.
+// Internal header — not part of the public engine surface.
 
 #pragma once
 
@@ -18,8 +19,7 @@
 
 namespace dfw {
 
-struct FddNode;
-class Fdd;
+struct ArenaDiagram;
 
 namespace engine_detail {
 
@@ -47,10 +47,10 @@ struct SlabLayout {
   std::uint32_t root = 0;
 };
 
-/// Flattens a complete FDD (caller has validated it). Throws dfw::Error
-/// (ErrorCode::kCapacityExceeded) when the diagram exceeds the 31-bit
-/// index space.
-SlabLayout flatten_fdd(const Fdd& fdd);
+/// Flattens a complete diagram (caller has validated it), one node per
+/// unique nonterminal. Throws dfw::Error (ErrorCode::kCapacityExceeded)
+/// when the diagram exceeds the 31-bit index space.
+SlabLayout flatten_diagram(const ArenaDiagram& diagram);
 
 /// First slab in [begin, begin+n) whose upper bound is >= v, assuming one
 /// exists (completeness guarantees it for in-domain v; out-of-domain

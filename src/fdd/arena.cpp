@@ -785,23 +785,23 @@ void FddArena::for_each_path(
 // ---------------------------------------------------------------------------
 // Generation (gen/generate.hpp semantics) off the DAG.
 
-Policy FddArena::generate(ArenaNodeId root) {
+Policy FddArena::generate(ArenaNodeId root) const {
   // Number of rules gen would emit for a subdiagram — the election metric.
   // On trees this recomputation is O(nodes * depth); memoised by id it is
   // O(unique nodes) for the whole walk.
+  std::unordered_map<ArenaNodeId, std::size_t> rule_costs;
   const auto rule_cost = [&](auto&& self, ArenaNodeId id) -> std::size_t {
     if (is_terminal(id)) {
       return 1;
     }
-    if (const auto it = rule_cost_cache_.find(id);
-        it != rule_cost_cache_.end()) {
+    if (const auto it = rule_costs.find(id); it != rule_costs.end()) {
       return it->second;
     }
     std::size_t total = 0;
     for (const ArenaEdge& e : edges(id)) {
       total += self(self, e.target);
     }
-    rule_cost_cache_.emplace(id, total);
+    rule_costs.emplace(id, total);
     return total;
   };
 

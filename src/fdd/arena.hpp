@@ -18,10 +18,13 @@
 //   * operations on ids are pure functions of their arguments, so shaping,
 //     comparison pruning, and semi-isomorphism memoise on node-id pairs.
 //
-// The tree Fdd remains the public/serialization format; to_tree/from_tree
-// are the lossless bridges. An arena is single-threaded and append-only:
-// ids stay valid for the arena's lifetime and memo caches never need
-// invalidation.
+// The arena is the production representation: construction, comparison,
+// resolution, the compiled classifier, serve, lint and queries all read
+// ArenaDiagram handles. The tree Fdd is the paper-literal reference the
+// arena is tested against and the authoring and display format of the
+// paper's figures; to_tree/from_tree are the lossless bridges. An arena is
+// single-threaded and append-only: ids stay valid for the arena's lifetime
+// and memo caches never need invalidation.
 //
 // Partial diagrams (some packets undecided) are canonical too, with the
 // undecided region left edgeless and kEmpty standing for "nothing decided".
@@ -230,8 +233,9 @@ class FddArena {
           fn) const;
 
   /// Firewall generation (gen/generate.hpp semantics) straight off the
-  /// DAG, with the per-subtree rule-cost election memoised by node id.
-  Policy generate(ArenaNodeId root);
+  /// DAG, with the per-subtree rule-cost election memoised by node id for
+  /// the one call. Every emitted rule is charged to the attached context.
+  Policy generate(ArenaNodeId root) const;
 
   /// The arena's lifetime counters. An arena is single-threaded, so any
   /// read between operations is consistent; mirroring
@@ -275,7 +279,6 @@ class FddArena {
       shape_cache_;
   std::unordered_map<std::uint64_t, bool> equiv_cache_;
   std::unordered_map<std::uint64_t, ArenaNodeId> overlay_cache_;
-  std::unordered_map<ArenaNodeId, std::size_t> rule_cost_cache_;
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection
@@ -289,14 +292,27 @@ struct ArenaDiagram {
   ArenaNodeId root = 0;
 };
 
-/// The comparison pipeline's build half: builds each policy canonically
-/// in an arena of its own over `schema`, one run.executor task per policy,
-/// and validates nothing. run.context governs every build. run.obs sees a
-/// "construct" phase span around the builds and one "build_reduced_fdd"
-/// span per policy, and absorbs each arena's stats.
+/// The one construction entry point: builds the policy canonically in an
+/// arena of its own and validates nothing. run.faults is hit at the
+/// fdd.construct.phase site first and stays attached to the arena, so node
+/// materialisation hits fdd.arena.alloc. run.context governs the build and
+/// stays attached too: later reads of the diagram (validate, to_fdd,
+/// generate) are governed by it, so it must outlive them. run.obs sees one
+/// "build_reduced_fdd" span and absorbs the arena's stats, also when a
+/// breach or a fault unwinds the build. run.executor is unused.
+ArenaDiagram build_diagram(const Policy& policy, const RunOptions& run);
+
+/// The comparison pipeline's build half: build_diagram for each policy,
+/// one run.executor task apiece, under a "construct" phase span.
 std::vector<ArenaDiagram> build_diagrams(
-    const Schema& schema, std::span<const Policy* const> policies,
-    const RunOptions& run);
+    std::span<const Policy* const> policies, const RunOptions& run);
+
+/// The diagram copied node for node into a fresh arena by
+/// FddArena::import, which then holds only the nodes its root reaches.
+/// The copy is ungoverned and unfaulted: it charges no budget and hits no
+/// fault site. Served versions keep this copy instead of their build
+/// arena and its intermediates.
+ArenaDiagram compact(const ArenaDiagram& diagram);
 
 /// The pipeline's second half, on diagrams already built: imports each
 /// root into `arena` (over their schema) and validates it there, shapes

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fdd/arena.hpp"
+#include "rt/fault.hpp"
 #include "rt/parallel.hpp"
 
 namespace dfw {
@@ -144,25 +145,36 @@ std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds) {
   return compare_trees(fdds[0].schema(), roots);
 }
 
+ArenaDiagram build_diagram(const Policy& policy, const RunOptions& run) {
+  ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
+                  policy.size());
+  // Phase-boundary fault site: fires before any construction state
+  // exists, modelling a failure at the hand-off into this phase.
+  fault::hit(run.faults, fault::sites::kConstructPhase);
+  auto arena = std::make_shared<FddArena>(policy.schema());
+  arena->set_context(run.context);
+  arena->set_faults(run.faults);
+  const StatsFlush flush{*arena, run.obs.metrics};
+  const ArenaNodeId root = arena->build_reduced(policy);
+  return ArenaDiagram{std::move(arena), root};
+}
+
 std::vector<ArenaDiagram> build_diagrams(
-    const Schema& schema, std::span<const Policy* const> policies,
-    const RunOptions& run) {
+    std::span<const Policy* const> policies, const RunOptions& run) {
   // Construction dominates the pipeline (Fig. 13) and the diagrams are
   // independent until shaping, so each builds in an arena of its own — a
   // pool task apiece.
   PhaseSpan phase(run.obs, "construct");
   return parallel_map<ArenaDiagram>(
       executor_or_inline(run), policies.size(),
-      [&](std::size_t i) {
-        ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
-                        policies[i]->size(), "policy", i);
-        auto arena = std::make_shared<FddArena>(schema);
-        arena->set_context(run.context);
-        const StatsFlush flush{*arena, run.obs.metrics};
-        const ArenaNodeId root = arena->build_reduced(*policies[i]);
-        return ArenaDiagram{std::move(arena), root};
-      },
+      [&](std::size_t i) { return build_diagram(*policies[i], run); },
       run.context, run.obs);
+}
+
+ArenaDiagram compact(const ArenaDiagram& diagram) {
+  auto arena = std::make_shared<FddArena>(diagram.arena->schema());
+  const ArenaNodeId root = arena->import(*diagram.arena, diagram.root);
+  return ArenaDiagram{std::move(arena), root};
 }
 
 std::vector<ArenaNodeId> compare_diagrams(
@@ -192,8 +204,7 @@ std::vector<ArenaNodeId> compare_diagrams(
 std::vector<ArenaNodeId> compare_policies(
     FddArena& arena, std::span<const Policy* const> policies,
     const RunOptions& run, std::vector<Discrepancy>& out) {
-  return compare_diagrams(arena, build_diagrams(arena.schema(), policies, run),
-                          run, out);
+  return compare_diagrams(arena, build_diagrams(policies, run), run, out);
 }
 
 std::vector<Discrepancy> discrepancies(std::span<const ArenaDiagram> diagrams,

@@ -4,7 +4,6 @@
 
 #include "fdd/arena.hpp"
 #include "fdd/node.hpp"
-#include "rt/fault.hpp"
 
 namespace dfw {
 namespace {
@@ -122,19 +121,8 @@ Fdd build_fdd(const Policy& policy) {
 
 Fdd build_reduced_fdd(const Policy& policy,
                       const ConstructOptions& options) {
-  ScopedSpan span(options.run.obs.tracer, "build_reduced_fdd", "rules",
-                  policy.size());
-  // Phase-boundary fault site: fires before any construction state
-  // exists, modelling a failure at the hand-off into this phase.
-  fault::hit(options.run.faults, fault::sites::kConstructPhase);
-  FddArena arena(policy.schema());
-  arena.set_context(options.run.context);
-  arena.set_faults(options.run.faults);
-  Fdd fdd = arena.to_fdd(arena.build_reduced(policy));
-  if (options.run.obs.metrics != nullptr) {
-    absorb(*options.run.obs.metrics, arena.stats());
-  }
-  return fdd;
+  const ArenaDiagram diagram = build_diagram(policy, options.run);
+  return diagram.arena->to_fdd(diagram.root);
 }
 
 }  // namespace dfw

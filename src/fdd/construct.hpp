@@ -47,12 +47,13 @@ struct ConstructOptions {
   RunOptions run = {};
 };
 
-/// The reduced FDD of the policy, built canonically in an FddArena
-/// (fdd/arena.hpp) and expanded into the tree representation: equal to
-/// reduce(build_fdd(policy)), without ever materialising the unreduced
-/// intermediate tree, whose size — not the reduced result's — is what
-/// blows up on large rule sets. build_fdd remains the paper-faithful
-/// reference implementation of Fig. 7.
+/// The reduced FDD of the policy as a tree: build_diagram (fdd/arena.hpp)
+/// expanded by to_fdd. Equal to reduce(build_fdd(policy)), without ever
+/// materialising the unreduced intermediate tree, whose size — not the
+/// reduced result's — is what blows up on large rule sets. For the
+/// reference, the examples and the benches; production reads the
+/// diagram itself. build_fdd remains the paper-faithful reference
+/// implementation of Fig. 7.
 Fdd build_reduced_fdd(const Policy& policy,
                       const ConstructOptions& options = {});
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "fdd/arena.hpp"
-#include "rt/govern.hpp"
 
 namespace dfw {
 namespace {
@@ -182,50 +181,12 @@ std::unique_ptr<FddNode> parse_node(Reader& r, const Schema& schema,
 }
 
 // ---------------------------------------------------------------------------
-// v2: explicit-id DAG records.
+// v2: explicit-id DAG records, interned straight into an arena.
 
-struct DagEdge {
-  std::uint32_t target;  // index into the record table
-  IntervalSet label;
-};
-
-struct DagRecord {
-  bool terminal = false;
-  Decision decision = 0;
-  std::uint32_t field = 0;
-  std::vector<DagEdge> edges;
-};
-
-// Expands one record into an owning tree, duplicating shared subdiagrams
-// (the tree representation owns every child). `created` counts every tree
-// node materialised; governed loads charge the context instead, making a
-// decompression bomb a NodeBudgetExceeded error rather than an OOM.
-std::unique_ptr<FddNode> expand_record(
-    const std::vector<DagRecord>& records, std::uint32_t index,
-    RunContext* ctx, std::size_t& created) {
-  if (ctx != nullptr) {
-    ctx->charge_nodes();
-    ctx->checkpoint();
-  } else if (++created > kDefaultExpansionCap) {
-    throw std::invalid_argument(
-        "deserialize_fdd: DAG expansion exceeds " +
-        std::to_string(kDefaultExpansionCap) +
-        " tree nodes; pass a RunContext to raise the limit");
-  }
-  const DagRecord& record = records[index];
-  if (record.terminal) {
-    return FddNode::make_terminal(record.decision);
-  }
-  auto node = FddNode::make_internal(record.field);
-  node->edges.reserve(record.edges.size());
-  for (const DagEdge& e : record.edges) {
-    node->edges.emplace_back(e.label,
-                             expand_record(records, e.target, ctx, created));
-  }
-  return node;
-}
-
-Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
+// Parses the records after the schema line into `arena` and returns the
+// root's id there. Records that describe one subdiagram twice intern to
+// one node.
+ArenaNodeId parse_dag(FddArena& arena, Reader& r) {
   const std::string_view nodes_line = r.next_line();
   if (nodes_line.substr(0, 6) != "nodes ") {
     r.fail("missing 'nodes' line");
@@ -239,20 +200,18 @@ Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
     r.fail("node count " + std::to_string(count) +
            " exceeds the remaining input");
   }
-
-  std::vector<DagRecord> records;
-  records.reserve(static_cast<std::size_t>(count));
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_id;
-  index_of_id.reserve(static_cast<std::size_t>(count));
+  const Schema& schema = arena.schema();
+  std::unordered_map<std::uint64_t, ArenaNodeId> node_of_id;
+  node_of_id.reserve(static_cast<std::size_t>(count));
 
   // A target must name an id defined on an *earlier* line: that one rule
   // rejects dangling ids, forward references, and cycles, and it proves
   // the records arrive children-first, so the field-order check below can
-  // consult the target's already-parsed record.
+  // consult the target's already-interned node.
   const auto resolve_target = [&](Reader& reader,
-                                  std::uint64_t id) -> std::uint32_t {
-    const auto it = index_of_id.find(id);
-    if (it == index_of_id.end()) {
+                                  std::uint64_t id) -> ArenaNodeId {
+    const auto it = node_of_id.find(id);
+    if (it == node_of_id.end()) {
       reader.fail("edge references undefined node id " + std::to_string(id) +
                   " (dangling, forward, or cyclic)");
     }
@@ -265,8 +224,8 @@ Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
       r.fail("expected node record, got '" + std::string(line) + "'");
     }
     const std::string_view body = line.substr(2);
-    DagRecord record;
     std::uint64_t id = 0;
+    ArenaNodeId node = 0;
     if (line[0] == 'T') {
       const std::size_t space = body.find(' ');
       if (space == std::string_view::npos) {
@@ -277,8 +236,7 @@ Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
       if (decision > UINT16_MAX) {
         r.fail("decision id out of range");
       }
-      record.terminal = true;
-      record.decision = static_cast<Decision>(decision);
+      node = arena.terminal(static_cast<Decision>(decision));
     } else if (line[0] == 'N') {
       const std::size_t s1 = body.find(' ');
       const std::size_t s2 =
@@ -302,8 +260,8 @@ Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
         r.fail("edge count " + std::to_string(edge_count) +
                " exceeds the remaining input");
       }
-      record.field = static_cast<std::uint32_t>(field);
-      record.edges.reserve(static_cast<std::size_t>(edge_count));
+      std::vector<ArenaEdge> edges;
+      edges.reserve(static_cast<std::size_t>(edge_count));
       for (std::uint64_t e = 0; e < edge_count; ++e) {
         const std::string_view edge_line = r.next_line();
         if (edge_line.size() < 2 || edge_line[0] != 'E' ||
@@ -317,41 +275,44 @@ Fdd deserialize_dag(const Schema& schema, Reader& r, RunContext* ctx) {
         }
         const std::uint64_t target_id =
             parse_number(r, edge_body.substr(0, space));
-        const std::uint32_t target = resolve_target(r, target_id);
-        const DagRecord& child = records[target];
-        // Parse-time field-order enforcement: bounds the later expansion
-        // recursion by the schema depth, exactly like the v1 parser.
-        if (!child.terminal && child.field <= record.field) {
+        const ArenaNodeId target = resolve_target(r, target_id);
+        // Parse-time field-order enforcement: bounds every later walk of
+        // the diagram (and the tree expansion) by the schema depth,
+        // exactly like the v1 parser.
+        if (!arena.is_terminal(target) && arena.field(target) <= field) {
           r.fail("field order violated: child node id " +
                  std::to_string(target_id) + " has field " +
-                 std::to_string(child.field) + " <= parent field " +
-                 std::to_string(record.field));
+                 std::to_string(arena.field(target)) + " <= parent field " +
+                 std::to_string(field));
         }
-        record.edges.push_back(
-            {target, parse_label(r, edge_body.substr(space + 1))});
+        edges.push_back(
+            {arena.intern(parse_label(r, edge_body.substr(space + 1))),
+             target});
       }
+      node = arena.internal(static_cast<std::size_t>(field), std::move(edges));
     } else {
       r.fail("expected 'N' or 'T' record");
     }
-    if (!index_of_id.emplace(id, static_cast<std::uint32_t>(records.size()))
-             .second) {
+    if (!node_of_id.emplace(id, node).second) {
       r.fail("duplicate node id " + std::to_string(id));
     }
-    records.push_back(std::move(record));
   }
 
   const std::string_view root_line = r.next_line();
   if (root_line.substr(0, 5) != "root ") {
     r.fail("missing 'root' line");
   }
-  const std::uint32_t root =
-      resolve_target(r, parse_number(r, root_line.substr(5)));
-
-  std::size_t created = 0;
-  return Fdd(schema, expand_record(records, root, ctx, created));
+  return resolve_target(r, parse_number(r, root_line.substr(5)));
 }
 
-void emit_dag(const FddArena& arena, std::string& out) {
+// The v2 text of a diagram interned bottom-up into a fresh arena, which
+// then holds exactly its nodes: children get smaller ids than their
+// parents, so emitting the records in id order satisfies the loader's
+// children-first rule by construction.
+std::string dag_text(const FddArena& arena, ArenaNodeId root) {
+  std::string out = "dfdd 2\n";
+  out += "schema " + std::to_string(arena.schema().field_count()) + "\n";
+  out += "nodes " + std::to_string(arena.unique_node_count()) + "\n";
   for (ArenaNodeId id = 0; id < arena.unique_node_count(); ++id) {
     if (arena.is_terminal(id)) {
       out += "T " + std::to_string(id) + " " +
@@ -368,38 +329,30 @@ void emit_dag(const FddArena& arena, std::string& out) {
       out += "\n";
     }
   }
-}
-
-}  // namespace
-
-std::string serialize_fdd(const Fdd& fdd) {
-  std::string out = "dfdd 1\n";
-  out += "schema " + std::to_string(fdd.schema().field_count()) + "\n";
-  emit(fdd.root(), out);
-  return out;
-}
-
-std::string serialize_fdd_dag(const Fdd& fdd) {
-  // Interning through a fresh arena assigns ids bottom-up (children are
-  // interned before their parents), so emitting the records in id order
-  // satisfies the loader's children-first rule by construction.
-  FddArena arena(fdd.schema());
-  const ArenaNodeId root = arena.from_tree(fdd.root());
-  std::string out = "dfdd 2\n";
-  out += "schema " + std::to_string(fdd.schema().field_count()) + "\n";
-  out += "nodes " + std::to_string(arena.unique_node_count()) + "\n";
-  emit_dag(arena, out);
   out += "root " + std::to_string(root) + "\n";
   return out;
 }
 
-Fdd deserialize_fdd(const Schema& schema, std::string_view text) {
-  return deserialize_fdd(schema, text, nullptr);
+// The tree the v2 records describe. Expansion un-shares the DAG, so a few
+// records can describe an exponentially large tree: with a context,
+// to_tree charges every tree node it builds; without one, the expanded
+// size is checked against the built-in cap before anything is built.
+Fdd expand_dag(const Schema& schema, Reader& r, RunContext* context) {
+  FddArena arena(schema);
+  const ArenaNodeId root = parse_dag(arena, r);
+  if (context == nullptr &&
+      arena.expanded_node_count(root) > kDefaultExpansionCap) {
+    throw std::invalid_argument(
+        "deserialize_fdd: DAG expansion exceeds " +
+        std::to_string(kDefaultExpansionCap) +
+        " tree nodes; pass a RunContext to raise the limit");
+  }
+  arena.set_context(context);
+  return arena.to_fdd(root);
 }
 
-Fdd deserialize_fdd(const Schema& schema, std::string_view text,
-                    RunContext* context) {
-  Reader r{text};
+// Reads the header and schema lines; returns the format version.
+int read_header(Reader& r, const Schema& schema) {
   const std::string_view header = r.next_line();
   int version = 0;
   if (header == "dfdd 1") {
@@ -417,19 +370,68 @@ Fdd deserialize_fdd(const Schema& schema, std::string_view text,
   if (d != schema.field_count()) {
     r.fail("schema field count mismatch");
   }
-  Fdd fdd = version == 1 ? Fdd(schema, parse_node(r, schema, 0))
-                         : deserialize_dag(schema, r, context);
-  // Trailing garbage (beyond a final newline) is an error.
-  while (r.pos <= text.size()) {
+  return version;
+}
+
+// Trailing garbage (beyond a final newline) is an error.
+void expect_end(Reader& r) {
+  while (r.pos <= r.text.size()) {
     const std::string_view line = r.next_line();
     if (!line.empty()) {
       r.fail("trailing content after the diagram");
     }
   }
+}
+
+}  // namespace
+
+std::string serialize_fdd(const Fdd& fdd) {
+  std::string out = "dfdd 1\n";
+  out += "schema " + std::to_string(fdd.schema().field_count()) + "\n";
+  emit(fdd.root(), out);
+  return out;
+}
+
+std::string serialize_fdd_dag(const Fdd& fdd) {
+  FddArena arena(fdd.schema());
+  const ArenaNodeId root = arena.from_tree(fdd.root());
+  return dag_text(arena, root);
+}
+
+std::string serialize_fdd_dag(const ArenaDiagram& diagram) {
+  FddArena arena(diagram.arena->schema());
+  const ArenaNodeId root = arena.import(*diagram.arena, diagram.root);
+  return dag_text(arena, root);
+}
+
+Fdd deserialize_fdd(const Schema& schema, std::string_view text) {
+  return deserialize_fdd(schema, text, nullptr);
+}
+
+Fdd deserialize_fdd(const Schema& schema, std::string_view text,
+                    RunContext* context) {
+  Reader r{text};
+  Fdd fdd = read_header(r, schema) == 1
+                ? Fdd(schema, parse_node(r, schema, 0))
+                : expand_dag(schema, r, context);
+  expect_end(r);
   // Structure checks: ordering, domains, consistency. Completeness is not
   // required here (partial diagrams are legitimate artifacts).
   fdd.validate(/*require_complete=*/false);
   return fdd;
+}
+
+ArenaDiagram deserialize_fdd_dag(const Schema& schema,
+                                 std::string_view text) {
+  Reader r{text};
+  if (read_header(r, schema) != 2) {
+    r.fail("want a 'dfdd 2' diagram");
+  }
+  auto parsed = std::make_shared<FddArena>(schema);
+  const ArenaNodeId root = parse_dag(*parsed, r);
+  expect_end(r);
+  parsed->validate(root, /*require_complete=*/false);
+  return compact(ArenaDiagram{std::move(parsed), root});
 }
 
 }  // namespace dfw

@@ -30,13 +30,16 @@
 // depth is bounded by parse-time field-order enforcement, edge/node
 // counts are bounded by the input size (no reserve bombs), and the v2
 // loader rejects duplicate node ids and dangling (or forward, or cyclic)
-// child references with precise per-line errors.
+// child references with precise per-line errors. The v2 loader interns
+// the records straight into an FddArena (fdd/arena.hpp); only the tree
+// entry point expands them.
 
 #pragma once
 
 #include <string>
 #include <string_view>
 
+#include "fdd/arena.hpp"
 #include "fdd/fdd.hpp"
 
 namespace dfw {
@@ -52,6 +55,11 @@ std::string serialize_fdd(const Fdd& fdd);
 /// often exponentially smaller than — the v1 text. Deterministic.
 std::string serialize_fdd_dag(const Fdd& fdd);
 
+/// The v2 DAG text of an arena diagram: the nodes its root reaches,
+/// renumbered children first. Equal to serialize_fdd_dag of its to_fdd
+/// expansion, without expanding it.
+std::string serialize_fdd_dag(const ArenaDiagram& diagram);
+
 /// Parses a serialized diagram (either version, dispatched on the header)
 /// and re-attaches the schema. Throws std::invalid_argument on syntax and
 /// structural errors (including id violations in v2) and std::logic_error
@@ -65,5 +73,11 @@ Fdd deserialize_fdd(const Schema& schema, std::string_view text);
 /// null context a built-in expansion cap applies instead.
 Fdd deserialize_fdd(const Schema& schema, std::string_view text,
                     RunContext* context);
+
+/// Parses v2 DAG text into an arena of its own holding only the nodes the
+/// root reaches, with deserialize_fdd's structure checks and exceptions.
+/// Nothing is expanded, so no bomb can go off and no context is needed;
+/// v1 text is rejected.
+ArenaDiagram deserialize_fdd_dag(const Schema& schema, std::string_view text);
 
 }  // namespace dfw

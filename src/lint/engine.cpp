@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fdd/construct.hpp"
 #include "lint/passes.hpp"
 
 namespace dfw::lint {
@@ -21,22 +20,19 @@ std::size_t LintReport::count(Severity severity) const {
 PassState::PassState(const LintInput& in, const LintOptions& opts)
     : input(in), options(opts) {}
 
-const Fdd& PassState::fdd() {
-  if (!fdd_) {
-    ConstructOptions construct;
-    construct.run.context = options.run.context;
-    construct.run.obs = options.run.obs;
-    fdd_.emplace(build_reduced_fdd(*input.policy, construct));
+const ArenaDiagram& PassState::diagram() {
+  if (!diagram_) {
+    diagram_.emplace(build_diagram(*input.policy, options.run));
   }
-  return *fdd_;
+  return *diagram_;
 }
 
 bool PassState::comprehensive() {
   if (!checked_complete_) {
-    const Fdd& diagram = fdd();
+    const ArenaDiagram& built = diagram();
     checked_complete_ = true;
     try {
-      diagram.validate();
+      built.arena->validate(built.root);
       comprehensive_ = true;
     } catch (const std::logic_error&) {
       comprehensive_ = false;

@@ -5,7 +5,7 @@
 // API.
 //
 // Passes run in a fixed order, share lazily-built state (most importantly
-// the policy's reduced FDD, built at most once per run, governed), and
+// the policy's reduced diagram, built at most once per run, governed), and
 // observe the run's RunContext: a breached budget or deadline stops the
 // run at a pass boundary and the report comes back *partial, clearly
 // marked* (complete = false, the breach's code and message attached) with
@@ -22,6 +22,7 @@
 
 #include "adapters/diag.hpp"
 #include "analysis/property.hpp"
+#include "fdd/arena.hpp"
 #include "lint/diagnostic.hpp"
 #include "obs/obs.hpp"
 #include "rt/govern.hpp"
@@ -82,26 +83,27 @@ struct LintReport {
 };
 
 /// Shared lazily-built per-run state handed to every pass. The reduced
-/// FDD of the policy is built (governed) on first use and reused by every
-/// later pass in the run.
+/// diagram of the policy is built (governed) on first use and reused by
+/// every later pass in the run.
 class PassState {
  public:
   PassState(const LintInput& input, const LintOptions& options);
 
-  /// The policy's reduced FDD (possibly partial when the policy is not
-  /// comprehensive). Governed by the run's context — throws dfw::Error on
-  /// a breach. Never null once returned.
-  const Fdd& fdd();
+  /// The policy's reduced diagram (possibly partial when the policy is not
+  /// comprehensive), from build_diagram under the run's context, obs and
+  /// faults — throws dfw::Error on a breach. Its arena keeps the run's
+  /// context attached, so walks of it are governed too.
+  const ArenaDiagram& diagram();
 
-  /// True iff the policy is comprehensive (the FDD is complete). Builds
-  /// the FDD on first use.
+  /// True iff the policy is comprehensive (the diagram is complete).
+  /// Builds the diagram on first use.
   bool comprehensive();
 
   const LintInput& input;
   const LintOptions& options;
 
  private:
-  std::optional<Fdd> fdd_;
+  std::optional<ArenaDiagram> diagram_;
   bool checked_complete_ = false;
   bool comprehensive_ = false;
 };

@@ -16,10 +16,10 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 
 #include "analysis/anomaly.hpp"
 #include "fw/format.hpp"
-#include "gen/generate.hpp"
 #include "gen/redundancy.hpp"
 #include "query/query.hpp"
 
@@ -51,7 +51,7 @@ std::size_t source_line(const PassState& state, std::size_t rule) {
 Witness predicate_witness(PassState& state, const Rule& rule) {
   Query q;
   q.constraints = rule.conjuncts();
-  const std::vector<QueryResult> results = run_query(state.fdd(), q);
+  const std::vector<QueryResult> results = run_query(state.diagram(), q);
   Witness w;
   if (results.empty()) {
     w.conjuncts = rule.conjuncts();
@@ -144,7 +144,7 @@ void pass_syntax_pairs(PassState& state, std::vector<Diagnostic>& out) {
         Query q;
         q.constraints = std::move(overlap);
         const std::vector<QueryResult> classes =
-            run_query(state.fdd(), q);
+            run_query(state.diagram(), q);
         if (!classes.empty()) {
           Witness w;
           w.conjuncts = classes.front().conjuncts;
@@ -162,27 +162,40 @@ void pass_syntax_pairs(PassState& state, std::vector<Diagnostic>& out) {
 // Whole-policy coverage gaps: packets no rule decides, and decisions no
 // packet reaches ("no packet is ever logged").
 
-// Finds a traffic class the (partial) diagram does not cover; conjuncts
-// must come in sized to the schema with full domains.
-bool find_uncovered(const Schema& schema, const FddNode& node,
+// Finds the first traffic class, in path order, that the (partial)
+// diagram does not cover; conjuncts must come in sized to the schema with
+// full domains. A shared subdiagram found fully covered is not walked
+// again.
+bool find_uncovered(const ArenaDiagram& diagram,
                     std::vector<IntervalSet>& conjuncts) {
-  if (node.is_terminal()) {
-    return false;
-  }
-  const IntervalSet uncovered =
-      schema.domain_set(node.field).subtract(node.edge_label_union());
-  if (!uncovered.empty()) {
-    conjuncts[node.field] = uncovered;
-    return true;
-  }
-  for (const FddEdge& e : node.edges) {
-    conjuncts[node.field] = e.label;
-    if (find_uncovered(schema, *e.target, conjuncts)) {
+  const FddArena& arena = *diagram.arena;
+  const Schema& schema = arena.schema();
+  std::unordered_set<ArenaNodeId> covered;
+  const auto visit = [&](auto&& self, ArenaNodeId id) -> bool {
+    if (arena.is_terminal(id) || covered.count(id) != 0) {
+      return false;
+    }
+    const std::size_t f = arena.field(id);
+    IntervalSet labels;
+    for (const ArenaEdge& e : arena.edges(id)) {
+      labels = labels.unite(arena.label(e.label));
+    }
+    const IntervalSet uncovered = schema.domain_set(f).subtract(labels);
+    if (!uncovered.empty()) {
+      conjuncts[f] = uncovered;
       return true;
     }
-  }
-  conjuncts[node.field] = schema.domain_set(node.field);
-  return false;
+    for (const ArenaEdge& e : arena.edges(id)) {
+      conjuncts[f] = arena.label(e.label);
+      if (self(self, e.target)) {
+        return true;
+      }
+    }
+    conjuncts[f] = schema.domain_set(f);
+    covered.insert(id);
+    return false;
+  };
+  return visit(visit, diagram.root);
 }
 
 void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
@@ -196,7 +209,7 @@ void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
     Diagnostic d;
     d.check_id = "policy.not-comprehensive";
     d.severity = Severity::kError;
-    if (find_uncovered(schema, state.fdd().root(), conjuncts)) {
+    if (find_uncovered(state.diagram(), conjuncts)) {
       d.message = "no rule matches " + format_class(schema, conjuncts) +
                   "; add a final catch-all";
       Witness w;
@@ -208,7 +221,7 @@ void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
     out.push_back(std::move(d));
   }
   const std::vector<Decision> reachable =
-      reachable_decisions(state.fdd());
+      reachable_decisions(state.diagram());
   for (Decision dec = 0; dec < state.input.decisions->size(); ++dec) {
     if (std::find(reachable.begin(), reachable.end(), dec) !=
         reachable.end()) {
@@ -288,10 +301,14 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
   }
 
   if (state.comprehensive()) {
-    GenerateOptions gen;
-    gen.run.context = state.options.run.context;
-    gen.run.obs = state.options.run.obs;
-    const Policy compact = generate_policy(state.fdd(), gen);
+    // Generation reads the shared diagram directly; its arena carries the
+    // run's context, which every emitted rule is charged to.
+    PhaseSpan phase(state.options.run.obs, "generate");
+    const ArenaDiagram& diagram = state.diagram();
+    const Policy compact = diagram.arena->generate(diagram.root);
+    if (MetricsRegistry* metrics = state.options.run.obs.metrics) {
+      metrics->counter("gen.rules_emitted").add(compact.size());
+    }
     if (compact.size() < policy.size()) {
       Diagnostic d;
       d.check_id = "policy.compactable";
@@ -350,7 +367,7 @@ void pass_properties(PassState& state, std::vector<Diagnostic>& out) {
     const Decision required = *prop.scope.decision;
     Query q = prop.scope;
     q.decision.reset();
-    const std::vector<QueryResult> classes = run_query(state.fdd(), q);
+    const std::vector<QueryResult> classes = run_query(state.diagram(), q);
     if (prop.mode == PropertyMode::kForAll) {
       for (const QueryResult& r : classes) {
         if (r.decision == required) {

@@ -2,40 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_set>
 
-#include "fdd/construct.hpp"
 #include "fw/format.hpp"
+#include "rt/govern.hpp"
 
 namespace dfw {
-namespace {
-
-void collect(const Schema& schema, const FddNode& node,
-             const Query& query, std::vector<IntervalSet>& conjuncts,
-             std::vector<QueryResult>& out) {
-  if (node.is_terminal()) {
-    if (!query.decision || node.decision == *query.decision) {
-      out.push_back({conjuncts, node.decision});
-    }
-    return;
-  }
-  // Constraint for this field: the query's, or the whole domain.
-  const IntervalSet domain{schema.domain(node.field)};
-  const IntervalSet& wanted = query.constraints[node.field].empty()
-                                  ? domain
-                                  : query.constraints[node.field];
-  for (const FddEdge& e : node.edges) {
-    const IntervalSet common = e.label.intersect(wanted);
-    if (common.empty()) {
-      continue;  // the query cannot reach this branch
-    }
-    conjuncts[node.field] = common;
-    collect(schema, *e.target, query, conjuncts, out);
-  }
-  // Restore: fields skipped by deeper paths keep the query constraint.
-  conjuncts[node.field] = wanted;
-}
-
-}  // namespace
 
 Query Query::any(const Schema& schema) {
   Query q;
@@ -43,8 +15,10 @@ Query Query::any(const Schema& schema) {
   return q;
 }
 
-std::vector<QueryResult> run_query(const Fdd& fdd, const Query& query) {
-  const Schema& schema = fdd.schema();
+std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
+                                   const Query& query) {
+  const FddArena& arena = *diagram.arena;
+  const Schema& schema = arena.schema();
   if (query.constraints.size() != schema.field_count()) {
     throw std::invalid_argument("run_query: constraint arity mismatch");
   }
@@ -55,41 +29,64 @@ std::vector<QueryResult> run_query(const Fdd& fdd, const Query& query) {
                                   schema.field(f).name);
     }
   }
-  std::vector<IntervalSet> conjuncts;
-  conjuncts.reserve(schema.field_count());
+  // Constraint per field: the query's, or the whole domain. Fields a path
+  // skips keep it in that path's result.
+  std::vector<IntervalSet> wanted;
+  wanted.reserve(schema.field_count());
   for (std::size_t f = 0; f < schema.field_count(); ++f) {
-    conjuncts.push_back(query.constraints[f].empty()
-                            ? IntervalSet(schema.domain(f))
-                            : query.constraints[f]);
+    wanted.push_back(query.constraints[f].empty()
+                         ? IntervalSet(schema.domain(f))
+                         : query.constraints[f]);
   }
+  std::vector<IntervalSet> conjuncts = wanted;
   std::vector<QueryResult> out;
-  collect(schema, fdd.root(), query, conjuncts, out);
+  // Results are per path, so a shared subdiagram is walked once per path
+  // that reaches it, as the tree would be.
+  const auto collect = [&](auto&& self, ArenaNodeId id) -> void {
+    govern::checkpoint(arena.context());
+    if (arena.is_terminal(id)) {
+      if (!query.decision || arena.decision(id) == *query.decision) {
+        out.push_back({conjuncts, arena.decision(id)});
+      }
+      return;
+    }
+    const std::size_t f = arena.field(id);
+    for (const ArenaEdge& e : arena.edges(id)) {
+      IntervalSet common = arena.label(e.label).intersect(wanted[f]);
+      if (common.empty()) {
+        continue;  // the query cannot reach this branch
+      }
+      conjuncts[f] = std::move(common);
+      self(self, e.target);
+    }
+    conjuncts[f] = wanted[f];
+  };
+  collect(collect, diagram.root);
   return out;
 }
 
 std::vector<QueryResult> run_query(const Policy& policy, const Query& query) {
-  return run_query(build_reduced_fdd(policy), query);
+  return run_query(build_diagram(policy, {}), query);
 }
 
-namespace {
-
-void collect_decisions(const FddNode& node, std::vector<Decision>& out) {
-  if (node.is_terminal()) {
-    out.push_back(node.decision);
-    return;
-  }
-  for (const FddEdge& e : node.edges) {
-    collect_decisions(*e.target, out);
-  }
-}
-
-}  // namespace
-
-std::vector<Decision> reachable_decisions(const Fdd& fdd) {
+std::vector<Decision> reachable_decisions(const ArenaDiagram& diagram) {
+  const FddArena& arena = *diagram.arena;
   std::vector<Decision> out;
-  collect_decisions(fdd.root(), out);
+  std::unordered_set<ArenaNodeId> seen;
+  const auto collect = [&](auto&& self, ArenaNodeId id) -> void {
+    if (!seen.insert(id).second) {
+      return;
+    }
+    if (arena.is_terminal(id)) {
+      out.push_back(arena.decision(id));
+      return;
+    }
+    for (const ArenaEdge& e : arena.edges(id)) {
+      self(self, e.target);
+    }
+  };
+  collect(collect, diagram.root);
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -5,7 +5,8 @@
 // work on firewall queries [20]: questions of the form "which packets with
 // dport = 25 does this firewall accept?". An FDD answers such questions
 // exactly: intersect the query's constraints with every decision path and
-// collect the nonempty remainders with the requested decision.
+// collect the nonempty remainders with the requested decision. Queries walk
+// the reduced diagram's hash-consed DAG (fdd/arena.hpp) path by path.
 
 #pragma once
 
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "fdd/fdd.hpp"
+#include "fdd/arena.hpp"
 #include "fw/policy.hpp"
 
 namespace dfw {
@@ -36,20 +37,22 @@ struct QueryResult {
   Decision decision;
 };
 
-/// Runs a query against an FDD. Results are the intersections of the
+/// Runs a query against a diagram. Results are the intersections of the
 /// query constraints with each decision path, in path order; together
-/// they partition exactly the queried packet set (restricted to the
-/// decision filter when present).
-std::vector<QueryResult> run_query(const Fdd& fdd, const Query& query);
+/// they partition exactly the queried packets the diagram decides
+/// (restricted to the decision filter when present). Walks of the diagram
+/// take checkpoints on its arena's context.
+std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
+                                   const Query& query);
 
-/// Convenience: builds the (reduced) FDD internally.
+/// Convenience: builds the policy's diagram internally.
 std::vector<QueryResult> run_query(const Policy& policy, const Query& query);
 
 /// The decisions some packet actually reaches in the diagram, sorted
 /// ascending and deduplicated. A decision declared in the DecisionSet but
 /// absent here is unreachable — no packet is ever mapped to it (the
 /// "no packet is ever logged" class of coverage gap).
-std::vector<Decision> reachable_decisions(const Fdd& fdd);
+std::vector<Decision> reachable_decisions(const ArenaDiagram& diagram);
 
 /// Renders results in the rule-like report style.
 std::string format_query_results(const Schema& schema,

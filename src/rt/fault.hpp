@@ -45,7 +45,7 @@ namespace fault::sites {
 /// Arena node materialisation — the allocation unit of FDD construction
 /// (fired where the node budget is charged, fdd/arena.cpp).
 inline constexpr const char* kArenaAlloc = "fdd.arena.alloc";
-/// Entry into build_reduced_fdd (the construct phase boundary).
+/// Entry into build_diagram (the construct phase boundary).
 inline constexpr const char* kConstructPhase = "fdd.construct.phase";
 /// Classifier backend compilation (engine/classifier.cpp, every backend).
 inline constexpr const char* kBackendCompile = "engine.backend.compile";

@@ -23,28 +23,29 @@
 #include <vector>
 
 #include "engine/classifier.hpp"
-#include "fdd/fdd.hpp"
+#include "fdd/arena.hpp"
 #include "fw/policy.hpp"
 #include "rt/epoch.hpp"
 
 namespace dfw::serve {
 
 /// One immutable published version: the policy as the operator submitted
-/// it, the reduced FDD it compiled from (kept so a crash-consistent
-/// snapshot can serialize the exact served diagram without recompute),
-/// and its compiled classifier, tagged with a monotonically increasing
-/// sequence number (1 for the initial version).
+/// it, the reduced diagram it compiled from (kept so a crash-consistent
+/// snapshot can serialize the exact served diagram without recompute;
+/// compacted, so it holds only the nodes its root reaches), and its
+/// compiled classifier, tagged with a monotonically increasing sequence
+/// number (1 for the initial version).
 struct PolicyVersion {
   std::uint64_t sequence;
   Policy policy;
-  Fdd fdd;
+  ArenaDiagram diagram;
   Classifier classifier;
 
-  PolicyVersion(std::uint64_t sequence, Policy policy, Fdd fdd,
+  PolicyVersion(std::uint64_t sequence, Policy policy, ArenaDiagram diagram,
                 Classifier classifier)
       : sequence(sequence),
         policy(std::move(policy)),
-        fdd(std::move(fdd)),
+        diagram(std::move(diagram)),
         classifier(std::move(classifier)) {}
 };
 

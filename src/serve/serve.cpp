@@ -6,7 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "fdd/construct.hpp"
+#include "fdd/arena.hpp"
 #include "fw/decision.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
@@ -28,14 +28,10 @@ std::uint64_t splitmix64(std::uint64_t x) {
 std::unique_ptr<PolicyVersion> compile_version(
     Policy policy, std::uint64_t sequence, RunContext* context,
     const ServeOptions& options) {
-  // The FDD is built once and kept on the version: the classifier
+  // The diagram is built once and kept on the version: the classifier
   // compiles from it here, and snapshot_text() serializes it later
-  // without recompute.
-  ConstructOptions construct;
-  construct.run.context = context;
-  construct.run.obs = options.run.obs;
-  construct.run.faults = options.run.faults;
-  Fdd fdd = build_reduced_fdd(policy, construct);
+  // without recompute. The version keeps a compact copy, not the build
+  // arena with every intermediate the appends left behind.
   CompileOptions compile;
   compile.run.executor = options.run.executor;
   compile.run.context = context;
@@ -43,14 +39,15 @@ std::unique_ptr<PolicyVersion> compile_version(
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
   compile.backend = options.backend;
-  Classifier classifier = Classifier::compile(fdd, compile);
+  ArenaDiagram diagram = compact(build_diagram(policy, compile.run));
+  Classifier classifier = Classifier::compile(diagram, compile);
   if (options.run.obs.metrics != nullptr) {
     options.run.obs.metrics
         ->counter(serve_backend_counter_name(options.backend))
         .add();
   }
   return std::make_unique<PolicyVersion>(sequence, std::move(policy),
-                                         std::move(fdd),
+                                         std::move(diagram),
                                          std::move(classifier));
 }
 
@@ -61,16 +58,16 @@ std::unique_ptr<PolicyVersion> boot_version(Policy initial,
 
 std::unique_ptr<PolicyVersion> restored_version(
     snapshot::SnapshotData restored, const ServeOptions& options) {
-  // The snapshot carries the reduced FDD; compiling from it (not from
-  // the policy text) skips reconstruction and reproduces the pre-crash
-  // classifier exactly.
+  // The snapshot carries the reduced diagram; compiling from it (not
+  // from the policy text) skips reconstruction and reproduces the
+  // pre-crash classifier exactly.
   CompileOptions compile;
   compile.run.executor = options.run.executor;
   compile.run.obs = options.run.obs;
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
   compile.backend = restored.backend;
-  Classifier classifier = Classifier::compile(restored.fdd, compile);
+  Classifier classifier = Classifier::compile(restored.diagram, compile);
   if (options.run.obs.metrics != nullptr) {
     options.run.obs.metrics
         ->counter(serve_backend_counter_name(restored.backend))
@@ -78,7 +75,7 @@ std::unique_ptr<PolicyVersion> restored_version(
   }
   return std::make_unique<PolicyVersion>(
       restored.sequence, std::move(restored.policy),
-      std::move(restored.fdd), std::move(classifier));
+      std::move(restored.diagram), std::move(classifier));
 }
 
 /// Worth another attempt: the cause can vanish on retry. Budget and
@@ -418,7 +415,7 @@ std::string ServeCore::snapshot_text() {
   const PolicyVersion& version = handle_.current_unpinned();
   const std::string text = snapshot::encode(
       version.sequence, version.classifier.backend(), version.policy,
-      version.fdd, default_decisions(), options_.run.faults);
+      version.diagram, default_decisions(), options_.run.faults);
   if (options_.run.obs.metrics != nullptr) {
     options_.run.obs.metrics->counter(names::kServeSnapshotSave).add();
   }

@@ -190,7 +190,7 @@ class ServeCore {
 
   /// Resumes from a decoded snapshot (serve/snapshot.hpp): serves the
   /// snapshot's version at its recorded sequence, compiled from the
-  /// snapshot's FDD on the snapshot's backend (the restart must be
+  /// snapshot's diagram on the snapshot's backend (the restart must be
   /// byte-identical to the pre-crash daemon; options.backend applies to
   /// later swaps). Subsequent swaps number from sequence + 1.
   ServeCore(snapshot::SnapshotData restored, ServeOptions options);
@@ -276,8 +276,8 @@ class ServeCore {
   }
 
   /// The served version serialized as a crash-consistent snapshot
-  /// (serve/snapshot.hpp, format dfws 1): policy text, reduced FDD (dfdd
-  /// v2 DAG), sequence, backend, checksum. Serialized against swaps so
+  /// (serve/snapshot.hpp, format dfws 1): policy text, reduced diagram
+  /// (dfdd v2 DAG), sequence, backend, checksum. Serialized against swaps so
   /// the snapshot is always one published version, never a blend.
   std::string snapshot_text();
 

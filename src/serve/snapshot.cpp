@@ -111,11 +111,11 @@ std::string_view take_block(std::string_view text, std::size_t& pos,
 }  // namespace
 
 std::string encode(std::uint64_t sequence, ClassifierBackendKind backend,
-                   const Policy& policy, const Fdd& fdd,
+                   const Policy& policy, const ArenaDiagram& diagram,
                    const DecisionSet& decisions, FaultPlan* faults) {
   fault::hit(faults, fault::sites::kSnapshotSave);
   const std::string policy_text = format_policy(policy, decisions);
-  const std::string fdd_text = serialize_fdd_dag(fdd);
+  const std::string fdd_text = serialize_fdd_dag(diagram);
   std::ostringstream body;
   body << "dfws 1\n"
        << "sequence " << sequence << '\n'
@@ -133,8 +133,7 @@ std::string encode(std::uint64_t sequence, ClassifierBackendKind backend,
 }
 
 SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
-                    std::string_view text, RunContext* context,
-                    FaultPlan* faults) {
+                    std::string_view text, FaultPlan* faults) {
   fault::hit(faults, fault::sites::kSnapshotLoad);
   std::size_t pos = 0;
   if (take_line(text, pos) != "dfws 1") {
@@ -169,11 +168,9 @@ SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
 
   try {
     Policy policy = parse_policy(schema, decisions, policy_text);
-    Fdd fdd = deserialize_fdd(schema, fdd_text, context);
+    ArenaDiagram diagram = deserialize_fdd_dag(schema, fdd_text);
     return SnapshotData{sequence, *backend, std::move(policy),
-                        std::move(fdd)};
-  } catch (const Error&) {
-    throw;  // governed expansion breach — already structured
+                        std::move(diagram)};
   } catch (const std::invalid_argument& error) {
     throw Error(ErrorCode::kParseError,
                 std::string("snapshot payload: ") + error.what());

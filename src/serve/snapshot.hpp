@@ -2,7 +2,7 @@
 //
 // A serve daemon's only durable state is the version it is serving; a
 // snapshot captures exactly that — the operator's policy text, the
-// reduced FDD it compiled from (dfdd v2 DAG, fdd/serialize.hpp), the
+// reduced diagram it compiled from (dfdd v2 DAG, fdd/serialize.hpp), the
 // version sequence, and the compiled backend — so a restarted daemon
 // resumes byte-identical classification at the next sequence number
 // instead of reverting to its boot policy.
@@ -23,9 +23,10 @@
 // snapshot or the new one, never a blend; and decode() verifies the
 // trailing checksum before trusting anything, so a torn or bit-flipped
 // file is rejected with a structured error (exit 2 at the CLI), not
-// served. The decoder inherits the dfdd loaders' hardening (bounds
-// checks, byte counts capped by the input size, governed DAG expansion)
-// and throws dfw::Error only: kParseError for malformed text (including
+// served. The decoder inherits the dfdd v2 loader's hardening (bounds
+// checks, byte counts capped by the input size, id and field-order
+// checks); the DAG loads straight into an arena and is never expanded.
+// It throws dfw::Error only: kParseError for malformed text (including
 // a backend name this build does not know, e.g. a layout since removed),
 // kInvalidInput for structural violations and checksum mismatches.
 
@@ -36,24 +37,24 @@
 #include <string_view>
 
 #include "engine/backend.hpp"
-#include "fdd/fdd.hpp"
+#include "fdd/arena.hpp"
 #include "fw/decision.hpp"
 #include "fw/policy.hpp"
 
 namespace dfw {
 class FaultPlan;
-class RunContext;
 }  // namespace dfw
 
 namespace dfw::serve::snapshot {
 
 /// One decoded snapshot: everything a ServeCore needs to resume serving.
-/// Move-only (it owns an Fdd).
+/// The diagram is compact: its arena holds only the nodes its root
+/// reaches.
 struct SnapshotData {
   std::uint64_t sequence;
   ClassifierBackendKind backend;
   Policy policy;
-  Fdd fdd;
+  ArenaDiagram diagram;
 };
 
 /// Serializes a served version. Deterministic: equal inputs produce equal
@@ -61,17 +62,15 @@ struct SnapshotData {
 /// uses default_decisions()). `faults` (borrowed, nullable) is consulted
 /// at the serve.snapshot.save site before any byte is produced.
 std::string encode(std::uint64_t sequence, ClassifierBackendKind backend,
-                   const Policy& policy, const Fdd& fdd,
+                   const Policy& policy, const ArenaDiagram& diagram,
                    const DecisionSet& decisions, FaultPlan* faults = nullptr);
 
 /// Parses and verifies a snapshot. The caller supplies the schema and
 /// decision set (the formats store structure, not domains — the dfdd
-/// convention). `context` (borrowed, nullable) governs the embedded DAG
-/// expansion against decompression bombs. Throws dfw::Error as documented
-/// above; `faults` is consulted at the serve.snapshot.load site first.
+/// convention). Throws dfw::Error as documented above; `faults` is
+/// consulted at the serve.snapshot.load site first.
 SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
-                    std::string_view text, RunContext* context = nullptr,
-                    FaultPlan* faults = nullptr);
+                    std::string_view text, FaultPlan* faults = nullptr);
 
 /// Publishes `text` at `path` atomically: writes `path`.tmp, flushes,
 /// renames over `path`. Throws dfw::Error(kInternal) on I/O failure (the

@@ -15,6 +15,11 @@
 namespace dfw {
 namespace {
 
+/// Fixpoint bound: transform rounds stop after this many passes even if
+/// the policy is still shrinking (each round removes at least one rule,
+/// so the bound only matters for adversarial inputs).
+constexpr std::size_t kMaxPasses = 16;
+
 /// Index of the single field where the two rules' conjuncts differ, when
 /// the rules share a decision and differ in exactly one field; SIZE_MAX
 /// otherwise. Merging such a pair into one rule whose differing conjunct
@@ -244,17 +249,10 @@ SimplifyOutcome simplify_policy(const Policy& policy,
   const Schema& schema = policy.schema();
   std::vector<Rule> rules = policy.rules();
   try {
-    for (std::size_t round = 0; round < options.max_passes; ++round) {
-      bool changed = false;
-      if (options.eliminate_dead) {
-        changed = eliminate_dead(schema, rules, options, report.stats);
-      }
-      if (options.merge_adjacent) {
-        changed = merge_adjacent(schema, rules, ctx, report.stats) || changed;
-      }
-      if (options.coalesce_runs) {
-        changed = coalesce_runs(schema, rules, ctx, report.stats) || changed;
-      }
+    for (std::size_t round = 0; round < kMaxPasses; ++round) {
+      bool changed = eliminate_dead(schema, rules, options, report.stats);
+      changed = merge_adjacent(schema, rules, ctx, report.stats) || changed;
+      changed = coalesce_runs(schema, rules, ctx, report.stats) || changed;
       if (!changed) {
         break;
       }

@@ -54,21 +54,10 @@ struct SimplifyOptions {
   /// serially (fleets parallelize across policies, tools/dfw_fleet).
   RunOptions run = {};
 
-  /// Transform toggles; disabling all three makes the pass an (optionally
-  /// proof-checked) identity.
-  bool eliminate_dead = true;
-  bool merge_adjacent = true;
-  bool coalesce_runs = true;
-
   /// Prove the rewrite equivalent by arena-backed FDD comparison. Off
   /// skips the proof (ProofStatus::kSkipped) — for callers that re-prove
   /// in aggregate, e.g. a randomized harness.
   bool prove = true;
-
-  /// Fixpoint bound: transform rounds stop after this many passes even if
-  /// the policy is still shrinking (each round removes at least one rule,
-  /// so the bound only matters for adversarial inputs).
-  std::size_t max_passes = 16;
 };
 
 /// How the equivalence proof of a simplification ended.

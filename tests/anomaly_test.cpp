@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "analysis/anomaly.hpp"
+#include "fdd/arena.hpp"
 #include "fdd/construct.hpp"
 #include "query/query.hpp"
 #include "rt/executor.hpp"
@@ -199,8 +200,8 @@ std::vector<std::size_t> dead_rules_by_reachability(const Policy& p) {
   for (std::size_t i = 0; i < p.size(); ++i) {
     std::vector<Rule> rules = p.rules();
     rules[i] = Rule(p.schema(), rules[i].conjuncts(), kFresh);
-    const Fdd fdd = build_reduced_fdd(Policy(p.schema(), std::move(rules)));
-    const std::vector<Decision> reach = reachable_decisions(fdd);
+    const std::vector<Decision> reach = reachable_decisions(
+        build_diagram(Policy(p.schema(), std::move(rules)), {}));
     if (std::find(reach.begin(), reach.end(), kFresh) == reach.end()) {
       dead.push_back(i);
     }

@@ -223,6 +223,30 @@ TEST(FaultSites, PipelineSitesUnwindAsStructuredErrors) {
     EXPECT_THROW(Classifier::compile(policy, options), Error);
     EXPECT_EQ(plan.total_fires(), 1u);
   }
+  // The comparison pipeline builds through the same two sites, so a plan
+  // in CompareOptions reaches them: the vector entry point throws, the
+  // governed one reports a partial outcome.
+  const Policy other = make_policy(20, 34);
+  for (const char* site :
+       {fault::sites::kConstructPhase, fault::sites::kArenaAlloc}) {
+    {
+      FaultPlan plan(1, {count_spec(site, 1)});
+      CompareOptions options;
+      options.run.faults = &plan;
+      EXPECT_THROW(discrepancies(policy, other, options), Error) << site;
+      EXPECT_EQ(plan.total_fires(), 1u) << site;
+    }
+    {
+      FaultPlan plan(1, {count_spec(site, 1)});
+      CompareOptions options;
+      options.run.faults = &plan;
+      const CompareOutcome outcome =
+          discrepancies_governed(policy, other, options);
+      EXPECT_FALSE(outcome.complete) << site;
+      EXPECT_EQ(outcome.status, ErrorCode::kFaultInjected) << site;
+      EXPECT_EQ(plan.total_fires(), 1u) << site;
+    }
+  }
 }
 
 TEST(FaultSites, NullPlanIsByteIdenticalToANeverFiringPlan) {
@@ -231,17 +255,15 @@ TEST(FaultSites, NullPlanIsByteIdenticalToANeverFiringPlan) {
   const std::vector<Packet> probes = synth_trace(policy, 400, rng);
 
   // Unfaulted baseline.
-  const Fdd bare = build_reduced_fdd(policy);
+  const ArenaDiagram bare = build_diagram(policy, {});
   const Classifier bare_classifier = Classifier::compile(bare);
 
   // Armed plan that never reaches its trigger.
   FaultPlan plan(
       9, {count_spec(fault::sites::kArenaAlloc, /*fire_on=*/1u << 30)});
-  ConstructOptions construct;
-  construct.run.faults = &plan;
-  const Fdd guarded = build_reduced_fdd(policy, construct);
   CompileOptions compile;
   compile.run.faults = &plan;
+  const ArenaDiagram guarded = build_diagram(policy, compile.run);
   const Classifier guarded_classifier = Classifier::compile(guarded, compile);
 
   EXPECT_EQ(serialize_fdd_dag(bare), serialize_fdd_dag(guarded))
@@ -655,6 +677,8 @@ TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
     ServeCore restored(std::move(data), options);
     EXPECT_EQ(restored.current_sequence(), 3u);
     EXPECT_EQ(restored.health().backend, backend);
+    EXPECT_EQ(restored.snapshot_text(), text)
+        << to_string(backend) << ": restore must re-encode byte-identically";
 
     Rng rng(64);
     const std::vector<Packet> probes = synth_trace(served, 300, rng);
@@ -669,6 +693,15 @@ TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
     ASSERT_TRUE(next.ok());
     EXPECT_EQ(next.value(), 4u);
   }
+
+  // A snapshot committed from an earlier build re-encodes to its own
+  // bytes too.
+  const std::string committed = serve::snapshot::read_file(
+      std::string(DFW_CORPUS_DIR) + "/snapshot/valid_basic.dfws");
+  ServeCore booted(serve::snapshot::decode(five_tuple_schema(),
+                                           default_decisions(), committed),
+                   ServeOptions{});
+  EXPECT_EQ(booted.snapshot_text(), committed);
 }
 
 TEST(Snapshot, DecodeRejectsTruncationAndCorruption) {
@@ -719,8 +752,7 @@ TEST(Snapshot, SaveAndLoadFaultSitesFire) {
     const std::string text = core.snapshot_text();
     FaultPlan plan(1, {count_spec(fault::sites::kSnapshotLoad, 1)});
     EXPECT_THROW(serve::snapshot::decode(five_tuple_schema(),
-                                         default_decisions(), text, nullptr,
-                                         &plan),
+                                         default_decisions(), text, &plan),
                  Error);
   }
 }
@@ -781,6 +813,7 @@ TEST_F(ServeCliSnapshot, BootSwapRestartResumesTheSwappedVersion) {
       << out;
   EXPECT_NE(out.find("swap ok version=2"), std::string::npos);
   ASSERT_TRUE(std::filesystem::exists(snapshot_));
+  const std::string saved = serve::snapshot::read_file(snapshot_);
 
   // Restart: the daemon resumes the swapped version, not the boot file.
   out.clear();
@@ -791,6 +824,8 @@ TEST_F(ServeCliSnapshot, BootSwapRestartResumesTheSwappedVersion) {
   EXPECT_NE(out.find("serving version=2"), std::string::npos);
   EXPECT_NE(out.find("(restored)"), std::string::npos);
   EXPECT_NE(out.find("\"sequence\":2"), std::string::npos);
+  // The restart re-saved its restored state at boot: the same bytes.
+  EXPECT_EQ(serve::snapshot::read_file(snapshot_), saved);
 }
 
 TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {

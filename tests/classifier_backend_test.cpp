@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <stdexcept>
 
 #include "bdd/packet_encode.hpp"
 #include "engine/classifier.hpp"
-#include "fdd/construct.hpp"
+#include "fdd/arena.hpp"
 #include "obs/names.hpp"
 #include "rt/executor.hpp"
 #include "synth/synth.hpp"
@@ -31,10 +32,11 @@ constexpr ClassifierBackendKind kAllBackends[] = {
     ClassifierBackendKind::kPrefixTrie,
 };
 
-Classifier compile_with(const Fdd& fdd, ClassifierBackendKind kind) {
+Classifier compile_with(const ArenaDiagram& diagram,
+                        ClassifierBackendKind kind) {
   CompileOptions options;
   options.backend = kind;
-  return Classifier::compile(fdd, options);
+  return Classifier::compile(diagram, options);
 }
 
 /// Adversarial probes: every rule-conjunct corner and every domain corner,
@@ -97,9 +99,9 @@ TEST(ClassifierBackend, AgreesWithPolicyExhaustively) {
   std::mt19937_64 rng(711);
   for (int trial = 0; trial < 25; ++trial) {
     const Policy p = test::random_policy(tiny3(), 6, rng);
-    const Fdd fdd = build_reduced_fdd(p);
+    const ArenaDiagram diagram = build_diagram(p, {});
     for (const ClassifierBackendKind kind : kAllBackends) {
-      const Classifier c = compile_with(fdd, kind);
+      const Classifier c = compile_with(diagram, kind);
       EXPECT_EQ(c.backend(), kind);
       for (const Packet& pkt : test::all_packets(tiny3())) {
         ASSERT_EQ(c.classify(pkt), p.evaluate(pkt))
@@ -111,10 +113,10 @@ TEST(ClassifierBackend, AgreesWithPolicyExhaustively) {
 
 TEST(ClassifierBackend, ConstantPolicy) {
   const Schema s = tiny2();
-  const Fdd fdd =
-      build_reduced_fdd(Policy(s, {Rule::catch_all(s, kDiscard)}));
+  const ArenaDiagram diagram =
+      build_diagram(Policy(s, {Rule::catch_all(s, kDiscard)}), {});
   for (const ClassifierBackendKind kind : kAllBackends) {
-    const Classifier c = compile_with(fdd, kind);
+    const Classifier c = compile_with(diagram, kind);
     EXPECT_EQ(c.classify({0, 0}), kDiscard) << to_string(kind);
     EXPECT_EQ(c.classify({7, 7}), kDiscard) << to_string(kind);
   }
@@ -125,11 +127,11 @@ TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
   config.num_rules = 120;
   Rng rng(712);
   const Policy p = synth_policy(config, rng);
-  const Fdd fdd = build_reduced_fdd(p);
+  const ArenaDiagram diagram = build_diagram(p, {});
 
   std::vector<Classifier> classifiers;
   for (const ClassifierBackendKind kind : kAllBackends) {
-    classifiers.push_back(compile_with(fdd, kind));
+    classifiers.push_back(compile_with(diagram, kind));
   }
 
   std::vector<Packet> probes = edge_packets(p);
@@ -141,7 +143,7 @@ TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
   }
 
   for (const Packet& pkt : probes) {
-    const Decision want = fdd.evaluate(pkt);
+    const Decision want = diagram.arena->evaluate(diagram.root, pkt);
     ASSERT_EQ(p.evaluate(pkt), want);
     for (std::size_t b = 0; b < classifiers.size(); ++b) {
       ASSERT_EQ(classifiers[b].classify(pkt), want)
@@ -155,7 +157,7 @@ TEST(ClassifierBackend, BddBaselineAgreesOnAcceptSet) {
   config.num_rules = 60;
   Rng rng(713);
   const Policy p = synth_policy(config, rng);
-  const Fdd fdd = build_reduced_fdd(p);
+  const ArenaDiagram diagram = build_diagram(p, {});
 
   const BitLayout layout = layout_for(p.schema());
   BddManager mgr(layout.total_bits);
@@ -163,7 +165,7 @@ TEST(ClassifierBackend, BddBaselineAgreesOnAcceptSet) {
 
   std::vector<Classifier> classifiers;
   for (const ClassifierBackendKind kind : kAllBackends) {
-    classifiers.push_back(compile_with(fdd, kind));
+    classifiers.push_back(compile_with(diagram, kind));
   }
 
   std::uniform_int_distribution<Value> ip(0, UINT32_MAX);
@@ -185,7 +187,7 @@ TEST(ClassifierBackend, BatchDeterminismAcrossThreadCounts) {
   config.num_rules = 80;
   Rng rng(714);
   const Policy p = synth_policy(config, rng);
-  const Fdd fdd = build_reduced_fdd(p);
+  const ArenaDiagram diagram = build_diagram(p, {});
 
   std::vector<Packet> packets;
   std::uniform_int_distribution<Value> ip(0, UINT32_MAX);
@@ -199,7 +201,7 @@ TEST(ClassifierBackend, BatchDeterminismAcrossThreadCounts) {
     CompileOptions options;
     options.backend = kind;
     options.batch_grain = 64;  // force many chunks even at 8 threads
-    const Classifier c = Classifier::compile(fdd, options);
+    const Classifier c = Classifier::compile(diagram, options);
 
     const std::vector<Decision> serial = c.classify_batch(packets);
     ASSERT_EQ(serial.size(), packets.size());
@@ -219,6 +221,35 @@ TEST(ClassifierBackend, BatchDeterminismAcrossThreadCounts) {
     std::vector<Decision> out(packets.size(), Decision{0xff});
     c.classify_into(packets, out);
     EXPECT_EQ(out, serial) << to_string(kind);
+  }
+}
+
+// Both layouts flatten the hash-consed DAG, not its tree expansion: one
+// compiled node per unique nonterminal the root reaches.
+TEST(ClassifierBackend, CompilesOneSlabNodePerUniqueDiagramNode) {
+  SynthConfig config;
+  config.num_rules = 150;
+  Rng rng(716);
+  const ArenaDiagram diagram = build_diagram(synth_policy(config, rng), {});
+  const FddArena& arena = *diagram.arena;
+  ASSERT_GT(arena.expanded_node_count(diagram.root),
+            arena.reachable_node_count(diagram.root))
+      << "the diagram must share subdiagrams for this test to bite";
+  std::set<ArenaNodeId> nonterminals;
+  std::vector<ArenaNodeId> stack{diagram.root};
+  while (!stack.empty()) {
+    const ArenaNodeId id = stack.back();
+    stack.pop_back();
+    if (arena.is_terminal(id) || !nonterminals.insert(id).second) {
+      continue;
+    }
+    for (const ArenaEdge& e : arena.edges(id)) {
+      stack.push_back(e.target);
+    }
+  }
+  for (const ClassifierBackendKind kind : kAllBackends) {
+    EXPECT_EQ(compile_with(diagram, kind).node_count(), nonterminals.size())
+        << to_string(kind);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/classifier.hpp"
-#include "fdd/construct.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
 
@@ -66,22 +65,23 @@ TEST(Classifier, CompiledFormIsCompact) {
   config.num_rules = 200;
   Rng rng(113);
   const Policy p = synth_policy(config, rng);
-  const Fdd fdd = build_reduced_fdd(p);
-  const Classifier c = Classifier::compile(fdd);
-  // One compiled node per nonterminal FDD node... except that identical
-  // subtrees compiled from distinct tree nodes are materialised per node;
-  // the structure never exceeds the tree's node count.
-  EXPECT_LE(c.node_count(), fdd.node_count());
+  const ArenaDiagram diagram = build_diagram(p, {});
+  const Classifier c = Classifier::compile(diagram);
+  // One compiled node per unique nonterminal: shared subdiagrams compile
+  // once, and only the terminals among the reachable nodes compile to no
+  // node.
+  EXPECT_LT(c.node_count(),
+            diagram.arena->reachable_node_count(diagram.root));
   EXPECT_GT(c.slab_count(), 0u);
 }
 
 TEST(Classifier, CompileFromFddDirectly) {
   std::mt19937_64 rng(114);
   const Policy p = test::random_policy(tiny2(), 4, rng);
-  const Fdd fdd = build_reduced_fdd(p);
-  const Classifier c = Classifier::compile(fdd);
+  const ArenaDiagram diagram = build_diagram(p, {});
+  const Classifier c = Classifier::compile(diagram);
   for (const Packet& pkt : test::all_packets(tiny2())) {
-    EXPECT_EQ(c.classify(pkt), fdd.evaluate(pkt));
+    EXPECT_EQ(c.classify(pkt), diagram.arena->evaluate(diagram.root, pkt));
   }
 }
 
@@ -90,8 +90,8 @@ TEST(Classifier, RejectsIncompleteFdd) {
   const Policy partial(
       s, {Rule(s, {IntervalSet(Interval(0, 3)), IntervalSet(Interval(0, 7))},
                kAccept)});
-  const Fdd fdd = build_fdd(partial);
-  EXPECT_THROW(Classifier::compile(fdd), std::logic_error);
+  EXPECT_THROW(Classifier::compile(build_diagram(partial, {})),
+               std::logic_error);
 }
 
 TEST(Classifier, RejectsWrongArity) {

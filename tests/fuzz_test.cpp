@@ -395,10 +395,11 @@ TEST(CorpusFuzz, FddMutants) {
 }
 
 // The compiled-backend surface on hostile diagrams: whatever the
-// deserializer accepts (seed or mutant), every classifier backend must
-// compile it unless validate() rejects it as incomplete — a structured
-// dfw::Error escapes and fails the test — and the compiled classifiers
-// must agree with the interpreted walk on random in-domain packets.
+// deserializer accepts (seed or mutant), interned into an arena, every
+// classifier backend must compile unless validate() rejects it as
+// incomplete — a structured dfw::Error escapes and fails the test — and
+// the compiled classifiers must agree with the interpreted tree walk on
+// random in-domain packets.
 TEST(CorpusFuzz, ClassifierBackendCompileOnFddSeeds) {
   std::mt19937_64 rng(2006);
   const Schema schema = five_tuple_schema();
@@ -411,13 +412,15 @@ TEST(CorpusFuzz, ClassifierBackendCompileOnFddSeeds) {
       } catch (const std::logic_error&) {
         continue;
       }
+      auto arena = std::make_shared<FddArena>(schema);
+      const ArenaDiagram diagram{arena, arena->from_tree(fdd->root())};
       std::vector<Classifier> compiled;
       try {
         for (const auto kind : {ClassifierBackendKind::kFlatSlab,
                                 ClassifierBackendKind::kPrefixTrie}) {
           CompileOptions options;
           options.backend = kind;
-          compiled.push_back(Classifier::compile(*fdd, options));
+          compiled.push_back(Classifier::compile(diagram, options));
         }
       } catch (const std::logic_error&) {
         continue;  // validate() rejected an incomplete mutant

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "fdd/arena.hpp"
 #include "fw/parser.hpp"
 #include "net/ipv4.hpp"
 #include "query/query.hpp"
@@ -105,6 +109,74 @@ TEST(Query, EmptyAnswerForContradiction) {
   EXPECT_NE(format_query_results(schema, default_decisions(), {})
                 .find("no packets"),
             std::string::npos);
+}
+
+// Brute-force ground truth for the diagram walk on tiny schemas, with
+// non-comprehensive policies among the inputs: the results are pairwise
+// disjoint and cover exactly the queried packets some rule first-matches
+// (with the filtered decision, when there is a filter), each under its
+// first-match decision; reachable_decisions is the set of first-match
+// decisions.
+TEST(Query, RandomQueriesMatchFirstMatchOnTinySchemas) {
+  std::mt19937_64 rng(83);
+  std::uniform_int_distribution<int> coin(0, 2);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Schema schema = trial % 2 == 0 ? test::tiny2() : tiny3();
+    Policy p = test::random_policy(schema, 2 + trial % 6, rng);
+    if (trial % 3 == 0) {
+      std::vector<Rule> rules = p.rules();
+      rules.pop_back();  // drop the catch-all: some packets fall off
+      p = Policy(schema, std::move(rules));
+    }
+    const ArenaDiagram diagram = build_diagram(p, {});
+
+    std::vector<Decision> first_match_decisions;
+    for (const Packet& pkt : all_packets(schema)) {
+      if (const auto rule = p.first_match(pkt)) {
+        first_match_decisions.push_back(p.rule(*rule).decision());
+      }
+    }
+    std::sort(first_match_decisions.begin(), first_match_decisions.end());
+    first_match_decisions.erase(std::unique(first_match_decisions.begin(),
+                                            first_match_decisions.end()),
+                                first_match_decisions.end());
+    EXPECT_EQ(reachable_decisions(diagram), first_match_decisions)
+        << "trial " << trial;
+
+    for (int round = 0; round < 5; ++round) {
+      Query q = Query::any(schema);
+      for (std::size_t f = 0; f < schema.field_count(); ++f) {
+        if (coin(rng) != 0) {
+          q.constraints[f] = test::random_set(schema.domain(f), rng);
+        }
+      }
+      if (coin(rng) == 0) {
+        q.decision = coin(rng) == 0 ? kAccept : kDiscard;
+      }
+      const std::vector<QueryResult> results = run_query(diagram, q);
+      for (const Packet& pkt : all_packets(schema)) {
+        bool queried = true;
+        for (std::size_t f = 0; f < schema.field_count(); ++f) {
+          queried = queried && (q.constraints[f].empty() ||
+                                q.constraints[f].contains(pkt[f]));
+        }
+        const auto rule = p.first_match(pkt);
+        const bool wanted =
+            queried && rule.has_value() &&
+            (!q.decision || p.rule(*rule).decision() == *q.decision);
+        int hits = 0;
+        for (const QueryResult& r : results) {
+          if (result_contains(r, pkt)) {
+            ++hits;
+            ASSERT_TRUE(rule.has_value()) << "trial " << trial;
+            EXPECT_EQ(r.decision, p.rule(*rule).decision())
+                << "trial " << trial;
+          }
+        }
+        EXPECT_EQ(hits, wanted ? 1 : 0) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(Query, ValidatesArityAndDomains) {

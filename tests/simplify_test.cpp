@@ -205,24 +205,6 @@ TEST(Simplify, WorksOnNonComprehensivePolicies) {
   EXPECT_TRUE(canonically_equal(p, out.policy));
 }
 
-TEST(Simplify, TransformTogglesAreHonoured) {
-  const Schema s = tiny2();
-  Policy p(s, {make_rule(s, {IntervalSet(Interval(0, 7)),
-                             IntervalSet(Interval(0, 3))},
-                         kAccept),
-               make_rule(s, {IntervalSet(Interval(2, 5)),
-                             IntervalSet(Interval(1, 2))},
-                         kDiscard),  // dead
-               Rule::catch_all(s, kDiscard)});
-  SimplifyOptions options;
-  options.eliminate_dead = false;
-  options.merge_adjacent = false;
-  options.coalesce_runs = false;
-  const SimplifyOutcome out = simplify_policy(p, options);
-  EXPECT_EQ(out.report.passes, 0u);
-  EXPECT_EQ(out.report.rules_after, 3u);
-}
-
 TEST(Simplify, ProofCanBeSkipped) {
   const Schema s = tiny2();
   Policy p(s, {make_rule(s, {IntervalSet(Interval(0, 7)),
