@@ -11,27 +11,35 @@ namespace dfw {
 namespace {
 
 constexpr ArenaNodeId kNoNode = static_cast<ArenaNodeId>(-1);
+constexpr ArenaLabelId kNoLabel = static_cast<ArenaLabelId>(-1);
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;
 }
 
-std::uint64_t hash_label(const IntervalSet& s) {
+// The murmur3 finaliser: spreads a hash over its low bits, which index
+// the power-of-two tables.
+std::uint64_t finish(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+std::uint64_t hash_runs(std::span<const Interval> runs) {
   std::uint64_t h = 0x243f6a8885a308d3ull;
-  for (const Interval& iv : s.intervals()) {
+  for (const Interval& iv : runs) {
     h = mix(h, iv.lo());
     h = mix(h, iv.hi());
   }
-  return h;
+  return finish(h);
 }
 
 std::uint64_t pack_pair(ArenaNodeId a, ArenaNodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-bool wildcard(const Schema& schema, const Rule& rule, std::size_t field) {
-  return rule.conjunct(field) == schema.domain_set(field);
 }
 
 }  // namespace
@@ -45,41 +53,138 @@ std::size_t ArenaIdTupleHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-FddArena::FddArena(Schema schema) : schema_(std::move(schema)) {}
+// ---------------------------------------------------------------------------
+// Flat tables.
 
-ArenaLabelId FddArena::intern(const IntervalSet& label) {
-  ++stats_.label_queries;
-  const std::uint64_t h = hash_label(label);
-  std::vector<ArenaLabelId>& bucket = label_buckets_[h];
-  for (const ArenaLabelId id : bucket) {
-    if (labels_[id] == label) {
-      ++stats_.label_hits;
+template <typename Same>
+std::uint32_t FddArena::IdTable::find(std::uint64_t h,
+                                      const std::vector<std::uint64_t>& hashes,
+                                      Same&& same, std::size_t& slot) const {
+  slot = 0;
+  if (slots_.empty()) {
+    return kNoNode;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const std::uint32_t id = slots_[i];
+    if (id == kNoNode) {
+      slot = i;
+      return kNoNode;
+    }
+    if (hashes[id] == h && same(id)) {
       return id;
     }
   }
+}
+
+void FddArena::IdTable::insert(std::size_t slot,
+                               const std::vector<std::uint64_t>& hashes) {
+  const std::size_t count = hashes.size();
+  if (count * 2 <= slots_.size()) {
+    slots_[slot] = static_cast<std::uint32_t>(count - 1);
+    return;
+  }
+  // Grow: the ids are 0..count-1, so re-bucket them by their stored hashes.
+  const std::size_t capacity = std::max<std::size_t>(slots_.size() * 2, 64);
+  slots_.assign(capacity, kNoNode);
+  const std::size_t mask = capacity - 1;
+  for (std::uint32_t id = 0; id < count; ++id) {
+    std::size_t i = hashes[id] & mask;
+    while (slots_[i] != kNoNode) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = id;
+  }
+}
+
+void FddArena::StampedMemo::next_rule() {
+  live_ = 0;
+  if (++stamp_ == 0) {
+    for (Slot& s : slots_) {
+      s.stamp = 0;
+    }
+    stamp_ = 1;
+  }
+}
+
+bool FddArena::StampedMemo::find(std::uint64_t key,
+                                 ArenaNodeId& value) const {
+  if (slots_.empty()) {
+    return false;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = finish(key) & mask; slots_[i].stamp == stamp_;
+       i = (i + 1) & mask) {
+    if (slots_[i].key == key) {
+      value = slots_[i].value;
+      return true;
+    }
+  }
+  return false;
+}
+
+void FddArena::StampedMemo::insert(std::uint64_t key, ArenaNodeId value) {
+  if ((live_ + 1) * 2 > slots_.size()) {
+    // Grow, keeping only the current rule's entries.
+    std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 64));
+    old.swap(slots_);
+    live_ = 0;
+    for (const Slot& s : old) {
+      if (s.stamp == stamp_) {
+        insert(s.key, s.value);
+      }
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = finish(key) & mask;
+  while (slots_[i].stamp == stamp_) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = {key, value, stamp_};
+  ++live_;
+}
+
+// ---------------------------------------------------------------------------
+// Interning.
+
+FddArena::FddArena(Schema schema) : schema_(std::move(schema)) {}
+
+ArenaLabelId FddArena::intern(const IntervalSet& label) {
+  return intern_runs(label.intervals());
+}
+
+ArenaLabelId FddArena::intern_runs(std::span<const Interval> runs) {
+  ++stats_.label_queries;
+  const std::uint64_t h = hash_runs(runs);
+  std::size_t slot = 0;
+  const ArenaLabelId found = label_table_.find(
+      h, label_hashes_,
+      [&](ArenaLabelId id) {
+        return std::ranges::equal(labels_[id].intervals(), runs);
+      },
+      slot);
+  if (found != kNoLabel) {
+    ++stats_.label_hits;
+    return found;
+  }
   // Charge before materialising: a breach leaves the tables untouched.
   govern::charge_label_bytes(
-      govern_, label.intervals().size() * sizeof(Interval) + sizeof(label));
+      govern_, runs.size() * sizeof(Interval) + sizeof(IntervalSet));
   const ArenaLabelId id = static_cast<ArenaLabelId>(labels_.size());
-  labels_.push_back(label);
-  bucket.push_back(id);
+  labels_.push_back(IntervalSet::from_runs(runs));
+  label_hashes_.push_back(h);
+  label_table_.insert(slot, label_hashes_);
   stats_.unique_labels = labels_.size();
   return id;
 }
 
 bool FddArena::record_equals(const NodeRecord& r, std::uint32_t field,
                              Decision decision,
-                             const std::vector<ArenaEdge>& edges) const {
-  if (r.field != field || r.decision != decision ||
-      r.edge_count != edges.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!(edge_pool_[r.edge_begin + i] == edges[i])) {
-      return false;
-    }
-  }
-  return true;
+                             std::span<const ArenaEdge> edges) const {
+  return r.field == field && r.decision == decision &&
+         std::ranges::equal(
+             std::span(edge_pool_.data() + r.edge_begin, r.edge_count),
+             edges);
 }
 
 std::uint64_t FddArena::node_hash(std::uint32_t field, Decision decision,
@@ -90,19 +195,23 @@ std::uint64_t FddArena::node_hash(std::uint32_t field, Decision decision,
     h = mix(h, e.label);
     h = mix(h, e.target);
   }
-  return h;
+  return finish(h);
 }
 
 ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
-                                  std::vector<ArenaEdge> edges) {
+                                  std::span<const ArenaEdge> edges) {
   ++stats_.node_queries;
-  std::vector<ArenaNodeId>& bucket =
-      node_buckets_[node_hash(field, decision, edges)];
-  for (const ArenaNodeId id : bucket) {
-    if (record_equals(nodes_[id], field, decision, edges)) {
-      ++stats_.node_hits;
-      return id;
-    }
+  const std::uint64_t h = node_hash(field, decision, edges);
+  std::size_t slot = 0;
+  const ArenaNodeId found = node_table_.find(
+      h, node_hashes_,
+      [&](ArenaNodeId id) {
+        return record_equals(nodes_[id], field, decision, edges);
+      },
+      slot);
+  if (found != kNoNode) {
+    ++stats_.node_hits;
+    return found;
   }
   // Node creation is the arena's unit of memory growth and of forward
   // progress: charge the node budget and take the amortized cancellation/
@@ -120,7 +229,8 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   record.edge_count = static_cast<std::uint32_t>(edges.size());
   edge_pool_.insert(edge_pool_.end(), edges.begin(), edges.end());
   nodes_.push_back(record);
-  bucket.push_back(id);
+  node_hashes_.push_back(h);
+  node_table_.insert(slot, node_hashes_);
   stats_.unique_nodes = nodes_.size();
   return id;
 }
@@ -131,6 +241,11 @@ ArenaNodeId FddArena::terminal(Decision d) {
 
 ArenaNodeId FddArena::internal(std::size_t field,
                                std::vector<ArenaEdge> edges) {
+  return make_internal(field, edges);
+}
+
+ArenaNodeId FddArena::make_internal(std::size_t field,
+                                    std::span<ArenaEdge> edges) {
   if (field >= schema_.field_count()) {
     throw std::invalid_argument("FddArena::internal: unknown field index");
   }
@@ -141,48 +256,52 @@ ArenaNodeId FddArena::internal(std::size_t field,
             [this](const ArenaEdge& a, const ArenaEdge& b) {
               return labels_[a.label].min() < labels_[b.label].min();
             });
-  return intern_node(static_cast<std::uint32_t>(field), kAccept,
-                     std::move(edges));
+  return intern_node(static_cast<std::uint32_t>(field), kAccept, edges);
 }
 
 ArenaNodeId FddArena::canonical(std::size_t field,
                                 std::vector<ArenaEdge> edges) {
+  return make_canonical(field, edges);
+}
+
+ArenaNodeId FddArena::make_canonical(std::size_t field,
+                                     std::span<ArenaEdge> edges) {
   // Sibling merge: children are canonical, so id equality is semantic
   // equality, and edges pointing at the same child unite their labels.
-  bool any_shared = false;
-  for (std::size_t i = 1; i < edges.size() && !any_shared; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (edges[i].target == edges[j].target) {
-        any_shared = true;
-        break;
-      }
+  // Only those labels are merged, in scratch, and interned; an edge whose
+  // target is unique keeps its label id. Merged edges compact in place.
+  std::vector<Interval>& merged = scratch_.runs;
+  std::size_t count = edges.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const ArenaNodeId target = edges[i].target;
+    std::size_t j = i + 1;
+    while (j < count && edges[j].target != target) {
+      ++j;
     }
-  }
-  if (any_shared) {
-    std::vector<ArenaNodeId> targets;
-    std::vector<IntervalSet> merged;
-    for (const ArenaEdge& e : edges) {
-      const auto it = std::find(targets.begin(), targets.end(), e.target);
-      if (it == targets.end()) {
-        targets.push_back(e.target);
-        merged.push_back(labels_[e.label]);
+    if (j == count) {
+      continue;
+    }
+    const std::vector<Interval>& first = labels_[edges[i].label].intervals();
+    merged.assign(first.begin(), first.end());
+    std::size_t kept = j;
+    for (; j < count; ++j) {
+      if (edges[j].target == target) {
+        unite_into(merged, labels_[edges[j].label].intervals(),
+                   scratch_.spare);
+        merged.swap(scratch_.spare);
       } else {
-        const std::size_t k =
-            static_cast<std::size_t>(it - targets.begin());
-        merged[k] = merged[k].unite(labels_[e.label]);
+        edges[kept++] = edges[j];
       }
     }
-    edges.clear();
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      edges.push_back({intern(merged[k]), targets[k]});
-    }
+    count = kept;
+    edges[i].label = intern_runs(merged);
   }
+  edges = edges.first(count);
   // Splice: a single edge spanning the whole domain decides nothing.
-  if (edges.size() == 1 &&
-      labels_[edges[0].label] == schema_.domain_set(field)) {
+  if (count == 1 && labels_[edges[0].label] == schema_.domain_set(field)) {
     return edges[0].target;
   }
-  return internal(field, std::move(edges));
+  return make_internal(field, edges);
 }
 
 std::size_t FddArena::reachable_node_count(ArenaNodeId root) const {
@@ -300,31 +419,57 @@ Fdd FddArena::to_fdd(ArenaNodeId root) const {
 // Construction (Fig. 7) with copy-on-write appends.
 
 ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
-  if (rule.conjuncts().size() != schema_.field_count()) {
+  const std::size_t d = schema_.field_count();
+  if (rule.conjuncts().size() != d) {
     throw std::invalid_argument("append_rule: rule arity mismatch");
   }
-  // The memo makes appending the rule to a shared subdiagram an O(1)
-  // lookup, and the path cache builds the rule's decision path once per
-  // suffix instead of once per branch.
-  std::unordered_map<std::uint64_t, ArenaNodeId> memo;  // (node, field)
-  std::vector<ArenaNodeId> path(schema_.field_count() + 1, kNoNode);
+  // Per-rule state, computed once: the wildcard flags now, the conjunct's
+  // and its complement's label ids on first use. The memo makes appending
+  // the rule to a shared subdiagram an O(1) lookup, and the path cache
+  // builds the rule's decision path once per suffix instead of once per
+  // branch.
+  AppendScratch& s = scratch_;
+  s.wildcard.resize(d);
+  for (std::size_t f = 0; f < d; ++f) {
+    s.wildcard[f] = rule.conjunct(f) == schema_.domain_set(f);
+  }
+  s.conjunct.assign(d, kNoLabel);
+  s.outside.assign(d, kNoLabel);
+  s.path.assign(d + 1, kNoNode);
+  s.level.resize(d);
+  s.memo.next_rule();
+  const auto conjunct_label = [&](std::size_t f) {
+    if (s.conjunct[f] == kNoLabel) {
+      s.conjunct[f] = intern_runs(rule.conjunct(f).intervals());
+    }
+    return s.conjunct[f];
+  };
+  const auto outside_label = [&](std::size_t f) {
+    if (s.outside[f] == kNoLabel) {
+      subtract_into(schema_.domain_set(f).intervals(),
+                    rule.conjunct(f).intervals(), s.runs);
+      s.outside[f] = intern_runs(s.runs);
+    }
+    return s.outside[f];
+  };
 
   // Decision path for conjuncts[field..d-1] -> decision, wildcards skipped
   // (the canonical form would splice them out anyway).
   const auto build_path = [&](auto&& self, std::size_t f) -> ArenaNodeId {
-    if (path[f] != kNoNode) {
-      return path[f];
+    if (s.path[f] != kNoNode) {
+      return s.path[f];
     }
     ArenaNodeId result;
-    if (f == schema_.field_count()) {
+    if (f == d) {
       result = terminal(rule.decision());
-    } else if (wildcard(schema_, rule, f)) {
+    } else if (s.wildcard[f]) {
       result = self(self, f + 1);
     } else {
       const ArenaNodeId child = self(self, f + 1);
-      result = canonical(f, {{intern(rule.conjunct(f)), child}});
+      ArenaEdge edge{conjunct_label(f), child};
+      result = make_canonical(f, {&edge, 1});
     }
-    path[f] = result;
+    s.path[f] = result;
     return result;
   };
   if (root == kEmpty) {
@@ -333,70 +478,92 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
 
   // APPEND(v, rule) of Fig. 7 on ids: instead of cloning the subdiagram a
   // case-3 split copies, both halves reference it by id and only the half
-  // the rule reaches is rebuilt (copy-on-write).
+  // the rule reaches is rebuilt (copy-on-write). Labels stay ids: relate()
+  // classifies each edge against the conjunct, and only a split edge
+  // materialises its two halves.
   const auto append = [&](auto&& self, ArenaNodeId v,
                           std::size_t from) -> ArenaNodeId {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(v) << 32) | from;
-    if (const auto it = memo.find(key); it != memo.end()) {
+    ArenaNodeId result;
+    if (s.memo.find(key, result)) {
       ++stats_.append_cache_hits;
-      return it->second;
+      return result;
     }
     ++stats_.append_cache_misses;
     govern::checkpoint(govern_);
-    const std::size_t rank =
-        is_terminal(v) ? schema_.field_count() : field(v);
+    const std::size_t rank = is_terminal(v) ? d : field(v);
     std::size_t g = from;
-    while (g < rank && wildcard(schema_, rule, g)) {
+    while (g < rank && s.wildcard[g]) {
       ++g;
     }
-    ArenaNodeId result;
     if (g < rank) {
       // Node insertion: the diagram skipped field g but the rule
       // constrains it. A full-domain node is materialised and immediately
       // split against the conjunct; the off-conjunct half keeps `v` by
       // reference.
       const ArenaNodeId tail = self(self, v, g + 1);
-      const IntervalSet& s = rule.conjunct(g);
-      const IntervalSet outside = schema_.domain_set(g).subtract(s);
-      result = canonical(
-          g, {{intern(s), tail}, {intern(outside), v}});
+      ArenaEdge split[2] = {{conjunct_label(g), tail},
+                            {outside_label(g), v}};
+      result = make_canonical(g, split);
     } else if (is_terminal(v)) {
       // A packet reaching a terminal was decided by an earlier (higher
       // priority) rule; the appended rule never applies there.
       result = v;
     } else {
-      const std::size_t f = field(v);
-      const IntervalSet& s = rule.conjunct(f);
-      const std::span<const ArenaEdge> view = edges(v);
-      const std::vector<ArenaEdge> old(view.begin(), view.end());
-      IntervalSet covered;
-      for (const ArenaEdge& e : old) {
-        covered = covered.unite(labels_[e.label]);
-      }
-      const IntervalSet uncovered = s.subtract(covered);
-      std::vector<ArenaEdge> out;
-      out.reserve(old.size() + 2);
-      for (const ArenaEdge& e : old) {
-        const IntervalSet lab = labels_[e.label];
-        const IntervalSet common = lab.intersect(s);
-        if (common.empty()) {
+      const std::size_t f = rank;
+      const std::vector<Interval>& conj = rule.conjunct(f).intervals();
+      std::vector<ArenaEdge>& out = s.level[f];
+      out.clear();
+      bool overlapped = false;
+      // Recursion and interning grow the pools, so each edge and label is
+      // re-read by index rather than held across them.
+      const std::size_t edge_count = nodes_[v].edge_count;
+      for (std::size_t i = 0; i < edge_count; ++i) {
+        const ArenaEdge e = edge_pool_[nodes_[v].edge_begin + i];
+        const Relation relation = relate(labels_[e.label].intervals(), conj);
+        if (relation == Relation::kDisjoint) {
           out.push_back(e);  // case (1): untouched branch, shared by id
-        } else if (common == lab) {
+          continue;
+        }
+        overlapped = true;
+        if (relation == Relation::kInside) {
           // case (2): edge fully inside S — recurse.
           out.push_back({e.label, self(self, e.target, f + 1)});
-        } else {
-          // case (3): split; the outside half shares the old subdiagram.
-          out.push_back({intern(lab.subtract(common)), e.target});
-          out.push_back({intern(common), self(self, e.target, f + 1)});
+          continue;
+        }
+        // case (3): split; the outside half shares the old subdiagram.
+        subtract_into(labels_[e.label].intervals(), conj, s.runs);
+        const ArenaLabelId off = intern_runs(s.runs);
+        intersect_into(labels_[e.label].intervals(), conj, s.runs);
+        const ArenaLabelId on = intern_runs(s.runs);
+        out.push_back({off, e.target});
+        out.push_back({on, self(self, e.target, f + 1)});
+      }
+      // The part of S no edge covers gets the rule's decision path. A
+      // disjoint label covers none of S, so a label whose range misses
+      // what is left of S is skipped, and no union of labels is built.
+      if (!overlapped) {
+        out.push_back({conjunct_label(f), build_path(build_path, f + 1)});
+      } else {
+        s.runs.assign(conj.begin(), conj.end());
+        for (std::size_t i = 0; i < edge_count && !s.runs.empty(); ++i) {
+          const std::vector<Interval>& lab =
+              labels_[edge_pool_[nodes_[v].edge_begin + i].label].intervals();
+          if (lab.back().hi() < s.runs.front().lo() ||
+              lab.front().lo() > s.runs.back().hi()) {
+            continue;
+          }
+          subtract_into(s.runs, lab, s.spare);
+          s.runs.swap(s.spare);
+        }
+        if (!s.runs.empty()) {
+          out.push_back({intern_runs(s.runs), build_path(build_path, f + 1)});
         }
       }
-      if (!uncovered.empty()) {
-        out.push_back({intern(uncovered), build_path(build_path, f + 1)});
-      }
-      result = canonical(f, std::move(out));
+      result = make_canonical(f, out);
     }
-    memo.emplace(key, result);
+    s.memo.insert(key, result);
     return result;
   };
 
@@ -430,8 +597,10 @@ ArenaNodeId FddArena::overlay(ArenaNodeId a, ArenaNodeId b) {
   }
   const std::uint64_t key = pack_pair(a, b);
   if (const auto it = overlay_cache_.find(key); it != overlay_cache_.end()) {
+    ++stats_.overlay_cache_hits;
     return it->second;
   }
+  ++stats_.overlay_cache_misses;
   govern::checkpoint(govern_);
   // Split on the earlier-ranked field; a side that skips it reads there as
   // one full-domain edge.

@@ -183,7 +183,9 @@ class FddArena {
 
   /// Appends one rule (lowest priority) to a diagram, returning the new
   /// root. The input diagram is unchanged (ids are immutable). `root` may
-  /// be kEmpty.
+  /// be kEmpty. Labels stay ids on the walk and its scratch is the
+  /// arena's, so in steady state it allocates only for the nodes and
+  /// labels it materialises.
   ArenaNodeId append_rule(ArenaNodeId root, const Rule& rule);
 
   /// The diagram deciding like `a` wherever `a` decides and like `b`
@@ -256,29 +258,93 @@ class FddArena {
     std::uint32_t edge_count;
   };
 
+  // A unique table: ids in open addressing over a power-of-two array at
+  // most half full. The owner keeps each id's hash beside its record, so a
+  // probe checks the stored hash before full equality decides, and growing
+  // re-buckets without rehashing a record.
+  class IdTable {
+   public:
+    /// The id whose hash is `h` and for which `same(id)` holds, or -1;
+    /// `slot` receives where insert() puts a miss.
+    template <typename Same>
+    std::uint32_t find(std::uint64_t h,
+                       const std::vector<std::uint64_t>& hashes, Same&& same,
+                       std::size_t& slot) const;
+    /// Records the newest id, whose hash is hashes.back(), at the `slot`
+    /// find() gave for it.
+    void insert(std::size_t slot, const std::vector<std::uint64_t>& hashes);
+
+   private:
+    std::vector<std::uint32_t> slots_;
+  };
+
+  // The append walk's memo, (node, from-field) -> result for the rule
+  // being appended: open addressing at most half full. A slot counts only
+  // while it carries the current rule's stamp, so each rule starts empty
+  // without clearing; the stamps reset when the counter wraps.
+  class StampedMemo {
+   public:
+    void next_rule();
+    bool find(std::uint64_t key, ArenaNodeId& value) const;
+    void insert(std::uint64_t key, ArenaNodeId value);
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      ArenaNodeId value = 0;
+      std::uint32_t stamp = 0;
+    };
+    std::vector<Slot> slots_;
+    std::uint32_t stamp_ = 0;
+    std::size_t live_ = 0;
+  };
+
+  // Construction scratch, reused by every append_rule. Only non-const
+  // methods touch it, so concurrent readers of a built arena never do.
+  struct AppendScratch {
+    std::vector<char> wildcard;          // per field, for the current rule
+    std::vector<ArenaLabelId> conjunct;  // per field, interned on first use
+    std::vector<ArenaLabelId> outside;   // per field: domain \ conjunct
+    std::vector<ArenaNodeId> path;       // per field + 1: decision paths
+    // Out edges per field level: a visit at field f recurses only into
+    // fields > f, so each level has at most one visit filling its buffer.
+    std::vector<std::vector<ArenaEdge>> level;
+    std::vector<Interval> runs;   // kernel output
+    std::vector<Interval> spare;  // its ping-pong partner
+    StampedMemo memo;
+  };
+
   static std::uint64_t node_hash(std::uint32_t field, Decision decision,
                                  std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
-                          std::vector<ArenaEdge> edges);
+                          std::span<const ArenaEdge> edges);
   bool record_equals(const NodeRecord& r, std::uint32_t field,
                      Decision decision,
-                     const std::vector<ArenaEdge>& edges) const;
+                     std::span<const ArenaEdge> edges) const;
+  /// Interns a label given as canonical runs.
+  ArenaLabelId intern_runs(std::span<const Interval> runs);
+  /// canonical() and internal() on a caller-owned buffer: merging
+  /// compacts the edges in place and sorting reorders them.
+  ArenaNodeId make_canonical(std::size_t field, std::span<ArenaEdge> edges);
+  ArenaNodeId make_internal(std::size_t field, std::span<ArenaEdge> edges);
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
 
   Schema schema_;
   std::vector<NodeRecord> nodes_;
   std::vector<ArenaEdge> edge_pool_;
   std::vector<IntervalSet> labels_;
-  // Hash buckets for the unique/label tables; hashes bucket candidates,
-  // full equality decides.
-  std::unordered_map<std::uint64_t, std::vector<ArenaNodeId>> node_buckets_;
-  std::unordered_map<std::uint64_t, std::vector<ArenaLabelId>> label_buckets_;
+  // Unique tables: one stored hash per id, full equality decides.
+  std::vector<std::uint64_t> node_hashes_;
+  std::vector<std::uint64_t> label_hashes_;
+  IdTable node_table_;
+  IdTable label_table_;
   // Memo caches, keyed on packed id pairs / id tuples. Ids are immutable,
   // so entries stay valid for the arena's lifetime.
   std::unordered_map<std::uint64_t, std::pair<ArenaNodeId, ArenaNodeId>>
       shape_cache_;
   std::unordered_map<std::uint64_t, bool> equiv_cache_;
   std::unordered_map<std::uint64_t, ArenaNodeId> overlay_cache_;
+  AppendScratch scratch_;
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection

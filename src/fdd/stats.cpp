@@ -72,7 +72,10 @@ std::string to_string(const ArenaStats& s) {
          rate(s.compare_cache_hits,
               s.compare_cache_hits + s.compare_cache_misses) +
          " equiv_hit=" +
-         rate(s.equiv_cache_hits, s.equiv_cache_hits + s.equiv_cache_misses);
+         rate(s.equiv_cache_hits, s.equiv_cache_hits + s.equiv_cache_misses) +
+         " overlay_hit=" +
+         rate(s.overlay_cache_hits,
+              s.overlay_cache_hits + s.overlay_cache_misses);
 }
 
 }  // namespace dfw

@@ -45,6 +45,8 @@ struct ArenaStats {
   std::size_t compare_cache_misses = 0;
   std::size_t equiv_cache_hits = 0;     ///< semi-isomorphism memo hits
   std::size_t equiv_cache_misses = 0;
+  std::size_t overlay_cache_hits = 0;   ///< first-match overlay memo hits
+  std::size_t overlay_cache_misses = 0;
 
   friend bool operator==(const ArenaStats&, const ArenaStats&) = default;
 };

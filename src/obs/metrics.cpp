@@ -256,6 +256,10 @@ void absorb(MetricsRegistry& registry, const ArenaStats& stats) {
   registry.counter("fdd.arena.equiv_cache_hits").add(stats.equiv_cache_hits);
   registry.counter("fdd.arena.equiv_cache_misses")
       .add(stats.equiv_cache_misses);
+  registry.counter("fdd.arena.overlay_cache_hits")
+      .add(stats.overlay_cache_hits);
+  registry.counter("fdd.arena.overlay_cache_misses")
+      .add(stats.overlay_cache_misses);
 }
 
 void absorb(MetricsRegistry& registry, const RunContext& context) {

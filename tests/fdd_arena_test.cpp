@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
 #include "fdd/reduce.hpp"
 #include "fdd/shape.hpp"
 #include "gen/generate.hpp"
+#include "rt/fault.hpp"
 #include "rt/govern.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
@@ -97,6 +99,98 @@ TEST(FddArena, BuildReducedMatchesTreeReducedPipeline) {
     for (const Packet& p : test::all_packets(schema)) {
       EXPECT_EQ(arena.evaluate(root, p), policy.evaluate(p));
     }
+  }
+}
+
+TEST(FddArena, BuildReducedMatchesReferenceOnSynthPolicies) {
+  // At five-tuple scale, in one arena: build_reduced lands on the id of
+  // the paper-literal reduced tree, and on the id of the forward fold
+  // overlay(p_k, path(r_k)) that reaches it by another route.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t rules;
+  };
+  const Schema schema = five_tuple_schema();
+  FddArena arena(schema);
+  for (const Case c : {Case{1, 200}, Case{2, 200}, Case{3, 200},
+                       Case{1, 400}}) {
+    SynthConfig config;
+    config.num_rules = c.rules;
+    Rng rng(c.seed);
+    const Policy base = synth_policy(config, rng);
+    for (const Policy& policy : {base, perturb_policy(base, 10.0, rng)}) {
+      const ArenaNodeId root = arena.build_reduced(policy);
+      EXPECT_EQ(arena.from_tree_canonical(test::reference_fdd(policy).root()),
+                root)
+          << "seed " << c.seed << ", " << c.rules << " rules";
+      ArenaNodeId fold = FddArena::kEmpty;
+      for (const Rule& rule : policy.rules()) {
+        fold = arena.overlay(fold,
+                             arena.append_rule(FddArena::kEmpty, rule));
+      }
+      EXPECT_EQ(fold, root) << "seed " << c.seed << ", " << c.rules
+                            << " rules";
+    }
+  }
+}
+
+TEST(FddArena, ConstructionRecoversAfterAnUnwind) {
+  // A breach or a fault unwinds the append walk with its scratch (memo
+  // stamps, level buffers, per-rule label ids) mid-use. The same arena
+  // must then build exactly what a fresh one does, and charge exactly the
+  // nodes it materialises.
+  SynthConfig config;
+  config.num_rules = 400;
+  Rng rng(1);
+  const Policy policy = synth_policy(config, rng);
+  const Policy other = perturb_policy(policy, 10.0, rng);
+
+  RunContext idle;
+  FddArena fresh(policy.schema());
+  fresh.set_context(&idle);
+  const ArenaNodeId expected = fresh.build_reduced(policy);
+  EXPECT_EQ(idle.nodes_charged(), fresh.unique_node_count());
+
+  const auto recovers = [&](FddArena& arena, const std::string& what) {
+    arena.set_context(nullptr);
+    arena.set_faults(nullptr);
+    EXPECT_EQ(fresh.import(arena, arena.build_reduced(policy)), expected)
+        << what;
+    RunContext governed;
+    arena.set_context(&governed);
+    const std::size_t held = arena.unique_node_count();
+    arena.build_reduced(other);
+    EXPECT_EQ(governed.nodes_charged(), arena.unique_node_count() - held)
+        << what;
+  };
+  for (const std::size_t budget : {5u, 50u, 500u, 1500u, 2500u}) {
+    const std::string what = "node budget " + std::to_string(budget);
+    RunContext tight = RunContext::with_budgets({.max_nodes = budget});
+    FddArena arena(policy.schema());
+    arena.set_context(&tight);
+    try {
+      arena.build_reduced(policy);
+      ADD_FAILURE() << what << ": expected a breach";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kNodeBudgetExceeded) << what;
+    }
+    recovers(arena, what);
+  }
+  for (const std::uint64_t fire_on : {3u, 300u, 2000u}) {
+    const std::string what = "fault on hit " + std::to_string(fire_on);
+    FaultSpec spec;
+    spec.site = fault::sites::kArenaAlloc;
+    spec.fire_on = fire_on;
+    FaultPlan plan(1, {spec});
+    FddArena arena(policy.schema());
+    arena.set_faults(&plan);
+    try {
+      arena.build_reduced(policy);
+      ADD_FAILURE() << what << ": expected a fault";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kFaultInjected) << what;
+    }
+    recovers(arena, what);
   }
 }
 

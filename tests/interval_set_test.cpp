@@ -5,6 +5,7 @@
 
 #include <random>
 #include <set>
+#include <vector>
 
 #include "net/interval_set.hpp"
 
@@ -136,6 +137,64 @@ TEST(IntervalSet, UniteIntersectSubtractAgainstBruteForce) {
       EXPECT_EQ(md.count(v) > 0, in_a && !in_b) << "subtract at " << v;
     }
   }
+}
+
+// The canonical runs of the values v in [base, base + 7] whose bit
+// (v - base) is set in `mask`.
+std::vector<Interval> runs_of(unsigned mask, Value base) {
+  std::vector<Interval> runs;
+  for (unsigned bit = 0; bit < 8;) {
+    if ((mask >> bit & 1u) == 0) {
+      ++bit;
+      continue;
+    }
+    unsigned end = bit;
+    while (end + 1 < 8 && (mask >> (end + 1) & 1u) != 0) {
+      ++end;
+    }
+    runs.emplace_back(base + bit, base + end);
+    bit = end + 1;
+  }
+  return runs;
+}
+
+TEST(IntervalSet, SpanKernelsAgainstBitmaskModel) {
+  // Every pair of subsets of an 8-value universe, once near 0 and once
+  // ending at UINT64_MAX, where a careless `hi + 1` overflows.
+  std::vector<Interval> out;
+  for (const Value base : {Value{0}, UINT64_MAX - 7}) {
+    for (unsigned a = 0; a < 256; ++a) {
+      const std::vector<Interval> ra = runs_of(a, base);
+      const IntervalSet sa = IntervalSet::from_runs(ra);
+      for (unsigned b = 0; b < 256; ++b) {
+        const std::vector<Interval> rb = runs_of(b, base);
+        const IntervalSet sb = IntervalSet::from_runs(rb);
+        const Relation expected = (a & b) == 0    ? Relation::kDisjoint
+                                  : (a & ~b) == 0 ? Relation::kInside
+                                                  : Relation::kSplit;
+        ASSERT_EQ(relate(ra, rb), expected) << a << " vs " << b;
+        // Compared with the model's canonical runs, so canonical too.
+        intersect_into(ra, rb, out);
+        ASSERT_EQ(out, runs_of(a & b, base)) << a << " & " << b;
+        subtract_into(ra, rb, out);
+        ASSERT_EQ(out, runs_of(a & ~b, base)) << a << " - " << b;
+        unite_into(ra, rb, out);
+        ASSERT_EQ(out, runs_of(a | b, base)) << a << " | " << b;
+        ASSERT_EQ(sa.overlaps(sb), (a & b) != 0) << a << " vs " << b;
+        ASSERT_EQ(sa.contains(sb), (b & ~a) == 0) << a << " vs " << b;
+      }
+    }
+  }
+}
+
+TEST(IntervalSet, FromRunsRejectsNonCanonicalRuns) {
+  const std::vector<Interval> adjacent{Interval(0, 3), Interval(4, 6)};
+  const std::vector<Interval> unsorted{Interval(5, 6), Interval(0, 3)};
+  EXPECT_THROW(IntervalSet::from_runs(adjacent), std::invalid_argument);
+  EXPECT_THROW(IntervalSet::from_runs(unsorted), std::invalid_argument);
+  const std::vector<Interval> runs{Interval(0, 3), Interval(5, 6)};
+  EXPECT_EQ(IntervalSet::from_runs(runs),
+            (IntervalSet{Interval(0, 3), Interval(5, 6)}));
 }
 
 TEST(IntervalSet, ResultsAreCanonical) {

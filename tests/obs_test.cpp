@@ -17,6 +17,7 @@
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
 #include "gen/generate.hpp"
+#include "gen/redundancy.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
 #include "rt/executor.hpp"
@@ -423,6 +424,37 @@ TEST(MetricsTest, AbsorbUnifiesLegacyStructsUnderDottedNames) {
   absorb(registry, arena.stats());
   EXPECT_EQ(registry.snapshot().counters.at("fdd.arena.unique_nodes"),
             2 * once);
+}
+
+TEST(MetricsTest, OverlayMemoIsCounted) {
+  // redundant_rules keeps its arena to itself, so the test runs the
+  // oracle's walk (gen/redundancy.cpp) on an arena it holds: canonical
+  // prefix roots, then suffix roots folded back to front, each rule tested
+  // by one overlay. Its verdicts are redundant_rules'.
+  const Policy policy = synth(120, 5);
+  FddArena arena(policy.schema());
+  std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+  for (const Rule& rule : policy.rules()) {
+    prefix.push_back(arena.append_rule(prefix.back(), rule));
+  }
+  std::vector<std::size_t> redundant;
+  ArenaNodeId suffix = FddArena::kEmpty;
+  for (std::size_t k = policy.size(); k-- > 0;) {
+    if (prefix[k + 1] == prefix[k] ||
+        arena.overlay(prefix[k], suffix) == prefix.back()) {
+      redundant.insert(redundant.begin(), k);
+    }
+    suffix = arena.overlay(
+        arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix);
+  }
+  EXPECT_EQ(redundant, redundant_rules(policy));
+
+  MetricsRegistry registry;
+  absorb(registry, arena.stats());
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_GT(snap.counters.at("fdd.arena.overlay_cache_hits"), 0u);
+  EXPECT_GT(snap.counters.at("fdd.arena.overlay_cache_misses"), 0u);
+  EXPECT_NE(to_string(arena.stats()).find("overlay_hit="), std::string::npos);
 }
 
 // -- Executor quiescence (satellite 1) ---------------------------------------
