@@ -1,6 +1,6 @@
 #include "analysis/anomaly.hpp"
 
-#include "fdd/arena.hpp"
+#include "analysis/policy_analysis.hpp"
 #include "fw/format.hpp"
 #include "rt/executor.hpp"
 #include "rt/govern.hpp"
@@ -116,24 +116,7 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
 
 std::vector<std::size_t> dead_rules(const Policy& policy,
                                     const AnomalyOptions& options) {
-  PhaseSpan span(options.run.obs, "dead_rules");
-  std::vector<std::size_t> dead;
-  // Fold the rules into the canonical prefix roots of one arena: p_i
-  // decides exactly the packets some rule in [0, i) matches. Rule i is
-  // dead iff it decides no packet more, and canonical ids make that an
-  // id comparison: p_{i+1} == p_i.
-  FddArena arena(policy.schema());
-  arena.set_context(options.run.context);
-  ArenaNodeId prefix = FddArena::kEmpty;
-  for (std::size_t i = 0; i < policy.size(); ++i) {
-    govern::checkpoint(options.run.context);
-    const ArenaNodeId next = arena.append_rule(prefix, policy.rule(i));
-    if (next == prefix) {
-      dead.push_back(i);
-    }
-    prefix = next;
-  }
-  return dead;
+  return PolicyAnalysis(policy, options.run.context, options.run.obs).dead();
 }
 
 std::string format_anomaly_report(const Policy& policy,

@@ -66,11 +66,12 @@ struct AnomalyOptions {
   /// its own slot and concatenated in row order, so the result is
   /// bit-identical to the serial scan at every thread count.
   /// `run.context` (borrowed, nullable): the pair scan takes amortized
-  /// cancellation/deadline checkpoints per pair; dead_rules additionally
-  /// charges every prefix-diagram node it materialises against the node
-  /// budget. A breach throws dfw::Error (from the batch join under an
-  /// executor). `run.obs` (borrowed, nullable sinks): the scans run under
-  /// "anomaly_pairs" / "dead_rules" phase spans. Null sinks are free.
+  /// cancellation/deadline checkpoints per pair; dead_rules takes one per
+  /// rule and charges every prefix-diagram node it materialises against
+  /// the node budget. A breach throws dfw::Error (from the batch join under
+  /// an executor). `run.obs` (borrowed, nullable sinks): the pair scan runs
+  /// under an "anomaly_pairs" phase span, dead_rules' chain under a
+  /// "prefix_roots" one. Null sinks are free.
   RunOptions run = {};
 
   /// Rows of the pair triangle handed to one executor task. Row j costs
@@ -84,10 +85,10 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
                                     const AnomalyOptions& options = {});
 
 /// Indices of *dead* rules: rules no packet ever first-matches (fully
-/// masked by the rules above them). Exact, via one incremental Fig. 7
-/// append pass in a hash-consed FddArena (fdd/arena.hpp): rule i is dead
-/// iff appending it leaves the canonical prefix root unchanged. Dead
-/// rules are a strict subset of rules flagged by shadowing/redundancy-pair
+/// masked by the rules above them). Exact: PolicyAnalysis::dead() in a
+/// fresh arena (analysis/policy_analysis.hpp), rule i being dead iff
+/// appending it leaves the canonical prefix root unchanged. Dead rules are
+/// a strict subset of rules flagged by shadowing/redundancy-pair
 /// anomalies.
 std::vector<std::size_t> dead_rules(const Policy& policy,
                                     const AnomalyOptions& options = {});

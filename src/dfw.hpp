@@ -9,6 +9,7 @@
 #include "adapters/emit.hpp"      // IWYU pragma: export
 #include "adapters/iptables.hpp"  // IWYU pragma: export
 #include "analysis/anomaly.hpp"   // IWYU pragma: export
+#include "analysis/policy_analysis.hpp"  // IWYU pragma: export
 #include "analysis/property.hpp"  // IWYU pragma: export
 #include "bdd/bdd.hpp"            // IWYU pragma: export
 #include "bdd/packet_encode.hpp"  // IWYU pragma: export

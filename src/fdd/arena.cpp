@@ -12,6 +12,8 @@ namespace {
 
 constexpr ArenaNodeId kNoNode = static_cast<ArenaNodeId>(-1);
 constexpr ArenaLabelId kNoLabel = static_cast<ArenaLabelId>(-1);
+// IdPairMemo's vacant slot: the key of two kNoNode ids.
+constexpr std::uint64_t kVacantKey = ~std::uint64_t{0};
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -36,10 +38,6 @@ std::uint64_t hash_runs(std::span<const Interval> runs) {
     h = mix(h, iv.hi());
   }
   return finish(h);
-}
-
-std::uint64_t pack_pair(ArenaNodeId a, ArenaNodeId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
 }  // namespace
@@ -141,6 +139,42 @@ void FddArena::StampedMemo::insert(std::uint64_t key, ArenaNodeId value) {
     i = (i + 1) & mask;
   }
   slots_[i] = {key, value, stamp_};
+  ++live_;
+}
+
+bool IdPairMemo::find(std::uint64_t key, ArenaNodeId& value) const {
+  if (slots_.empty()) {
+    return false;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = finish(key) & mask; slots_[i].key != kVacantKey;
+       i = (i + 1) & mask) {
+    if (slots_[i].key == key) {
+      value = slots_[i].value;
+      return true;
+    }
+  }
+  return false;
+}
+
+void IdPairMemo::insert(std::uint64_t key, ArenaNodeId value) {
+  if ((live_ + 1) * 2 > slots_.size()) {
+    std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 64),
+                          Slot{kVacantKey, 0});
+    old.swap(slots_);
+    live_ = 0;
+    for (const Slot& s : old) {
+      if (s.key != kVacantKey) {
+        insert(s.key, s.value);
+      }
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = finish(key) & mask;
+  while (slots_[i].key != kVacantKey) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = {key, value};
   ++live_;
 }
 
@@ -592,62 +626,87 @@ ArenaNodeId FddArena::overlay(ArenaNodeId a, ArenaNodeId b) {
   if (a == kEmpty || b == kEmpty) {
     return a == kEmpty ? b : a;
   }
+  overlay_levels_.resize(schema_.field_count());
+  return overlay_nodes(a, b);
+}
+
+ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
   if (a == b || is_terminal(a)) {
     return a;  // `a` decides every packet that reaches it
   }
-  const std::uint64_t key = pack_pair(a, b);
-  if (const auto it = overlay_cache_.find(key); it != overlay_cache_.end()) {
+  const std::uint64_t key = IdPairMemo::key(a, b);
+  ArenaNodeId result;
+  if (overlay_cache_.find(key, result)) {
     ++stats_.overlay_cache_hits;
-    return it->second;
+    return result;
   }
   ++stats_.overlay_cache_misses;
   govern::checkpoint(govern_);
   // Split on the earlier-ranked field; a side that skips it reads there as
-  // one full-domain edge.
+  // one full-domain edge. Edges are read by index, because recursion and
+  // interning grow the pools.
   const std::size_t f =
       is_terminal(b) ? field(a) : std::min(field(a), field(b));
-  const auto edges_at = [&](ArenaNodeId n) -> std::vector<ArenaEdge> {
+  struct Side {
+    std::uint32_t begin;  // into edge_pool_, when the node tests f
+    std::uint32_t count;
+    ArenaEdge lone;  // the domain edge when it skips f; else label kNoLabel
+  };
+  const auto side = [&](ArenaNodeId n) -> Side {
     if (!is_terminal(n) && field(n) == f) {
-      const std::span<const ArenaEdge> view = edges(n);
-      return {view.begin(), view.end()};
+      return {nodes_[n].edge_begin, nodes_[n].edge_count, {kNoLabel, n}};
     }
-    return {{intern(schema_.domain_set(f)), n}};
+    return {0, 1, {intern(schema_.domain_set(f)), n}};
   };
-  const std::vector<ArenaEdge> a_edges = edges_at(a);
-  const std::vector<ArenaEdge> b_edges = edges_at(b);
-  const auto covered = [&](const std::vector<ArenaEdge>& side) {
-    IntervalSet all;
-    for (const ArenaEdge& e : side) {
-      all = all.unite(labels_[e.label]);
+  const auto edge = [&](const Side& s, std::uint32_t i) {
+    return s.lone.label == kNoLabel ? edge_pool_[s.begin + i] : s.lone;
+  };
+  const auto cover = [&](const Side& s, std::vector<Interval>& out) {
+    out.clear();
+    for (std::uint32_t i = 0; i < s.count; ++i) {
+      unite_into(out, labels_[edge(s, i).label].intervals(), scratch_.spare);
+      out.swap(scratch_.spare);
     }
-    return all;
   };
-  const IntervalSet a_covered = covered(a_edges);
-  const IntervalSet b_covered = covered(b_edges);
+  const Side sa = side(a);
+  const Side sb = side(b);
+  OverlayLevel& level = overlay_levels_[f];
+  cover(sa, level.a_cover);
+  cover(sb, level.b_cover);
   // Where both sides decide, overlay their children; where one side alone
-  // does, its child stands; where neither does, no edge.
-  std::vector<ArenaEdge> out;
-  for (const ArenaEdge& ea : a_edges) {
-    const IntervalSet lab = labels_[ea.label];  // intern() may reallocate
-    for (const ArenaEdge& eb : b_edges) {
-      const IntervalSet common = lab.intersect(labels_[eb.label]);
-      if (!common.empty()) {
-        out.push_back({intern(common), overlay(ea.target, eb.target)});
+  // does, its child stands; where neither does, no edge. A pair whose
+  // label ranges miss shares nothing.
+  std::vector<Interval>& runs = scratch_.runs;
+  level.out.clear();
+  for (std::uint32_t i = 0; i < sa.count; ++i) {
+    const ArenaEdge ea = edge(sa, i);
+    for (std::uint32_t j = 0; j < sb.count; ++j) {
+      const ArenaEdge eb = edge(sb, j);
+      const IntervalSet& la = labels_[ea.label];
+      const IntervalSet& lb = labels_[eb.label];
+      if (la.max() < lb.min() || lb.max() < la.min()) {
+        continue;
+      }
+      intersect_into(la.intervals(), lb.intervals(), runs);
+      if (!runs.empty()) {
+        const ArenaLabelId common = intern_runs(runs);
+        level.out.push_back({common, overlay_nodes(ea.target, eb.target)});
       }
     }
-    const IntervalSet a_only = lab.subtract(b_covered);
-    if (!a_only.empty()) {
-      out.push_back({intern(a_only), ea.target});
+    subtract_into(labels_[ea.label].intervals(), level.b_cover, runs);
+    if (!runs.empty()) {
+      level.out.push_back({intern_runs(runs), ea.target});
     }
   }
-  for (const ArenaEdge& eb : b_edges) {
-    const IntervalSet b_only = labels_[eb.label].subtract(a_covered);
-    if (!b_only.empty()) {
-      out.push_back({intern(b_only), eb.target});
+  for (std::uint32_t j = 0; j < sb.count; ++j) {
+    const ArenaEdge eb = edge(sb, j);
+    subtract_into(labels_[eb.label].intervals(), level.a_cover, runs);
+    if (!runs.empty()) {
+      level.out.push_back({intern_runs(runs), eb.target});
     }
   }
-  const ArenaNodeId result = canonical(f, std::move(out));
-  overlay_cache_.emplace(key, result);
+  result = make_canonical(f, level.out);
+  overlay_cache_.insert(key, result);
   return result;
 }
 
@@ -660,7 +719,7 @@ std::pair<ArenaNodeId, ArenaNodeId> FddArena::shape_pair(ArenaNodeId a,
     // Identical subdiagrams are already semi-isomorphic and aligned.
     return {a, b};
   }
-  const std::uint64_t key = pack_pair(a, b);
+  const std::uint64_t key = IdPairMemo::key(a, b);
   if (const auto it = shape_cache_.find(key); it != shape_cache_.end()) {
     ++stats_.shape_cache_hits;
     return it->second;
@@ -750,7 +809,7 @@ bool FddArena::semi_isomorphic(ArenaNodeId a, ArenaNodeId b) {
   if (a == b) {
     return true;
   }
-  const std::uint64_t key = pack_pair(a, b);
+  const std::uint64_t key = IdPairMemo::key(a, b);
   if (const auto it = equiv_cache_.find(key); it != equiv_cache_.end()) {
     ++stats_.equiv_cache_hits;
     return it->second;

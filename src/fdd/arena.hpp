@@ -73,6 +73,30 @@ struct ArenaIdTupleHash {
   std::size_t operator()(const std::vector<ArenaNodeId>& ids) const;
 };
 
+/// A memo from pairs of ids to node ids: the pair packed into one 64-bit
+/// key, open addressing over a power-of-two array at most half full. It is
+/// never reset: ids are immutable, so an entry stays valid for as long as
+/// the arena whose ids it holds. Lookups and hits never allocate.
+class IdPairMemo {
+ public:
+  static std::uint64_t key(std::uint32_t a, std::uint32_t b) {
+    return (static_cast<std::uint64_t>(a) << 32) | b;
+  }
+  /// The value stored under `key`, when there is one.
+  bool find(std::uint64_t key, ArenaNodeId& value) const;
+  /// Stores `value` under a `key` not stored yet. The key of two all-ones
+  /// ids marks vacant slots and is never stored.
+  void insert(std::uint64_t key, ArenaNodeId value);
+
+ private:
+  struct Slot {
+    std::uint64_t key;
+    ArenaNodeId value;
+  };
+  std::vector<Slot> slots_;
+  std::size_t live_ = 0;
+};
+
 class RunContext;
 class FaultPlan;
 
@@ -192,7 +216,10 @@ class FddArena {
   /// elsewhere: `a`'s rules followed by `b`'s, first match, undecided
   /// exactly where both are. Either side may be kEmpty. Canonical when
   /// both sides are, so its id is the one append_rule would reach for the
-  /// concatenated rules. Memoised on (a, b) for the arena's lifetime.
+  /// concatenated rules. Memoised on (a, b) for the arena's lifetime. Like
+  /// append_rule, it works on label ids in the arena's scratch, so in
+  /// steady state it allocates only for the nodes and labels it
+  /// materialises.
   ArenaNodeId overlay(ArenaNodeId a, ArenaNodeId b);
 
   /// NODE_SHAPING (Fig. 10) over ids: returns the semi-isomorphic pair.
@@ -314,6 +341,15 @@ class FddArena {
     StampedMemo memo;
   };
 
+  // Overlay scratch for one field level. A visit at field f recurses only
+  // into fields > f, so each level has at most one live visit; what it
+  // keeps across its recursive calls lives here.
+  struct OverlayLevel {
+    std::vector<ArenaEdge> out;        // the visit's out edges
+    std::vector<Interval> a_cover;     // union of the first side's labels
+    std::vector<Interval> b_cover;     // union of the second side's labels
+  };
+
   static std::uint64_t node_hash(std::uint32_t field, Decision decision,
                                  std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
@@ -328,6 +364,8 @@ class FddArena {
   ArenaNodeId make_canonical(std::size_t field, std::span<ArenaEdge> edges);
   ArenaNodeId make_internal(std::size_t field, std::span<ArenaEdge> edges);
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
+  /// overlay() on two nodes (neither kEmpty).
+  ArenaNodeId overlay_nodes(ArenaNodeId a, ArenaNodeId b);
 
   Schema schema_;
   std::vector<NodeRecord> nodes_;
@@ -343,8 +381,9 @@ class FddArena {
   std::unordered_map<std::uint64_t, std::pair<ArenaNodeId, ArenaNodeId>>
       shape_cache_;
   std::unordered_map<std::uint64_t, bool> equiv_cache_;
-  std::unordered_map<std::uint64_t, ArenaNodeId> overlay_cache_;
+  IdPairMemo overlay_cache_;
   AppendScratch scratch_;
+  std::vector<OverlayLevel> overlay_levels_;  // one per field
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection
@@ -352,7 +391,11 @@ class FddArena {
 
 /// An immutable diagram handle: a root in an arena nobody changes any
 /// more. Copies share the arena, so any number of consumers, on any
-/// threads, can read one built diagram.
+/// threads, can read one built diagram. The exception is a
+/// PolicyAnalysis's diagram (analysis/policy_analysis.hpp): its root is
+/// immutable, but its arena is the analysis's, which the owner may still
+/// append to (lint's redundancy pass does), so only the owner's thread
+/// reads it.
 struct ArenaDiagram {
   std::shared_ptr<const FddArena> arena;
   ArenaNodeId root = 0;

@@ -259,6 +259,9 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
     device_run.context = ctx;
     device_run.obs = obs;
 
+    // Simplify's analysis of the policy it returns goes on to lint, so
+    // the device's arena serves both; this task owns it throughout.
+    std::optional<PolicyAnalysis> analysis;
     if (options.simplify) {
       SimplifyOptions simplify_options = options.simplify_options;
       simplify_options.run = device_run;
@@ -270,6 +273,7 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
         return;
       }
       policy.emplace(std::move(outcome.policy));
+      analysis = std::move(outcome.analysis);
     } else {
       dev.simplify.rules_before = policy->size();
       dev.simplify.rules_after = policy->size();
@@ -278,6 +282,7 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
     input.policy = &*policy;
     input.decisions = &default_decisions();
     input.source_name = dev.item.path;
+    input.analysis = analysis ? &*analysis : nullptr;
     lint::LintOptions lint_options;
     lint_options.passes = options.lint.passes;
     lint_options.disabled = options.lint.disabled;

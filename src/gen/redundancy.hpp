@@ -3,27 +3,14 @@
 // method 2 (Section 6.2).
 //
 // A rule is redundant iff removing it does not change the firewall's
-// mapping from packets to decisions. We decide that definitionally in one
-// hash-consed FddArena per policy, where canonical roots are equal iff the
-// (partial) functions are, so each test is an id comparison. Two kinds of
-// root meet there:
-//
-//   * the prefix roots p_0..p_n, p_k built from rules [0, k) by
-//     build_reduced's own append loop;
-//   * the suffix roots, S_k for rules [k, n), grown back to front as
-//     S_k = overlay(path(r_k), S_{k+1}), path(r) being the rule's lone
-//     decision path and S_n the empty diagram.
-//
-// Dropping rule k leaves rules [0, k) in front of rules (k, n), a sequence
-// whose diagram is FddArena::overlay(p_k, S_{k+1}) (Hazelhurst's reading
-// of an access list as nested if-then-else). So rule k is redundant iff
-// that overlay is p_n, which holds at once when rule k is dead
-// (p_{k+1} == p_k), and every entry point is one back-to-front pass.
-// remove_redundant makes the same pass, leaving out of the suffix each
-// rule it drops. Because p_k does not change when a later rule goes, each
-// test is against the current sequence; and dropping an earlier rule never
-// makes a kept one redundant (the packet that needed it still first-matches
-// it), so the one pass leaves no redundant rule (a maximal removal set).
+// mapping from packets to decisions. Each entry point is a thin wrapper
+// over a PolicyAnalysis (analysis/policy_analysis.hpp) in a fresh arena,
+// which decides that definitionally on canonical roots: rule k is
+// redundant iff the prefix roots before it overlaid on the suffix roots
+// after it give the whole policy's root, and every entry point is one
+// back-to-front pass. remove_redundant makes the same pass, leaving out of
+// the suffix each rule it drops, which leaves no redundant rule (a maximal
+// removal set).
 //
 // All three are defined for comprehensive policies: a policy that lets
 // some packet fall through has no redundant rule here (is_redundant is

@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "lint/passes.hpp"
+#include "obs/metrics.hpp"
+#include "rt/fault.hpp"
 
 namespace dfw::lint {
 
@@ -18,28 +20,52 @@ std::size_t LintReport::count(Severity severity) const {
 }
 
 PassState::PassState(const LintInput& in, const LintOptions& opts)
-    : input(in), options(opts) {}
+    : input(in), options(opts) {
+  if (input.analysis != nullptr) {
+    analysis_ = input.analysis;
+    arena_ = analysis_->shared();
+    caller_context_ = arena_->arena.context();
+    caller_faults_ = arena_->arena.faults();
+    arena_->arena.set_context(options.run.context);
+    arena_->arena.set_faults(options.run.faults);
+  }
+}
+
+PassState::~PassState() {
+  if (arena_ == nullptr) {
+    return;
+  }
+  if (MetricsRegistry* metrics = options.run.obs.metrics) {
+    absorb(*metrics, arena_->arena.stats());
+  }
+  if (input.analysis != nullptr) {
+    arena_->arena.set_context(caller_context_);
+    arena_->arena.set_faults(caller_faults_);
+  }
+}
+
+PolicyAnalysis& PassState::analysis() {
+  if (analysis_ == nullptr) {
+    const RunOptions& run = options.run;
+    ScopedSpan span(run.obs.tracer, "build_reduced_fdd", "rules",
+                    input.policy->size());
+    fault::hit(run.faults, fault::sites::kConstructPhase);
+    arena_ = std::make_shared<AnalysisArena>(input.policy->schema());
+    arena_->arena.set_context(run.context);
+    arena_->arena.set_faults(run.faults);
+    analysis_ = &own_.emplace(arena_, *input.policy, run.obs);
+  }
+  return *analysis_;
+}
 
 const ArenaDiagram& PassState::diagram() {
   if (!diagram_) {
-    diagram_.emplace(build_diagram(*input.policy, options.run));
+    diagram_.emplace(analysis().diagram());
   }
   return *diagram_;
 }
 
-bool PassState::comprehensive() {
-  if (!checked_complete_) {
-    const ArenaDiagram& built = diagram();
-    checked_complete_ = true;
-    try {
-      built.arena->validate(built.root);
-      comprehensive_ = true;
-    } catch (const std::logic_error&) {
-      comprehensive_ = false;
-    }
-  }
-  return comprehensive_;
-}
+bool PassState::comprehensive() { return analysis().comprehensive(); }
 
 LintEngine::LintEngine() : passes_(builtin_passes()) {}
 
@@ -59,6 +85,12 @@ LintReport LintEngine::run(const LintInput& input,
                            const LintOptions& options) const {
   if (input.policy == nullptr || input.decisions == nullptr) {
     throw std::invalid_argument("LintEngine::run: policy and decisions");
+  }
+  if (input.analysis != nullptr &&
+      !(input.analysis->policy().schema() == input.policy->schema() &&
+        input.analysis->policy().rules() == input.policy->rules())) {
+    throw std::invalid_argument(
+        "LintEngine::run: the analysis is of another policy");
   }
   PhaseSpan span(options.run.obs, "lint");
   LintReport report;

@@ -5,7 +5,8 @@
 // API.
 //
 // Passes run in a fixed order, share lazily-built state (most importantly
-// the policy's reduced diagram, built at most once per run, governed), and
+// the policy's PolicyAnalysis — its prefix roots and reduced diagram —
+// built at most once per run, governed, or handed in by the caller), and
 // observe the run's RunContext: a breached budget or deadline stops the
 // run at a pass boundary and the report comes back *partial, clearly
 // marked* (complete = false, the breach's code and message attached) with
@@ -17,10 +18,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "adapters/diag.hpp"
+#include "analysis/policy_analysis.hpp"
 #include "analysis/property.hpp"
 #include "fdd/arena.hpp"
 #include "lint/diagnostic.hpp"
@@ -49,6 +53,11 @@ struct LintInput {
   /// Optional rule-index -> 1-based source line map (parallel to
   /// policy->rules(), shorter is fine); used to anchor diagnostics.
   std::vector<std::size_t> rule_lines;
+  /// Optional analysis of *policy the caller already built (fleet hands
+  /// over simplify's), borrowed and outliving the run; null makes the run
+  /// build its own. One of another policy is std::invalid_argument. The
+  /// run governs its arena with run.context and run.faults while it runs.
+  PolicyAnalysis* analysis = nullptr;
 };
 
 /// Per-run knobs.
@@ -82,30 +91,44 @@ struct LintReport {
   std::size_t count(Severity severity) const;
 };
 
-/// Shared lazily-built per-run state handed to every pass. The reduced
-/// diagram of the policy is built (governed) on first use and reused by
-/// every later pass in the run.
+/// Shared lazily-built per-run state handed to every pass: the policy's
+/// analysis, the caller's or one built on first use and reused by every
+/// later pass in the run. When the run ends, the analysis arena's stats
+/// are absorbed into run.obs.metrics, once.
 class PassState {
  public:
   PassState(const LintInput& input, const LintOptions& options);
+  ~PassState();
+
+  PassState(const PassState&) = delete;
+  PassState& operator=(const PassState&) = delete;
+
+  /// The policy's analysis. Without a caller's, the first call builds it
+  /// where build_diagram would build the diagram: a "build_reduced_fdd"
+  /// span, the fdd.construct.phase fault site, and the run's context and
+  /// fault plan on a fresh arena — throws dfw::Error on a breach.
+  PolicyAnalysis& analysis();
 
   /// The policy's reduced diagram (possibly partial when the policy is not
-  /// comprehensive), from build_diagram under the run's context, obs and
-  /// faults — throws dfw::Error on a breach. Its arena keeps the run's
-  /// context attached, so walks of it are governed too.
+  /// comprehensive), the analysis's p_n. Its arena keeps the run's context
+  /// attached, so walks of it are governed too; the redundancy pass
+  /// appends to that arena later in the run, on the run's thread.
   const ArenaDiagram& diagram();
 
   /// True iff the policy is comprehensive (the diagram is complete).
-  /// Builds the diagram on first use.
   bool comprehensive();
 
   const LintInput& input;
   const LintOptions& options;
 
  private:
+  std::shared_ptr<AnalysisArena> arena_;  // whose stats the run absorbs
+  std::optional<PolicyAnalysis> own_;
+  PolicyAnalysis* analysis_ = nullptr;
   std::optional<ArenaDiagram> diagram_;
-  bool checked_complete_ = false;
-  bool comprehensive_ = false;
+  // A caller's arena's attachments, restored when the run ends.
+  RunContext* caller_context_ = nullptr;
+  FaultPlan* caller_faults_ = nullptr;
 };
 
 /// One registered pass. `name` and `description` must be string literals

@@ -20,7 +20,6 @@
 
 #include "analysis/anomaly.hpp"
 #include "fw/format.hpp"
-#include "gen/redundancy.hpp"
 #include "query/query.hpp"
 
 namespace dfw::lint {
@@ -243,10 +242,7 @@ void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
 // can be killed by several earlier rules jointly).
 
 void pass_dead_rules(PassState& state, std::vector<Diagnostic>& out) {
-  AnomalyOptions scan;
-  scan.run.context = state.options.run.context;
-  scan.run.obs = state.options.run.obs;
-  for (const std::size_t i : dead_rules(*state.input.policy, scan)) {
+  for (const std::size_t i : state.analysis().dead()) {
     Diagnostic d;
     d.check_id = "policy.dead-rule";
     d.severity = Severity::kError;
@@ -325,17 +321,15 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
 // --- pass: redundancy ------------------------------------------------------
 // Semantic per-rule redundancy (the paper's ref [19]): rules whose
 // removal provably leaves the packet-to-decision mapping unchanged. An
-// absence finding — warning, no witness. Decided by gen/redundancy in one
-// back-to-front pass over one arena per policy: rule k is redundant iff
-// the prefix before it overlaid on the suffix after it is the whole
-// policy's root.
+// absence finding — warning, no witness. Decided by the run's analysis in
+// one back-to-front pass: rule k is redundant iff the prefix before it
+// overlaid on the suffix after it is the whole policy's root.
 
 void pass_redundancy(PassState& state, std::vector<Diagnostic>& out) {
   if (!state.comprehensive()) {
     return;  // the coverage pass already reported the real problem
   }
-  for (const std::size_t i :
-       redundant_rules(*state.input.policy, state.options.run.context)) {
+  for (const std::size_t i : state.analysis().redundant()) {
     Diagnostic d;
     d.check_id = "policy.redundant-rule";
     d.severity = Severity::kWarning;

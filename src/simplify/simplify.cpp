@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <exception>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "analysis/anomaly.hpp"
-#include "fdd/arena.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
 
@@ -49,22 +50,16 @@ Rule merge_pair(const Schema& schema, const Rule& a, const Rule& b,
   return Rule(schema, std::move(conjuncts), a.decision());
 }
 
-/// Removes rules no packet ever first-matches. Exact via the canonical
-/// prefix roots behind dead_rules() — the same reachability dfw-lint's
-/// dead-rules pass reports on.
-bool eliminate_dead(const Schema& schema, std::vector<Rule>& rules,
-                    const SimplifyOptions& options, SimplifyStats& stats) {
-  AnomalyOptions scan;
-  // The coverage pass is inherently serial; keep the caller's governance
-  // and sinks but not its executor.
-  scan.run.context = options.run.context;
-  scan.run.obs = options.run.obs;
-  const std::vector<std::size_t> dead =
-      dead_rules(Policy(schema, rules), scan);
+/// Removes rules no packet ever first-matches, read off the round's
+/// analysis of `rules` — the reachability dfw-lint's dead-rules pass
+/// reports on.
+bool eliminate_dead(const PolicyAnalysis& analysis, std::vector<Rule>& rules,
+                    SimplifyStats& stats) {
+  const std::vector<std::size_t> dead = analysis.dead();
   if (dead.empty()) {
     return false;
   }
-  // dead_rules reports ascending indices; erase back-to-front.
+  // dead() reports ascending indices; erase back-to-front.
   for (std::size_t i = dead.size(); i-- > 0;) {
     rules.erase(rules.begin() + static_cast<std::ptrdiff_t>(dead[i]));
   }
@@ -180,19 +175,15 @@ bool coalesce_runs(const Schema& schema, std::vector<Rule>& rules,
   return changed;
 }
 
-/// Arena-backed equivalence proof. Both policies intern into one
-/// hash-consed arena through build_reduced, whose results are canonical —
-/// the reduced ordered FDD of a packet function is unique, so root-id
-/// equality decides equivalence outright (for partial functions too). The
-/// explicit shape + compare walk is run as the reportable artifact: a
+/// Arena-backed equivalence proof on the canonical roots of both policies
+/// in the rounds' shared arena: the reduced ordered FDD of a packet
+/// function is unique, so root-id equality decides equivalence outright
+/// (for partial functions too) and nothing is built. The explicit shape +
+/// compare walk is run as the reportable artifact, O(1) on equal ids: a
 /// proven rewrite shows zero discrepancies from the same comparison
 /// machinery the paper's cross-team pipeline uses.
-ProofStatus prove(const Policy& original, const Policy& simplified,
-                  RunContext* ctx, SimplifyReport& report) {
-  FddArena arena(original.schema());
-  arena.set_context(ctx);
-  const ArenaNodeId a = arena.build_reduced(original);
-  const ArenaNodeId b = arena.build_reduced(simplified);
+ProofStatus prove(FddArena& arena, ArenaNodeId a, ArenaNodeId b,
+                  SimplifyReport& report) {
   if (a == b) {
     const auto shaped = arena.shape_pair(a, b);
     report.proof_discrepancies =
@@ -247,33 +238,50 @@ SimplifyOutcome simplify_policy(const Policy& policy,
   report.rules_after = policy.size();
 
   const Schema& schema = policy.schema();
+  // One arena for every round's analysis and the proof: a round's chain
+  // reuses every prefix the previous round's edits left alone.
+  auto shared = std::make_shared<AnalysisArena>(schema);
+  shared->arena.set_context(ctx);
+  shared->arena.set_faults(options.run.faults);
   std::vector<Rule> rules = policy.rules();
   try {
+    // The analysis of `rules` as they stand, when nothing changed since.
+    std::optional<PolicyAnalysis> analysis;
+    ArenaNodeId original = FddArena::kEmpty;
     for (std::size_t round = 0; round < kMaxPasses; ++round) {
-      bool changed = eliminate_dead(schema, rules, options, report.stats);
+      analysis.emplace(shared, Policy(schema, rules), options.run.obs);
+      if (round == 0) {
+        original = analysis->root();
+      }
+      bool changed = eliminate_dead(*analysis, rules, report.stats);
       changed = merge_adjacent(schema, rules, ctx, report.stats) || changed;
       changed = coalesce_runs(schema, rules, ctx, report.stats) || changed;
       if (!changed) {
         break;
       }
       ++report.passes;
+      analysis.reset();
+    }
+    if (!analysis.has_value()) {
+      // Every round changed the policy: analyse the last version too.
+      analysis.emplace(shared, Policy(schema, rules), options.run.obs);
     }
 
-    Policy simplified(schema, rules);
     if (report.passes == 0) {
       // Untouched: nothing to prove, nothing to count.
-      return {std::move(simplified), report};
+      return {analysis->policy(), report, std::move(analysis)};
     }
     if (options.prove) {
-      report.proof = prove(policy, simplified, ctx, report);
+      PhaseSpan prove_span(options.run.obs, "simplify.prove");
+      report.proof = prove(shared->arena, original, analysis->root(), report);
       if (report.proof == ProofStatus::kRefuted) {
         // A refuted proof means a transform is unsound (an internal bug):
         // fail safe by handing back the input untouched.
         report.rules_after = report.rules_before;
-        return {policy, report};
+        return {policy, report, std::nullopt};
       }
     }
-    report.rules_after = simplified.size();
+    report.rules_after = analysis->policy().size();
     if (MetricsRegistry* metrics = options.run.obs.metrics) {
       metrics->counter(names::kSimplifyRulesRemoved)
           .add(report.rules_before - report.rules_after);
@@ -281,7 +289,7 @@ SimplifyOutcome simplify_policy(const Policy& policy,
         metrics->counter(names::kSimplifyProven).add();
       }
     }
-    return {std::move(simplified), report};
+    return {analysis->policy(), report, std::move(analysis)};
   } catch (const Error& e) {
     report.complete = false;
     report.status = e.code();
@@ -292,7 +300,7 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     if (MetricsRegistry* metrics = options.run.obs.metrics) {
       metrics->counter(names::kSimplifyAborted).add();
     }
-    return {policy, report};
+    return {policy, report, std::nullopt};
   }
 }
 

@@ -11,8 +11,8 @@
 //
 //   dead elimination   rules no packet ever first-matches, detected
 //                      exactly via canonical prefix roots
-//                      (analysis/anomaly.hpp dead_rules — the same
-//                      machinery behind dfw-lint's dead-rules pass)
+//                      (PolicyAnalysis::dead — the same machinery behind
+//                      dfw-lint's dead-rules pass)
 //   adjacent merge     neighbouring rules with one decision that differ
 //                      in exactly one field fold into one rule whose
 //                      differing conjunct is the union
@@ -21,19 +21,25 @@
 //                      run sibling are dropped and non-adjacent
 //                      single-field pairs are merged
 //
-// The pass iterates the transforms to a fixpoint, then *proves* the
-// result: both policies are interned into one hash-consed FddArena, where
-// id equality of the canonical roots IS semantic equality — backed up by
-// an explicit shape + compare walk reporting zero discrepancies. A policy
-// is never returned unproven: if the proof is refuted (an internal bug)
-// or cut short by governance, the ORIGINAL policy comes back and the
-// report says so.
+// The pass iterates the transforms to a fixpoint, each round reading its
+// dead rules from a PolicyAnalysis (analysis/policy_analysis.hpp) of the
+// round's policy. All rounds share one arena and its prefix-extension
+// memo, so a round rebuilds only the prefixes the last round's edits
+// changed. Then it *proves* the result: in that arena the original's and
+// the result's canonical roots already exist, and their id equality IS
+// semantic equality — an id comparison that builds nothing, backed up by
+// an explicit shape + compare walk reporting zero discrepancies (O(1) on
+// equal ids). A policy is never returned unproven: if the proof is
+// refuted (an internal bug) or cut short by governance, the ORIGINAL
+// policy comes back and the report says so.
 
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
+#include "analysis/policy_analysis.hpp"
 #include "fw/policy.hpp"
 #include "rt/govern.hpp"
 #include "rt/run_options.hpp"
@@ -43,15 +49,17 @@ namespace dfw {
 /// Per-run knobs, in the library's options-struct idiom.
 struct SimplifyOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the whole pass: the dead-rule scan charges its prefix-diagram nodes,
-  /// the proof arena charges every interned node and label byte, and the
-  /// transform scans take amortized checkpoints. A breach aborts the pass
-  /// — the outcome carries the ORIGINAL policy, complete = false, and the
-  /// breach's code. `run.obs`: the pass runs under a "simplify" phase
-  /// span with "simplify.transform" / "simplify.prove" subspans, and
-  /// counts rules removed into "simplify.rules_removed". `run.executor`
-  /// is accepted for uniformity but unused — one policy simplifies
-  /// serially (fleets parallelize across policies, tools/dfw_fleet).
+  /// the whole pass: the shared arena charges every interned node and
+  /// label byte, and the prefix chains and transform scans take amortized
+  /// checkpoints. A breach aborts the pass — the outcome carries the
+  /// ORIGINAL policy, complete = false, and the breach's code. `run.obs`:
+  /// the pass runs under a "simplify" phase span with one "prefix_roots"
+  /// subspan per round's chain and a "simplify.prove" subspan, and counts
+  /// rules removed into "simplify.rules_removed". `run.faults`: the
+  /// shared arena hits fdd.arena.alloc, and a fire aborts the pass like a
+  /// breach. `run.executor` is accepted for uniformity but unused — one
+  /// policy simplifies serially (fleets parallelize across policies,
+  /// tools/dfw_fleet).
   RunOptions run = {};
 
   /// Prove the rewrite equivalent by arena-backed FDD comparison. Off
@@ -102,6 +110,11 @@ struct SimplifyReport {
 struct SimplifyOutcome {
   Policy policy;
   SimplifyReport report;
+  /// The analysis of `policy` in the rounds' arena, for a caller to read
+  /// on (fleet hands it to lint); none when the report is not complete or
+  /// the proof was refuted. Its arena keeps run.context and run.faults
+  /// attached.
+  std::optional<PolicyAnalysis> analysis;
 };
 
 /// Simplifies `policy` (see the header comment for the transform set and

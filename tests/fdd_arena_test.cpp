@@ -12,6 +12,7 @@
 #include <random>
 #include <string>
 
+#include "analysis/policy_analysis.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
 #include "fdd/reduce.hpp"
@@ -383,6 +384,62 @@ TEST(FddArena, OverlayIsFirstMatchAcrossPartialDiagrams) {
         }
       }
     }
+  }
+}
+
+TEST(FddArena, OverlayMatchesAppendOnSynthPolicies) {
+  // At five-tuple scale, in one arena: overlaying a rule's decision path
+  // on a prefix is appending the rule, and every prefix overlaid on the
+  // suffix after it is the whole policy. The redundancy oracle's overlay
+  // walk is deterministic: two fresh arenas count the same memo hits and
+  // misses and hold the same nodes.
+  std::vector<Policy> policies;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SynthConfig config;
+    config.num_rules = 200;
+    Rng rng(seed);
+    policies.push_back(synth_policy(config, rng));
+  }
+  FleetSynthConfig fleet;
+  fleet.sites = 5;
+  fleet.base.num_rules = 200;
+  for (const Policy& site : make_fleet(fleet)) {
+    policies.push_back(site);
+  }
+  FddArena arena(five_tuple_schema());
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const Policy& policy = policies[i];
+    const std::size_t n = policy.size();
+    std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+    for (std::size_t k = 0; k < n; ++k) {
+      const ArenaNodeId path =
+          arena.append_rule(FddArena::kEmpty, policy.rule(k));
+      prefix.push_back(arena.append_rule(prefix[k], policy.rule(k)));
+      ASSERT_EQ(arena.overlay(prefix[k], path), prefix[k + 1])
+          << "policy " << i << ", rule " << k;
+    }
+    std::vector<ArenaNodeId> suffix(n + 1, FddArena::kEmpty);  // S_k
+    for (std::size_t k = n; k-- > 0;) {
+      suffix[k] = arena.overlay(
+          arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix[k + 1]);
+    }
+    for (std::size_t k = 0; k <= n; ++k) {
+      ASSERT_EQ(arena.overlay(prefix[k], suffix[k]), prefix[n])
+          << "policy " << i << ", prefix " << k;
+    }
+
+    PolicyAnalysis first(policy);
+    PolicyAnalysis second(policy);
+    EXPECT_EQ(first.redundant(), second.redundant()) << "policy " << i;
+    const ArenaStats a = first.arena().stats();
+    const ArenaStats b = second.arena().stats();
+    EXPECT_GT(a.overlay_cache_misses, 0u) << "policy " << i;
+    EXPECT_EQ(a.overlay_cache_hits, b.overlay_cache_hits) << "policy " << i;
+    EXPECT_EQ(a.overlay_cache_misses, b.overlay_cache_misses)
+        << "policy " << i;
+    EXPECT_EQ(first.arena().unique_node_count(),
+              second.arena().unique_node_count())
+        << "policy " << i;
   }
 }
 

@@ -19,7 +19,11 @@
 #include "lint/engine.hpp"
 #include "lint/render.hpp"
 #include "lint/sarif.hpp"
+#include "obs/metrics.hpp"
 #include "rt/executor.hpp"
+#include "rt/fault.hpp"
+#include "simplify/simplify.hpp"
+#include "synth/synth.hpp"
 #include "test_util.hpp"
 
 #ifndef DFW_CORPUS_DIR
@@ -555,7 +559,8 @@ TEST(LintGovern, RedundancyPassBreachIsMarkedPartial) {
   options.passes = {"coverage"};
   options.run.context = &probe;
   ASSERT_TRUE(lint(p, options).complete);
-  // ...plus one node: the redundancy oracle's own arena breaches.
+  // ...plus one node: the redundancy pass's overlays, in the run's
+  // analysis arena, breach.
   budgets.max_nodes = probe.nodes_charged() + 1;
   RunContext context = RunContext::with_budgets(budgets);
   options.passes = {"coverage", "redundancy"};
@@ -565,6 +570,148 @@ TEST(LintGovern, RedundancyPassBreachIsMarkedPartial) {
   EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded);
   EXPECT_NE(report.message.find("'redundancy'"), std::string::npos);
   EXPECT_EQ(report.passes_run, std::vector<std::string>{"coverage"});
+}
+
+// A caller's analysis: the run reads it instead of building its own, and a
+// breach or a fault in the redundancy pass's overlays leaves its arena
+// exact once the run has detached from it.
+
+Policy simplified_site() {
+  FleetSynthConfig config;
+  config.sites = 1;
+  config.base.num_rules = 120;
+  return simplify_policy(make_fleet(config)[0]).policy;
+}
+
+LintInput input_for(const Policy& p, PolicyAnalysis* analysis) {
+  LintInput input;
+  input.policy = &p;
+  input.decisions = &default_decisions();
+  input.analysis = analysis;
+  return input;
+}
+
+void expect_rederives(PolicyAnalysis& analysis, const std::string& what) {
+  EXPECT_EQ(analysis.arena().context(), nullptr) << what;
+  EXPECT_EQ(analysis.arena().faults(), nullptr) << what;
+  PolicyAnalysis fresh(analysis.policy());
+  EXPECT_EQ(analysis.dead(), fresh.dead()) << what;
+  EXPECT_EQ(analysis.redundant(), fresh.redundant()) << what;
+  EXPECT_EQ(analysis.without_redundant().rules(),
+            fresh.without_redundant().rules())
+      << what;
+}
+
+TEST(LintGovern, CallersAnalysisIsReadAndMatchesAFreshRun) {
+  const Policy p = simplified_site();
+  PolicyAnalysis analysis(p);
+  const std::size_t nodes = analysis.arena().unique_node_count();
+  MetricsRegistry handed_metrics;
+  LintOptions options;
+  options.run.obs.metrics = &handed_metrics;
+  const LintReport handed =
+      LintEngine().run(input_for(p, &analysis), options);
+  MetricsRegistry own_metrics;
+  options.run.obs.metrics = &own_metrics;
+  const LintReport own = LintEngine().run(input_for(p, nullptr), options);
+  ASSERT_TRUE(handed.complete);
+  EXPECT_EQ(render_json(input_for(p, nullptr), handed),
+            render_json(input_for(p, nullptr), own));
+  // The run built no chain of its own; the redundancy pass grew the
+  // caller's arena, whose stats the run absorbed.
+  EXPECT_EQ(handed_metrics.snapshot().histograms.count(
+                "phase.prefix_roots_ns"),
+            0u);
+  EXPECT_EQ(own_metrics.snapshot().histograms.at("phase.prefix_roots_ns")
+                .count,
+            1u);
+  EXPECT_GT(analysis.arena().unique_node_count(), nodes);
+  EXPECT_EQ(handed_metrics.snapshot().counters.at("fdd.arena.unique_nodes"),
+            analysis.arena().unique_node_count());
+}
+
+TEST(LintGovern, AnalysisOfAnotherPolicyIsRejected) {
+  const Policy p = simplified_site();
+  std::vector<Rule> rules = p.rules();
+  rules.erase(rules.begin());
+  PolicyAnalysis other(Policy(p.schema(), std::move(rules)));
+  EXPECT_THROW(LintEngine().run(input_for(p, &other), LintOptions{}),
+               std::invalid_argument);
+}
+
+TEST(LintGovern, RedundancyBreachLeavesTheCallersArenaExact) {
+  const Policy p = simplified_site();
+  RunContext probe;
+  {
+    PolicyAnalysis analysis(p);
+    LintOptions options;
+    options.passes = {"redundancy"};
+    options.run.context = &probe;
+    ASSERT_TRUE(LintEngine().run(input_for(p, &analysis), options).complete);
+  }
+  ASSERT_GT(probe.nodes_charged(), 10u);
+  for (const std::size_t budget :
+       {std::size_t{1}, probe.nodes_charged() / 2}) {
+    const std::string what = "node budget " + std::to_string(budget);
+    PolicyAnalysis analysis(p);
+    RunContext tight = RunContext::with_budgets({.max_nodes = budget});
+    LintOptions options;
+    options.run.context = &tight;
+    const LintReport report =
+        LintEngine().run(input_for(p, &analysis), options);
+    EXPECT_FALSE(report.complete) << what;
+    EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded) << what;
+    EXPECT_NE(report.message.find("'redundancy'"), std::string::npos)
+        << what;
+    expect_rederives(analysis, what);
+  }
+}
+
+TEST(LintGovern, ArenaFaultInRedundancyLeavesTheCallersArenaExact) {
+  const Policy p = simplified_site();
+  for (const std::uint64_t fire_on : {3u, 300u}) {
+    const std::string what = "fault on hit " + std::to_string(fire_on);
+    FaultSpec spec;
+    spec.site = fault::sites::kArenaAlloc;
+    spec.fire_on = fire_on;
+    FaultPlan plan(1, {spec});
+    PolicyAnalysis analysis(p);
+    LintOptions options;
+    options.run.faults = &plan;
+    const LintReport report =
+        LintEngine().run(input_for(p, &analysis), options);
+    EXPECT_FALSE(report.complete) << what;
+    EXPECT_EQ(report.status, ErrorCode::kFaultInjected) << what;
+    EXPECT_NE(report.message.find("'redundancy'"), std::string::npos)
+        << what;
+    EXPECT_EQ(plan.total_fires(), 1u) << what;
+    expect_rederives(analysis, what);
+  }
+}
+
+TEST(LintGovern, OwnAnalysisBreachOrFaultIsMarkedPartial) {
+  // Without a caller's analysis the run builds one, hitting the
+  // construct-phase site first and the arena's allocation site after.
+  const Policy p = simplified_site();
+  for (const char* site :
+       {fault::sites::kConstructPhase, fault::sites::kArenaAlloc}) {
+    FaultSpec spec;
+    spec.site = site;
+    spec.fire_on = 1;
+    FaultPlan plan(1, {spec});
+    LintOptions options;
+    options.run.faults = &plan;
+    const LintReport report = lint(p, options);
+    EXPECT_FALSE(report.complete) << site;
+    EXPECT_EQ(report.status, ErrorCode::kFaultInjected) << site;
+    EXPECT_NE(report.message.find("pass '"), std::string::npos) << site;
+  }
+  RunContext tight = RunContext::with_budgets({.max_nodes = 5});
+  LintOptions options;
+  options.run.context = &tight;
+  const LintReport report = lint(p, options);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded);
 }
 
 // ---------------------------------------------------------------------------

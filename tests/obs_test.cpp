@@ -11,13 +11,17 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/policy_analysis.hpp"
 #include "diverse/discrepancy.hpp"
 #include "diverse/workflow.hpp"
 #include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
+#include "fleet/fleet.hpp"
+#include "fw/format.hpp"
 #include "gen/generate.hpp"
 #include "gen/redundancy.hpp"
+#include "lint/engine.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
 #include "rt/executor.hpp"
@@ -427,27 +431,13 @@ TEST(MetricsTest, AbsorbUnifiesLegacyStructsUnderDottedNames) {
 }
 
 TEST(MetricsTest, OverlayMemoIsCounted) {
-  // redundant_rules keeps its arena to itself, so the test runs the
-  // oracle's walk (gen/redundancy.cpp) on an arena it holds: canonical
-  // prefix roots, then suffix roots folded back to front, each rule tested
-  // by one overlay. Its verdicts are redundant_rules'.
+  // The redundancy oracle's walk (PolicyAnalysis::redundant, behind
+  // redundant_rules): suffix roots folded back to front, each rule tested
+  // by one overlay, all memoised on the node-id pair.
   const Policy policy = synth(120, 5);
-  FddArena arena(policy.schema());
-  std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
-  for (const Rule& rule : policy.rules()) {
-    prefix.push_back(arena.append_rule(prefix.back(), rule));
-  }
-  std::vector<std::size_t> redundant;
-  ArenaNodeId suffix = FddArena::kEmpty;
-  for (std::size_t k = policy.size(); k-- > 0;) {
-    if (prefix[k + 1] == prefix[k] ||
-        arena.overlay(prefix[k], suffix) == prefix.back()) {
-      redundant.insert(redundant.begin(), k);
-    }
-    suffix = arena.overlay(
-        arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix);
-  }
-  EXPECT_EQ(redundant, redundant_rules(policy));
+  PolicyAnalysis analysis(policy);
+  EXPECT_EQ(analysis.redundant(), redundant_rules(policy));
+  const FddArena& arena = analysis.arena();
 
   MetricsRegistry registry;
   absorb(registry, arena.stats());
@@ -619,6 +609,56 @@ TEST(PipelineObsTest, SessionBuildsEachTeamDiagramOnce) {
   EXPECT_EQ(v.name_counts.at("workflow.compare"), 1u);
   EXPECT_EQ(registry.snapshot().histograms.at("phase.construct_ns").count,
             3u);
+}
+
+// A fleet device builds one chain of prefix roots per policy version:
+// simplify's rounds build passes + 1, its proof compares their roots, and
+// lint reads simplify's analysis. A standalone lint run builds one.
+TEST(PipelineObsTest, FleetBuildsOneChainPerPolicyVersion) {
+  FleetSynthConfig config;
+  config.sites = 4;
+  config.base.num_rules = 60;
+  std::vector<fleet::FleetSource> sources;
+  for (const Policy& site : make_fleet(config)) {
+    fleet::FleetSource source;
+    source.item.path = "site" + std::to_string(sources.size()) + ".fw";
+    source.text = format_policy(site, default_decisions());
+    sources.push_back(std::move(source));
+  }
+  Tracer tracer;
+  MetricsRegistry registry;
+  fleet::FleetOptions options;
+  options.run.obs = ObsOptions{&tracer, &registry};
+  const fleet::FleetReport report = fleet::run_fleet(sources, options);
+  std::uint64_t chains = 0;
+  std::uint64_t proofs = 0;
+  for (const fleet::DeviceReport& dev : report.devices) {
+    ASSERT_EQ(dev.status, fleet::DeviceStatus::kFindings) << dev.message;
+    chains += dev.simplify.passes + 1;
+    proofs += dev.simplify.passes > 0;
+  }
+  const TraceValidation v = validate_chrome_trace(tracer.chrome_trace_json());
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(v.name_counts.at("prefix_roots"), chains);
+  EXPECT_EQ(v.name_counts.at("simplify.prove"), proofs);
+  EXPECT_EQ(v.name_counts.count("build_reduced_fdd"), 0u);
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.histograms.at("phase.prefix_roots_ns").count, chains);
+  EXPECT_EQ(snap.histograms.count("phase.dead_rules_ns"), 0u);
+
+  Tracer lint_tracer;
+  lint::LintOptions lint_options;
+  lint_options.run.obs.tracer = &lint_tracer;
+  const Policy policy = make_fleet(config)[0];
+  lint::LintInput input;
+  input.policy = &policy;
+  input.decisions = &default_decisions();
+  ASSERT_TRUE(lint::LintEngine().run(input, lint_options).complete);
+  const TraceValidation lv =
+      validate_chrome_trace(lint_tracer.chrome_trace_json());
+  ASSERT_TRUE(lv.ok) << lv.error;
+  EXPECT_EQ(lv.name_counts.at("prefix_roots"), 1u);
+  EXPECT_EQ(lv.name_counts.at("build_reduced_fdd"), 1u);
 }
 
 // -- Determinism across thread counts ----------------------------------------

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "analysis/anomaly.hpp"
+#include "analysis/policy_analysis.hpp"
 #include "fdd/compare.hpp"
 #include "gen/redundancy.hpp"
 #include "rt/govern.hpp"
@@ -295,6 +297,143 @@ TEST(RedundancyDifferential, EveryEntryPointMatchesItsDefinition) {
   EXPECT_GT(redundant_seen, 100u);
   EXPECT_GT(dead_seen, 100u);
   EXPECT_GT(gaps_seen, 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Versions of one policy analysed in one shared arena.
+
+// A random rule over the schema: random conjuncts and decision.
+Rule random_rule(const Schema& schema, std::mt19937_64& rng) {
+  std::vector<IntervalSet> conjuncts;
+  for (std::size_t f = 0; f < schema.field_count(); ++f) {
+    conjuncts.push_back(test::random_set(schema.domain(f), rng));
+  }
+  std::uniform_int_distribution<int> coin(0, 1);
+  return Rule(schema, std::move(conjuncts),
+              coin(rng) == 0 ? kAccept : kDiscard);
+}
+
+// `p` with one rule replaced, inserted or erased.
+Policy one_rule_edit(const Policy& p, std::mt19937_64& rng) {
+  std::vector<Rule> rules = p.rules();
+  std::uniform_int_distribution<std::size_t> at(0, rules.size() - 1);
+  const std::size_t i = at(rng);
+  std::uniform_int_distribution<int> kind(0, 2);
+  switch (rules.size() > 1 ? kind(rng) : 0) {
+    case 0:
+      rules[i] = random_rule(p.schema(), rng);
+      break;
+    case 1:
+      rules.insert(rules.begin() + static_cast<std::ptrdiff_t>(i),
+                   random_rule(p.schema(), rng));
+      break;
+    default:
+      rules.erase(rules.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+  }
+  return Policy(p.schema(), std::move(rules));
+}
+
+// The analysis's chain is the append chain, id for id, in its own arena:
+// whatever the prefix-extension memo served is what append_rule builds.
+void expect_chain_is_append(const PolicyAnalysis& analysis,
+                            const std::string& name) {
+  FddArena& arena = analysis.arena();
+  const std::vector<ArenaNodeId>& prefix = analysis.prefix_roots();
+  ASSERT_EQ(prefix.size(), analysis.policy().size() + 1) << name;
+  EXPECT_EQ(prefix.front(), FddArena::kEmpty) << name;
+  for (std::size_t k = 0; k < analysis.policy().size(); ++k) {
+    EXPECT_EQ(prefix[k + 1],
+              arena.append_rule(prefix[k], analysis.policy().rule(k)))
+        << name << ", prefix " << k + 1;
+  }
+}
+
+TEST(RedundancyDifferential, SharedArenaVersionsMatchTheirDefinitions) {
+  // A policy, a one-rule edit of it and its simplification, analysed in
+  // that order in one arena: every answer read from it is the definition
+  // evaluated over every packet, whatever the earlier versions left in the
+  // arena and its prefix-extension memo.
+  std::size_t memo_hits = 0;
+  for (const Schema& schema : {tiny2(), tiny3()}) {
+    const std::vector<Packet> packets = test::all_packets(schema);
+    std::mt19937_64 rng(1994);
+    for (int trial = 0; trial < 300; ++trial) {
+      const Policy p = random_case(schema, trial, rng);
+      const Policy edited = one_rule_edit(p, rng);
+      const Policy simplified = simplify_policy(p).policy;
+      const Policy* versions[] = {&p, &edited, &simplified};
+      auto shared = std::make_shared<AnalysisArena>(schema);
+      for (std::size_t v = 0; v < 3; ++v) {
+        const Policy* version = versions[v];
+        const std::string name = "trial " + std::to_string(trial) +
+                                 ", version " + std::to_string(v);
+        const std::size_t appends = shared->arena.stats().append_cache_misses;
+        PolicyAnalysis analysis(shared, *version);
+        memo_hits += shared->arena.stats().append_cache_misses == appends;
+        const std::vector<Rule>& rules = version->rules();
+        std::vector<std::size_t> dead;
+        std::vector<std::size_t> redundant;
+        for (std::size_t i = 0; i < rules.size(); ++i) {
+          if (dead_by_definition(*version, packets, i)) {
+            dead.push_back(i);
+          }
+          if (redundant_by_definition(rules, packets, i)) {
+            redundant.push_back(i);
+          }
+        }
+        EXPECT_EQ(analysis.dead(), dead) << name;
+        EXPECT_EQ(analysis.redundant(), redundant) << name;
+        EXPECT_EQ(analysis.without_redundant().rules(),
+                  remove_by_definition(rules, packets))
+            << name;
+        expect_chain_is_append(analysis, name);
+      }
+    }
+  }
+  // Some later versions were served by the memo alone.
+  EXPECT_GT(memo_hits, 100u);
+}
+
+TEST(RedundancyMetamorphic, SharedArenaAnswersAsAFreshOne) {
+  // At five-tuple scale: the sets read from the shared arena, after the
+  // policy's other versions, equal those a fresh arena gives.
+  std::vector<Policy> policies;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SynthConfig config;
+    config.num_rules = 200;
+    Rng rng(seed);
+    policies.push_back(synth_policy(config, rng));
+  }
+  FleetSynthConfig fleet;
+  fleet.sites = 5;
+  fleet.base.num_rules = 200;
+  for (const Policy& site : make_fleet(fleet)) {
+    policies.push_back(site);
+  }
+  std::mt19937_64 rng(7);
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const Policy& p = policies[i];
+    const std::vector<Policy> versions = {p, one_rule_edit(p, rng),
+                                          simplify_policy(p).policy};
+    auto shared = std::make_shared<AnalysisArena>(p.schema());
+    for (std::size_t v = 0; v < versions.size(); ++v) {
+      const std::string name =
+          "policy " + std::to_string(i) + ", version " + std::to_string(v);
+      PolicyAnalysis analysis(shared, versions[v]);
+      PolicyAnalysis fresh(versions[v]);
+      EXPECT_EQ(analysis.comprehensive(), fresh.comprehensive()) << name;
+      EXPECT_EQ(analysis.dead(), fresh.dead()) << name;
+      EXPECT_EQ(analysis.redundant(), fresh.redundant()) << name;
+      EXPECT_EQ(analysis.without_redundant().rules(),
+                fresh.without_redundant().rules())
+          << name;
+      EXPECT_EQ(fresh.arena().import(analysis.arena(), analysis.root()),
+                fresh.root())
+          << name;
+      expect_chain_is_append(analysis, name);
+    }
+  }
 }
 
 }  // namespace

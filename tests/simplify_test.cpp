@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "fdd/compare.hpp"
 #include "fw/parser.hpp"
 #include "obs/metrics.hpp"
+#include "rt/fault.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
 
@@ -374,6 +376,140 @@ TEST(SimplifyGovern, BudgetBreachReturnsTheOriginalMarked) {
   ASSERT_EQ(out.policy.size(), p.size());
   for (std::size_t r = 0; r < p.size(); ++r) {
     EXPECT_EQ(out.policy.rule(r).conjuncts(), p.rule(r).conjuncts());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unwind safety. Every round's chain and the proof share one arena; a
+// breach or a fault anywhere in it hands back the original, and an arena
+// that saw one, its prefix-extension memo and overlay scratch included,
+// still analyses exactly.
+
+Policy fleet_site(std::size_t rules) {
+  FleetSynthConfig config;
+  config.sites = 1;
+  config.base.num_rules = rules;
+  return make_fleet(config)[0];
+}
+
+void expect_original_back(const SimplifyOutcome& out, const Policy& p,
+                          ErrorCode code, const std::string& what) {
+  EXPECT_FALSE(out.report.complete) << what;
+  EXPECT_EQ(out.report.status, code) << what;
+  EXPECT_EQ(out.report.proof, ProofStatus::kAborted) << what;
+  EXPECT_EQ(out.report.rules_after, out.report.rules_before) << what;
+  EXPECT_EQ(out.policy.rules(), p.rules()) << what;
+  EXPECT_FALSE(out.analysis.has_value()) << what;
+}
+
+TEST(SimplifyGovern, BreachInAnyRoundsChainHandsBackTheOriginal) {
+  const Policy p = fleet_site(120);
+  // What the original's chain charges, and what the whole pass does.
+  RunContext probe;
+  (void)PolicyAnalysis(p, &probe);
+  const std::size_t first_chain = probe.nodes_charged();
+  RunContext whole;
+  SimplifyOptions options;
+  options.run.context = &whole;
+  const SimplifyOutcome done = simplify_policy(p, options);
+  ASSERT_TRUE(done.report.complete);
+  ASSERT_GT(done.report.passes, 0u);
+  ASSERT_GT(whole.nodes_charged(), first_chain + 1)
+      << "later rounds' chains must materialise nodes too";
+  for (const std::size_t budget : {first_chain / 2, first_chain + 1}) {
+    const std::string what = "node budget " + std::to_string(budget);
+    MetricsRegistry metrics;
+    RunContext tight = RunContext::with_budgets({.max_nodes = budget});
+    options.run.context = &tight;
+    options.run.obs.metrics = &metrics;
+    expect_original_back(simplify_policy(p, options), p,
+                         ErrorCode::kNodeBudgetExceeded, what);
+    // The original's chain breaches, or a later round's does.
+    const std::uint64_t chains =
+        metrics.snapshot().histograms.at("phase.prefix_roots_ns").count;
+    if (budget < first_chain) {
+      EXPECT_EQ(chains, 1u) << what;
+    } else {
+      EXPECT_GE(chains, 2u) << what;
+    }
+  }
+}
+
+TEST(SimplifyGovern, ArenaFaultHandsBackTheOriginal) {
+  const Policy p = fleet_site(120);
+  for (const std::uint64_t fire_on : {3u, 300u}) {
+    const std::string what = "fault on hit " + std::to_string(fire_on);
+    FaultSpec spec;
+    spec.site = fault::sites::kArenaAlloc;
+    spec.fire_on = fire_on;
+    FaultPlan plan(1, {spec});
+    SimplifyOptions options;
+    options.run.faults = &plan;
+    expect_original_back(simplify_policy(p, options), p,
+                         ErrorCode::kFaultInjected, what);
+    EXPECT_EQ(plan.total_fires(), 1u) << what;
+  }
+}
+
+TEST(SimplifyGovern, SharedArenaRederivesExactlyAfterAnUnwind) {
+  // simplify's versions in one arena, then lint's redundancy overlays on
+  // the last: a budget breaching in the original's chain, in the later
+  // version's chain or in the overlays, or an arena fault, unwinds it
+  // mid-walk. Detached, the same arena then re-derives every version's
+  // dead and redundant sets as a fresh arena does.
+  const Policy p = fleet_site(120);
+  const Policy simplified = simplify_policy(p).policy;
+  ASSERT_LT(simplified.size(), p.size());
+  const auto walk = [&](const std::shared_ptr<AnalysisArena>& shared) {
+    (void)PolicyAnalysis(shared, p).dead();
+    (void)PolicyAnalysis(shared, simplified).redundant();
+  };
+  RunContext probe;
+  auto measured = std::make_shared<AnalysisArena>(p.schema());
+  measured->arena.set_context(&probe);
+  (void)PolicyAnalysis(measured, p);
+  const std::size_t first_chain = probe.nodes_charged();
+  (void)PolicyAnalysis(measured, simplified);
+  const std::size_t both_chains = probe.nodes_charged();
+  walk(measured);
+  ASSERT_GT(both_chains, first_chain + 1);
+  ASSERT_GT(probe.nodes_charged(), both_chains + 1);
+
+  const auto rederives = [&](const std::shared_ptr<AnalysisArena>& shared,
+                             const std::string& what) {
+    shared->arena.set_context(nullptr);
+    shared->arena.set_faults(nullptr);
+    for (const Policy* version : {&p, &simplified}) {
+      PolicyAnalysis again(shared, *version);
+      PolicyAnalysis fresh(*version);
+      EXPECT_EQ(again.dead(), fresh.dead()) << what;
+      EXPECT_EQ(again.redundant(), fresh.redundant()) << what;
+      EXPECT_EQ(fresh.arena().import(again.arena(), again.root()),
+                fresh.root())
+          << what;
+    }
+  };
+  for (const std::size_t budget :
+       {first_chain / 2, first_chain + 1, both_chains + 1}) {
+    const std::string what = "node budget " + std::to_string(budget);
+    RunContext tight = RunContext::with_budgets({.max_nodes = budget});
+    auto shared = std::make_shared<AnalysisArena>(p.schema());
+    shared->arena.set_context(&tight);
+    EXPECT_THROW(walk(shared), Error) << what;
+    EXPECT_EQ(tight.abort_code(), ErrorCode::kNodeBudgetExceeded) << what;
+    rederives(shared, what);
+  }
+  for (const std::uint64_t fire_on : {3u, 300u}) {
+    const std::string what = "fault on hit " + std::to_string(fire_on);
+    FaultSpec spec;
+    spec.site = fault::sites::kArenaAlloc;
+    spec.fire_on = fire_on;
+    FaultPlan plan(1, {spec});
+    auto shared = std::make_shared<AnalysisArena>(p.schema());
+    shared->arena.set_faults(&plan);
+    EXPECT_THROW(walk(shared), Error) << what;
+    EXPECT_EQ(plan.total_fires(), 1u) << what;
+    rederives(shared, what);
   }
 }
 
