@@ -8,10 +8,12 @@
 //
 // Expected shape: the linear scan degrades with the rule count and the
 // BDD baseline pays one node walk per *bit*; the compiled backends stay
-// near-constant in the rule count (depth <= d). prefix_trie (one or two
-// indexed loads on IPv4 nodes instead of a binary search) looks up
-// faster than flat_slab and pays for it in compile time and table
-// memory; docs/classifier.md has the measured sweep.
+// near-constant in the rule count (depth <= d). On these uniform random
+// packets prefix_trie (one or two indexed loads on IPv4 nodes instead of
+// a binary search) looks up faster than flat_slab and pays for it in
+// compile time and table memory. flat_slab walks a batch eight packets
+// at a time, so its batched cells cost less per packet than its batch-1
+// cells; docs/classifier.md has the measured sweep.
 //
 // Writes BENCH_classifier.json (dfw-bench-obs-v1): "compile.<form>"
 // records (fdd, the build_diagram every backend compiles from; bdd; and
@@ -69,8 +71,9 @@ std::uint64_t classify_pool_batched(const Classifier& c,
                                     std::vector<Decision>& out) {
   std::uint64_t sum = 0;
   if (batch == 1) {
-    // Single-packet callers use the per-packet entry point, not a
-    // degenerate 1-packet batch; measure what they would pay.
+    // Single-packet callers use classify, a run of one through the
+    // backend without the batch path's executor call and metrics;
+    // measure what they would pay.
     for (const Packet& p : pool) {
       sum += c.classify(p);
     }

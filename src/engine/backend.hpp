@@ -1,11 +1,13 @@
 // The compiled-classifier backend interface.
 //
 // One reduced diagram admits two execution layouts with different cost
-// models: the flat-slab form (d branchless binary searches over
-// contiguous slabs) and a prefix-trie form (multi-bit stride tables for
-// IPv4 fields, in the spirit of LPM forwarding tables, reusing
-// net/prefix.*'s geometry). flat_slab compiles faster and stays small;
-// prefix_trie looks up faster (docs/classifier.md). The Classifier
+// models: the flat-slab form (d conditional-move binary searches over
+// contiguous slabs, eight packets walking the diagram together) and a
+// prefix-trie form (multi-bit stride tables for IPv4 fields, in the
+// spirit of LPM forwarding tables, reusing net/prefix.*'s geometry).
+// flat_slab compiles faster and stays small; which one looks up faster
+// depends on the traffic (docs/classifier.md). Lookups take a run of
+// packets, so a backend can interleave independent walks. The Classifier
 // facade (engine/classifier.hpp) compiles a policy into one of them,
 // selected by CompileOptions::backend; both are required to produce
 // byte-identical decisions — the cross-backend equivalence harness in
@@ -60,10 +62,12 @@ class ClassifierBackend {
 
   virtual ClassifierBackendKind kind() const = 0;
 
-  /// The decision for one packet, given as `field_count` values in schema
-  /// order. Arity and domain conformance are the caller's contract (the
-  /// Classifier facade checks arity).
-  virtual Decision classify_one(const Value* packet) const = 0;
+  /// The decisions for `n` packets: out[i] for packets[i], each packet
+  /// `field_count` values in schema order. The one lookup entry point; a
+  /// single lookup is a run of one. Arity and domain conformance are the
+  /// caller's contract (the Classifier facade checks arity).
+  virtual void classify(const Packet* packets, std::size_t n,
+                        Decision* out) const = 0;
 
   /// Compiled interior nodes: one per unique nonterminal of the
   /// diagram, in both layouts.

@@ -59,7 +59,22 @@ class PrefixTrieBackend final : public ClassifierBackend {
     return ClassifierBackendKind::kPrefixTrie;
   }
 
-  Decision classify_one(const Value* packet) const override {
+  void classify(const Packet* packets, std::size_t n,
+                Decision* out) const override {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = lookup(packets[i].data());
+    }
+  }
+
+  std::size_t node_count() const override { return layout_.nodes.size(); }
+  std::size_t slab_count() const override {
+    return layout_.slabs.size() + tables_.size();
+  }
+
+ private:
+  /// One packet's walk: stride tables on trie nodes, the slab search on
+  /// the rest.
+  Decision lookup(const Value* packet) const {
     std::uint32_t current = layout_.root;
     while ((current & kDecisionBit) == 0) {
       const SlabNode& node = layout_.nodes[current];
@@ -86,12 +101,6 @@ class PrefixTrieBackend final : public ClassifierBackend {
     return static_cast<Decision>(current & ~kDecisionBit);
   }
 
-  std::size_t node_count() const override { return layout_.nodes.size(); }
-  std::size_t slab_count() const override {
-    return layout_.slabs.size() + tables_.size();
-  }
-
- private:
   /// Builds the table covering [base, base + 256 << shift) of one node's
   /// address space; returns its index. Children are built depth-first
   /// while the parent's entries are filled.

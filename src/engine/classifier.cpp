@@ -35,7 +35,9 @@ Decision Classifier::classify(const Packet& p) const {
   if (p.size() != field_count_) {
     throw std::invalid_argument("Classifier::classify: packet arity mismatch");
   }
-  return backend_->classify_one(p.data());
+  Decision decision{};
+  backend_->classify(&p, 1, &decision);
+  return decision;
 }
 
 void Classifier::run_batch(std::span<const Packet> packets,
@@ -63,14 +65,8 @@ void Classifier::run_batch(std::span<const Packet> packets,
   executor.parallel_for_chunked(
       packets.size(), std::max<std::size_t>(1, options_.batch_grain),
       [&](std::size_t begin, std::size_t end) {
-        // Plain locals: the virtual call may touch anything the closure
-        // reaches, so captured spans would be reloaded on every packet.
-        const ClassifierBackend* backend = backend_.get();
-        const Packet* in = packets.data();
-        Decision* dst = out.data();
-        for (std::size_t i = begin; i < end; ++i) {
-          dst[i] = backend->classify_one(in[i].data());
-        }
+        backend_->classify(packets.data() + begin, end - begin,
+                           out.data() + begin);
       },
       run.context, obs);
   if (obs.metrics != nullptr) {

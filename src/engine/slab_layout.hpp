@@ -54,18 +54,21 @@ SlabLayout flatten_diagram(const ArenaDiagram& diagram);
 
 /// First slab in [begin, begin+n) whose upper bound is >= v, assuming one
 /// exists (completeness guarantees it for in-domain v; out-of-domain
-/// values clamp to the last slab). Written branch-free, but GCC 12
-/// compiles the loop body to a compare and a conditional jump, not a
-/// conditional move, at -O2 and -O3 alike, so a lookup can mispredict.
+/// values clamp to the last slab). The step selects an index, not a
+/// pointer: GCC 12 compiles the index select to a conditional move
+/// (`cmovb`) but a pointer select to a compare and a jump, which random
+/// traffic mispredicts. The trip count depends on n alone, so the loop
+/// exit is the only branch.
 inline const Slab* branchless_lower_bound(const Slab* begin, std::size_t n,
                                           Value v) {
-  const Slab* base = begin;
+  std::size_t lo = 0;
   while (n > 1) {
     const std::size_t half = n / 2;
-    base = base[half - 1].upper < v ? base + half : base;
+    const std::size_t mid = lo + half;
+    lo = begin[mid - 1].upper < v ? mid : lo;
     n -= half;
   }
-  return base;
+  return begin + lo;
 }
 
 }  // namespace engine_detail

@@ -146,6 +146,13 @@ BatchResult ServeCore::classify_pinned(std::span<const Packet> packets,
     result.status = ErrorCode::kOverloaded;
     return result;
   }
+  // The token goes back on every exit: classify_batch throws on a packet
+  // of the wrong arity and on allocation failure, and a token kept by a
+  // throw would refuse every later batch for good.
+  struct Release {
+    std::atomic<std::uint64_t>& inflight;
+    ~Release() { inflight.fetch_sub(1, std::memory_order_relaxed); }
+  } release{inflight_};
   {
     // Trace span only: the duration histogram is the canonical
     // kServeBatchNs recorded below — a PhaseSpan here would duplicate
@@ -175,7 +182,6 @@ BatchResult ServeCore::classify_pinned(std::span<const Packet> packets,
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   lookups_.fetch_add(packets.size(), std::memory_order_relaxed);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
   return result;
 }
 

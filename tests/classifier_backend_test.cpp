@@ -4,17 +4,21 @@
 // evaluation, and (on the accept/discard fragment) to the BDD baseline.
 // Probes mix exhaustive small universes, random five-tuple traffic, and
 // adversarial edge packets sitting exactly on interval boundaries, where
-// off-by-one bugs live. Batch paths are checked for determinism across
-// 1/2/8-thread executors: parallelism may reorder work, never output.
+// off-by-one bugs live. Batch paths are checked at every run length a
+// lane kernel treats differently, and for determinism across 1/2/8-thread
+// executors: parallelism may reorder work, never output.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "bdd/packet_encode.hpp"
 #include "engine/classifier.hpp"
+#include "engine/slab_layout.hpp"
 #include "fdd/arena.hpp"
 #include "obs/names.hpp"
 #include "rt/executor.hpp"
@@ -84,6 +88,78 @@ std::vector<Packet> edge_packets(const Policy& policy) {
   return probes;
 }
 
+/// The longest batch batches_agree runs, and the most probes it reads
+/// (offsets 0-7 into the probe list).
+constexpr std::size_t kLongBatch = 515;
+constexpr std::size_t kBatchProbes = kLongBatch + 7;
+
+/// `packets` repeated and shuffled until batches_agree can read every
+/// batch shape from it, so each eight-packet group mixes packets whose
+/// walks end at different depths.
+std::vector<Packet> batch_probes(const std::vector<Packet>& packets,
+                                 std::mt19937_64& rng) {
+  std::vector<Packet> probes;
+  while (probes.size() < kBatchProbes) {
+    probes.insert(probes.end(), packets.begin(), packets.end());
+  }
+  std::shuffle(probes.begin(), probes.end(), rng);
+  return probes;
+}
+
+/// classify_into must return `want` (one decision per probe) for every
+/// batch of 0-17 probes and of kLongBatch probes, starting at each offset
+/// 0-7: full eight-lane groups, every remainder, a remainder alone, and
+/// (past the default grain of 512) a chunk boundary. The output starts at
+/// a value no decision takes, so a lane left unwritten shows.
+void batches_agree(const Classifier& c, std::span<const Packet> probes,
+                   std::span<const Decision> want) {
+  ASSERT_EQ(probes.size(), want.size());
+  ASSERT_GE(probes.size(), kBatchProbes);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 17; ++length) {
+    lengths.push_back(length);
+  }
+  lengths.push_back(kLongBatch);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t length : lengths) {
+      std::vector<Decision> out(length, Decision{0xffff});
+      c.classify_into(probes.subspan(offset, length), out);
+      for (std::size_t i = 0; i < length; ++i) {
+        ASSERT_EQ(out[i], want[offset + i])
+            << to_string(c.backend()) << " offset " << offset << " length "
+            << length << " packet " << i;
+      }
+    }
+  }
+}
+
+// The slab search's contract, against std::lower_bound: the first slab
+// whose upper bound is >= v, and the last slab for v past every bound.
+TEST(SlabSearch, MatchesStdLowerBoundAndClampsToTheLastSlab) {
+  using engine_detail::Slab;
+  for (std::size_t n = 1; n <= 33; ++n) {
+    std::vector<Slab> run;
+    Value upper = 2;
+    for (std::size_t k = 0; k < n; ++k) {
+      run.push_back({upper, static_cast<std::uint32_t>(k)});
+      upper += 1 + k % 3;
+    }
+    for (Value v = 0; v <= run.back().upper + 2; ++v) {
+      const auto first = std::lower_bound(
+          run.begin(), run.end(), v,
+          [](const Slab& slab, Value x) { return slab.upper < x; });
+      const std::size_t want =
+          first == run.end() ? n - 1
+                             : static_cast<std::size_t>(first - run.begin());
+      ASSERT_EQ(static_cast<std::size_t>(
+                    engine_detail::branchless_lower_bound(run.data(), n, v) -
+                    run.data()),
+                want)
+          << "n " << n << " v " << v;
+    }
+  }
+}
+
 TEST(BackendKind, NameRoundTrip) {
   for (const ClassifierBackendKind kind : kAllBackends) {
     const auto parsed = parse_backend_kind(to_string(kind));
@@ -97,28 +173,43 @@ TEST(BackendKind, NameRoundTrip) {
 
 TEST(ClassifierBackend, AgreesWithPolicyExhaustively) {
   std::mt19937_64 rng(711);
+  std::mt19937_64 shuffle_rng(719);
+  const std::vector<Packet> universe = test::all_packets(tiny3());
   for (int trial = 0; trial < 25; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
     const Policy p = test::random_policy(tiny3(), 6, rng);
     const ArenaDiagram diagram = build_diagram(p, {});
+    const std::vector<Packet> probes = batch_probes(universe, shuffle_rng);
+    std::vector<Decision> want;
+    for (const Packet& pkt : probes) {
+      want.push_back(p.evaluate(pkt));
+    }
     for (const ClassifierBackendKind kind : kAllBackends) {
       const Classifier c = compile_with(diagram, kind);
       EXPECT_EQ(c.backend(), kind);
-      for (const Packet& pkt : test::all_packets(tiny3())) {
-        ASSERT_EQ(c.classify(pkt), p.evaluate(pkt))
-            << to_string(kind) << " trial " << trial;
+      for (const Packet& pkt : universe) {
+        ASSERT_EQ(c.classify(pkt), p.evaluate(pkt)) << to_string(kind);
       }
+      ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
     }
   }
 }
 
+// The root is a decision and the layout has no nodes.
 TEST(ClassifierBackend, ConstantPolicy) {
   const Schema s = tiny2();
   const ArenaDiagram diagram =
       build_diagram(Policy(s, {Rule::catch_all(s, kDiscard)}), {});
+  std::mt19937_64 rng(718);
+  const std::vector<Packet> probes =
+      batch_probes(test::all_packets(s), rng);
+  const std::vector<Decision> want(probes.size(), kDiscard);
   for (const ClassifierBackendKind kind : kAllBackends) {
     const Classifier c = compile_with(diagram, kind);
+    EXPECT_EQ(c.node_count(), 0u) << to_string(kind);
     EXPECT_EQ(c.classify({0, 0}), kDiscard) << to_string(kind);
     EXPECT_EQ(c.classify({7, 7}), kDiscard) << to_string(kind);
+    ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
   }
 }
 
@@ -142,13 +233,17 @@ TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
     probes.push_back({ip(rng), ip(rng), port(rng), port(rng), proto(rng)});
   }
 
+  std::vector<Decision> want;
   for (const Packet& pkt : probes) {
-    const Decision want = diagram.arena->evaluate(diagram.root, pkt);
-    ASSERT_EQ(p.evaluate(pkt), want);
+    want.push_back(diagram.arena->evaluate(diagram.root, pkt));
+    ASSERT_EQ(p.evaluate(pkt), want.back());
     for (std::size_t b = 0; b < classifiers.size(); ++b) {
-      ASSERT_EQ(classifiers[b].classify(pkt), want)
+      ASSERT_EQ(classifiers[b].classify(pkt), want.back())
           << to_string(kAllBackends[b]);
     }
+  }
+  for (const Classifier& c : classifiers) {
+    ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
   }
 }
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -231,6 +232,32 @@ TEST(Serve, AdmissionControlRefusesBatchesOverTheBound) {
   EXPECT_TRUE(saw_rejection);
   EXPECT_GE(core.stats().batches_rejected, 1u);
   EXPECT_EQ(core.stats().inflight, 0u);
+}
+
+// A batch that throws gives its admission token back: with one token, a
+// token kept by the throw would refuse every later batch.
+TEST(Serve, ThrownBatchReleasesItsAdmission) {
+  const Policy policy = make_policy(30, 12);
+  Rng rng(13);
+  const std::vector<Packet> trace = synth_trace(policy, 64, rng);
+  std::vector<Packet> malformed = trace;
+  malformed[5] = Packet{1, 2};  // two values; the schema has five fields
+
+  ServeOptions options;
+  options.max_inflight_batches = 1;
+  ServeCore core(policy, options);
+  EXPECT_THROW(core.classify_batch(malformed), std::invalid_argument);
+  EXPECT_EQ(core.stats().inflight, 0u);
+  for (int i = 0; i < 3; ++i) {
+    const BatchResult r = core.classify_batch(trace);
+    ASSERT_EQ(r.status, ErrorCode::kOk) << "batch " << i;
+    EXPECT_EQ(r.decisions, serial_replay(policy, trace));
+  }
+  const ServeStats stats = core.stats();
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.lookups, 3 * trace.size());
+  EXPECT_EQ(stats.batches_rejected, 0u);
+  EXPECT_EQ(stats.inflight, 0u);
 }
 
 // -- The correctness gate -----------------------------------------------------
