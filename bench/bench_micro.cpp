@@ -4,8 +4,8 @@
 // steady-state per-operation costs.
 //
 // The binary also owns the arena-vs-tree sweep: a custom main() first runs
-// the construct/shape/compare pipeline on both representations (the arena
-// pipeline and the paper-literal tree reference) across policy sizes,
+// the comparison pipeline on both representations (the arena pipeline and
+// the paper-literal tree reference) across policy sizes,
 // asserts their discrepancy outputs are identical, and
 // writes node counts, sharing factors, and wall times to
 // BENCH_fdd_arena.json, then hands over to google-benchmark. Pass
@@ -248,10 +248,10 @@ BENCHMARK(BM_BddEncodePolicy)->Arg(10)->Arg(40);
 
 // -- Arena-vs-tree sweep -----------------------------------------------------
 //
-// The whole pairwise pipeline (construct -> validate -> shape -> compare)
-// run on both representations: the production arena pipeline against the
-// paper-literal tree reference (build_fdd, reduce, tree shaping and
-// comparison). FddNode allocations are counted through the tree
+// The whole pairwise pipeline run on both representations: the production
+// arena pipeline (construct -> validate -> compare, one product walk)
+// against the paper-literal tree reference (build_fdd, reduce, tree
+// shaping and comparison). FddNode allocations are counted through the tree
 // factories' global counter; the arena's analog is the number of nodes
 // it materialises. sharing_factor = tree allocations / arena unique
 // nodes, the size advantage hash-consing buys on the identical workload.
@@ -291,7 +291,6 @@ bool arena_sweep() {
     for (const ArenaNodeId root : roots) {
       arena.validate(root);
     }
-    arena.shape_all(roots);
     (void)arena.compare(roots);
     const std::size_t arena_nodes = arena.unique_node_count();
     const double sharing =
@@ -380,7 +379,7 @@ bool obs_session(const char* trace_path) {
     return false;
   }
   for (const char* required :
-       {"construct", "validate", "shape", "compare", "generate",
+       {"construct", "validate", "compare", "generate",
         "build_reduced_fdd"}) {
     if (validation.name_counts.count(required) == 0) {
       std::fprintf(stderr, "FAIL: trace has no \"%s\" span\n", required);

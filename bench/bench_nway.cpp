@@ -1,16 +1,17 @@
 // N-team comparison benchmark (Section 7.3): the paper offers two ways to
 // compare N > 2 firewalls — cross comparison (all N(N-1)/2 pairs) and
-// direct comparison (shape all N diagrams to a common refinement once,
-// then one lockstep walk). This bench times both as whole sessions on N
+// direct comparison (one walk over all N diagrams at once, which the
+// production pipeline does as a product walk over canonical diagrams
+// instead of shaping them). This bench times both as whole sessions on N
 // perturbed variants of one policy, the diverse-design setting: each
 // timed run builds a fresh DiverseDesign, submits the N teams and runs
 // one comparison, so a cell times submit + compare() or submit +
 // cross_compare(), never a comparison the session already keeps.
 //
 // Expected shape: submit builds each team's diagram once, so both modes
-// construct N diagrams. Cross comparison then repeats shaping and
-// comparison per pair and its surplus grows quadratically in N; direct
-// comparison shapes all N once and grows near-linearly.
+// construct N diagrams. Cross comparison then repeats the import and the
+// product walk per pair and its surplus grows quadratically in N; direct
+// comparison imports all N once and walks them together, near-linearly.
 //
 // The thread sweep runs the 6-team sessions on Executor pools of 1/2/4/8
 // workers. The pool runs cross comparison's pairs as independent tasks;
@@ -181,8 +182,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nwrote BENCH_nway.json\n"
       "expectation (paper): both modes construct each team's diagram once,\n"
-      "at submit; cross comparison repeats shaping and comparison per pair\n"
-      "and falls behind direct comparison as N grows. expectation\n"
+      "at submit; cross comparison repeats the import and comparison per\n"
+      "pair and falls behind direct comparison as N grows. expectation\n"
       "(runtime): the pool runs cross comparison's K(K-1)/2 pairs as\n"
       "independent tasks and scales until the pairs stop covering the\n"
       "workers.\n");

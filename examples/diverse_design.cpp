@@ -15,13 +15,13 @@ int main() {
   const Schema schema = five_tuple_schema();
   DecisionSet decisions;  // accept/discard
 
-  // Session options: method-1 resolution seeded from green's rules, and a
-  // worker pool for the comparison phase (results are identical to
-  // serial; drop the executor field to run on the calling thread only).
+  // Session options: method-1 resolution, which corrects the diagram and
+  // needs no base team, and a worker pool for the comparison phase
+  // (results are identical to serial; drop the executor field to run on
+  // the calling thread only).
   Executor pool(Executor::hardware_threads());
   WorkflowOptions options;
   options.resolution = ResolutionMethod::kCorrectedFdd;
-  options.base_team = 1;
   options.run.executor = &pool;
   DiverseDesign session(decisions, options);
 

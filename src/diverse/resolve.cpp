@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "fdd/arena.hpp"
 #include "gen/redundancy.hpp"
@@ -40,55 +39,20 @@ void require_teams(const std::vector<Policy>& policies) {
   }
 }
 
-// Walks the shaped diagrams in lockstep, in FddArena::compare_into's
-// depth-first order, and rebuilds `roots[base]` through canonical(): at
-// every discrepant terminal tuple (not all ids equal) the next agreed
-// decision replaces the base team's. Tuples that hold no discrepancy are
-// rebuilt once and memoised; the rebuilt diagram is reduced.
-ArenaNodeId correct(FddArena& arena, const std::vector<ArenaNodeId>& roots,
-                    std::size_t base, const std::vector<Decision>& agreed) {
-  std::unordered_map<std::vector<ArenaNodeId>, ArenaNodeId, ArenaIdTupleHash>
-      agreeing;
-  std::size_t next = 0;
-  const auto walk = [&](auto&& self,
-                        const std::vector<ArenaNodeId>& nodes) -> ArenaNodeId {
-    const ArenaNodeId first = nodes.front();
-    if (arena.is_terminal(first)) {
-      if (std::all_of(nodes.begin(), nodes.end(),
-                      [&](ArenaNodeId n) { return n == first; })) {
-        return first;
-      }
-      if (next >= agreed.size()) {
-        throw std::logic_error("resolution: discrepancy walk out of sync");
-      }
-      return arena.terminal(agreed[next++]);
+// The corrections team `team` got wrong: one rule per such discrepancy,
+// deciding its predicate as agreed. Discrepancy predicates are pairwise
+// disjoint (distinct decision paths), so the rules' order is immaterial.
+std::vector<Rule> corrections(const Schema& schema,
+                              const std::vector<Discrepancy>& discrepancies,
+                              const std::vector<Decision>& agreed,
+                              std::size_t team) {
+  std::vector<Rule> rules;
+  for (std::size_t i = 0; i < discrepancies.size(); ++i) {
+    if (discrepancies[i].decisions[team] != agreed[i]) {
+      rules.emplace_back(schema, discrepancies[i].conjuncts, agreed[i]);
     }
-    if (const auto it = agreeing.find(nodes); it != agreeing.end()) {
-      return it->second;
-    }
-    const std::size_t before = next;
-    const std::size_t f = arena.field(first);
-    const std::size_t edge_count = arena.edges(first).size();
-    std::vector<ArenaEdge> out;
-    out.reserve(edge_count);
-    std::vector<ArenaNodeId> children(nodes.size());
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        children[k] = arena.edges(nodes[k])[e].target;
-      }
-      out.push_back({arena.edges(nodes[base])[e].label, self(self, children)});
-    }
-    const ArenaNodeId result = arena.canonical(f, std::move(out));
-    if (next == before) {
-      agreeing.emplace(nodes, result);
-    }
-    return result;
-  };
-  const ArenaNodeId root = walk(walk, roots);
-  if (next != agreed.size()) {
-    throw std::logic_error("resolve_via_fdd: correction walk out of sync");
   }
-  return root;
+  return rules;
 }
 
 }  // namespace
@@ -130,16 +94,12 @@ ResolutionPlan plan_by_majority(
 }
 
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan, std::size_t base_team) {
-  return resolve_via_fdd(policies, plan, base_team, RunOptions{});
+                       const ResolutionPlan& plan) {
+  return resolve_via_fdd(policies, plan, RunOptions{});
 }
 
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan, std::size_t base_team,
-                       const RunOptions& run) {
-  if (base_team >= policies.size()) {
-    throw std::invalid_argument("resolve_via_fdd: no such team");
-  }
+                       const ResolutionPlan& plan, const RunOptions& run) {
   require_teams(policies);
   std::vector<const Policy*> inputs;
   inputs.reserve(policies.size());
@@ -148,11 +108,10 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
   }
   FddArena arena(policies.front().schema());
   std::vector<Discrepancy> discrepancies;
-  const std::vector<ArenaNodeId> shaped =
+  const std::vector<ArenaNodeId> roots =
       compare_policies(arena, inputs, run, discrepancies);
   Policy resolved =
-      correct_and_generate(arena, shaped, discrepancies, plan, base_team,
-                           run.obs);
+      correct_and_generate(arena, roots, discrepancies, plan, run.obs);
   if (run.obs.metrics != nullptr) {
     absorb(*run.obs.metrics, arena.stats());
   }
@@ -160,12 +119,30 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
 }
 
 Policy correct_and_generate(FddArena& arena,
-                            const std::vector<ArenaNodeId>& shaped,
+                            const std::vector<ArenaNodeId>& roots,
                             const std::vector<Discrepancy>& discrepancies,
-                            const ResolutionPlan& plan,
-                            std::size_t base_team, const ObsOptions& obs) {
-  const ArenaNodeId corrected =
-      correct(arena, shaped, base_team, agreed_by_index(discrepancies, plan));
+                            const ResolutionPlan& plan, const ObsOptions& obs) {
+  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
+  // The overlay's work grows with the corrections, and its result does not
+  // depend on the team: start from the one the plan overrules least.
+  std::size_t team = 0;
+  std::size_t fewest = discrepancies.size() + 1;
+  for (std::size_t t = 0; t < roots.size(); ++t) {
+    std::size_t overruled = 0;
+    for (std::size_t i = 0; i < discrepancies.size(); ++i) {
+      overruled += discrepancies[i].decisions[t] != agreed[i] ? 1 : 0;
+    }
+    if (overruled < fewest) {
+      fewest = overruled;
+      team = t;
+    }
+  }
+  ArenaNodeId fix = FddArena::kEmpty;
+  for (const Rule& rule :
+       corrections(arena.schema(), discrepancies, agreed, team)) {
+    fix = arena.append_rule(fix, rule);
+  }
+  const ArenaNodeId corrected = arena.overlay(fix, roots[team]);
   PhaseSpan phase(obs, "generate");
   Policy resolved = arena.generate(corrected);
   if (obs.metrics != nullptr) {
@@ -197,17 +174,10 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
 Policy prepend_and_trim(const Policy& base, std::size_t base_team,
                         const std::vector<Discrepancy>& discrepancies,
                         const ResolutionPlan& plan, RunContext* context) {
-  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
-  std::vector<Rule> rules;
-  for (std::size_t i = 0; i < discrepancies.size(); ++i) {
-    // Only the resolutions the base team got wrong need prepending; the
-    // discrepancy predicates are pairwise disjoint (distinct decision
-    // paths), so their relative order is immaterial.
-    if (discrepancies[i].decisions[base_team] != agreed[i]) {
-      rules.emplace_back(base.schema(), discrepancies[i].conjuncts,
-                         agreed[i]);
-    }
-  }
+  // Only the resolutions the base team got wrong need prepending.
+  std::vector<Rule> rules =
+      corrections(base.schema(), discrepancies,
+                  agreed_by_index(discrepancies, plan), base_team);
   rules.insert(rules.end(), base.rules().begin(), base.rules().end());
   return remove_redundant(Policy(base.schema(), std::move(rules)), context);
 }

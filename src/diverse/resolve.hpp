@@ -1,10 +1,16 @@
 // Discrepancy resolution (paper, Section 6).
 //
 // After the teams agree on the correct decision for every discrepancy, a
-// final firewall must be produced. Method 1 corrects one of the shaped
-// FDDs and regenerates rules from it; method 2 prepends the corrections a
-// team got wrong to that team's original firewall and removes redundancy.
-// Both yield firewalls equivalent to the resolution, by construction.
+// final firewall must be produced. Method 1 corrects one team's FDD and
+// regenerates rules from it; method 2 prepends the corrections a team got
+// wrong to that team's original firewall and removes redundancy. Both
+// yield firewalls equivalent to the resolution, by construction.
+//
+// The paper's method 1 corrects a shaped FDD at its discrepant terminals.
+// On canonical diagrams that is method 2's prepend done on the diagram:
+// the corrections a team got wrong, overlaid on its diagram by first
+// match. The result is the canonical diagram of the resolved function, so
+// it is one id, and generates one policy, whichever team it starts from.
 
 #pragma once
 
@@ -40,14 +46,15 @@ Resolution adopt(std::size_t discrepancy_index, const Discrepancy& d,
 ResolutionPlan plan_by_majority(const std::vector<Discrepancy>& discrepancies,
                                 std::size_t arbiter_team = 0);
 
-/// Method 1 (Section 6.1): correct the shaped FDD of team `base_team` at
-/// every discrepant terminal and generate a compact policy from it.
-/// `policies` are the original team firewalls (>= 2, same schema,
-/// comprehensive); `plan` must cover all their discrepancies. Runs in the
-/// comparison pipeline's arena (fdd/arena.hpp): the correction rebuilds
-/// the shaped base diagram canonically, and generation reads the DAG.
+/// Method 1 (Section 6.1): correct a team's FDD at every discrepancy and
+/// generate a compact policy from it. `policies` are the original team
+/// firewalls (>= 2, same schema, comprehensive); `plan` must cover all
+/// their discrepancies. Runs in the comparison pipeline's arena
+/// (fdd/arena.hpp): the correction is an overlay there, and generation
+/// reads the DAG. It takes no base team: the result is the same policy
+/// from any team.
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan, std::size_t base_team = 0);
+                       const ResolutionPlan& plan);
 
 /// Same, on the given execution knobs: `run.executor` builds the teams'
 /// diagrams concurrently, `run.context` governs the whole resolution, and
@@ -55,19 +62,19 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
 /// regeneration's "generate" span and "gen.rules_emitted" count. The
 /// result is identical for every executor.
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan, std::size_t base_team,
-                       const RunOptions& run);
+                       const ResolutionPlan& plan, const RunOptions& run);
 
-/// Method 1's tail, on a comparison already run: `shaped` and
-/// `discrepancies` as compare_diagrams() left them in `arena`. Corrects
-/// team `base_team`'s shaped diagram there and generates the policy from
-/// it under a "generate" phase span, counting "gen.rules_emitted".
-/// resolve_via_fdd() and DiverseDesign::resolve() both end here.
+/// Method 1's tail, on a comparison already run: `roots` and
+/// `discrepancies` as compare_diagrams() left them in `arena`. Picks the
+/// team the plan overrules least (the lowest index on a tie), overlays
+/// the corrections it got wrong on its diagram there, and generates the
+/// policy from the result under a "generate" phase span, counting
+/// "gen.rules_emitted". resolve_via_fdd() and DiverseDesign::resolve()
+/// both end here.
 Policy correct_and_generate(FddArena& arena,
-                            const std::vector<ArenaNodeId>& shaped,
+                            const std::vector<ArenaNodeId>& roots,
                             const std::vector<Discrepancy>& discrepancies,
-                            const ResolutionPlan& plan,
-                            std::size_t base_team, const ObsOptions& obs);
+                            const ResolutionPlan& plan, const ObsOptions& obs);
 
 /// Method 2 (Section 6.2): take team `base_team`'s original firewall,
 /// prepend (in plan order) the resolved rules on which that team's decision

@@ -32,11 +32,11 @@ struct DiverseDesign::State {
   // never changed afterwards, so const calls read them without the lock.
   std::vector<ArenaDiagram> diagrams;
   // Guards the kept direct comparison: the session arena the diagrams
-  // were imported into (null when there is none), their shaped roots and
+  // were imported into (null when there is none), their roots there and
   // the discrepancy list. Resolution method 1 also corrects in the arena.
   std::mutex mutex;
   std::unique_ptr<FddArena> arena;
-  std::vector<ArenaNodeId> shaped;
+  std::vector<ArenaNodeId> roots;
   std::vector<Discrepancy> discrepancies;
 };
 
@@ -94,8 +94,8 @@ DiverseDesign::State& DiverseDesign::compared() const {
   auto arena = std::make_unique<FddArena>(policies_.front().schema());
   const StatsDelta flush{*arena, options_.run.obs.metrics};
   state.discrepancies.clear();
-  state.shaped = compare_diagrams(*arena, state.diagrams, options_.run,
-                                  state.discrepancies);
+  state.roots = compare_diagrams(*arena, state.diagrams, options_.run,
+                                 state.discrepancies);
   state.arena = std::move(arena);
   return state;
 }
@@ -134,9 +134,8 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
       pairs.emplace_back(a, b);
     }
   }
-  // Each pair shapes and compares its two submitted diagrams in an arena
-  // of its own, so pairs run as independent pool tasks that only read the
-  // team arenas.
+  // Each pair compares its two submitted diagrams in an arena of its own,
+  // so pairs run as independent pool tasks that only read the team arenas.
   const std::vector<ArenaDiagram>& diagrams = state_->diagrams;
   Executor& ex = executor_or_inline(options_.run);
   CompareOptions pair_options;
@@ -144,7 +143,7 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
   const auto run_pair = [&](std::size_t i) {
     const auto [a, b] = pairs[i];
     // One span per unordered pair, on whichever pool thread runs it; the
-    // pair's validate/shape/compare phase spans nest inside.
+    // pair's validate/compare phase spans nest inside.
     ScopedSpan pair_span(options_.run.obs.tracer, "pair", "team_a", a, "team_b",
                          b);
     const ArenaDiagram inputs[] = {diagrams[a], diagrams[b]};
@@ -213,8 +212,8 @@ Policy DiverseDesign::resolve(const ResolutionPlan& plan,
   switch (method) {
     case ResolutionMethod::kCorrectedFdd: {
       const StatsDelta flush{*state.arena, options_.run.obs.metrics};
-      return correct_and_generate(*state.arena, state.shaped,
-                                  state.discrepancies, plan, base_team,
+      return correct_and_generate(*state.arena, state.roots,
+                                  state.discrepancies, plan,
                                   options_.run.obs);
     }
     case ResolutionMethod::kPrependAndTrim:

@@ -1,7 +1,7 @@
 // The three-phase diverse-design workflow (paper, Section 2).
 //
 // A DiverseDesign session collects the team firewalls from the design
-// phase, runs the comparison phase (construct -> shape -> compare), and
+// phase, runs the comparison phase (construct -> validate -> compare), and
 // drives the resolution phase to a final, unanimously agreed firewall.
 // Cross comparison of all pairs (Section 7.3) is offered alongside the
 // direct N-way comparison.
@@ -9,13 +9,12 @@
 // As in the paper's workflow, each team's diagram is built once: submit
 // builds and validates it in an arena of its own, which nothing changes
 // afterwards. The first call after the last submit that needs the direct
-// comparison imports the K diagrams into one session arena, shapes and
-// compares them there, and keeps the shaped diagrams and the discrepancy
-// list; compare(), report(), both resolution methods and
-// resolve_in_favour_of() all reuse them, and the next submit drops them.
-// Cross comparison shapes and compares each pair afresh from the same
-// submitted diagrams. Const calls may run concurrently: the kept
-// comparison sits behind one mutex.
+// comparison imports the K diagrams into one session arena, compares them
+// there, and keeps the imported roots and the discrepancy list; compare(),
+// report(), both resolution methods and resolve_in_favour_of() all reuse
+// them, and the next submit drops them. Cross comparison compares each
+// pair afresh from the same submitted diagrams. Const calls may run
+// concurrently: the kept comparison sits behind one mutex.
 //
 // Session-wide knobs travel in WorkflowOptions: the resolution method and
 // base team, the comparison mode the report uses, and the executor cross
@@ -41,7 +40,7 @@ class Executor;
 
 /// Which resolution method generates the final firewall (Section 6).
 enum class ResolutionMethod {
-  kCorrectedFdd,   ///< method 1: correct an FDD, regenerate rules
+  kCorrectedFdd,   ///< method 1: correct the FDD, regenerate rules
   kPrependAndTrim, ///< method 2: prepend corrections, remove redundancy
 };
 
@@ -72,7 +71,8 @@ struct WorkflowOptions {
   /// underlying pipelines inherit the sinks.
   RunOptions run = {};
   ResolutionMethod resolution = ResolutionMethod::kCorrectedFdd;
-  /// Team whose rule sequence seeds the resolution phase.
+  /// Team whose rule sequence method 2 prepends its corrections to.
+  /// Method 1 ignores it: its result is the same from any team.
   std::size_t base_team = 0;
   ComparisonMode comparison = ComparisonMode::kDirect;
 };
@@ -139,7 +139,7 @@ class DiverseDesign {
   /// into compare()'s result), produce the final firewall using
   /// options().resolution and options().base_team. Equals
   /// resolve_via_fdd() or resolve_via_corrections() on the submitted
-  /// policies.
+  /// policies. `base_team` must name a team; method 1 ignores it.
   Policy resolve(const ResolutionPlan& plan) const;
   /// Same, with the session options overridden per call.
   Policy resolve(const ResolutionPlan& plan, ResolutionMethod method,

@@ -1,8 +1,9 @@
 #include "fdd/arena.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstddef>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "rt/fault.hpp"
 #include "rt/govern.hpp"
@@ -41,15 +42,6 @@ std::uint64_t hash_runs(std::span<const Interval> runs) {
 }
 
 }  // namespace
-
-std::size_t ArenaIdTupleHash::operator()(
-    const std::vector<ArenaNodeId>& ids) const {
-  std::uint64_t h = 0xb7e151628aed2a6bull;
-  for (const ArenaNodeId id : ids) {
-    h = mix(h, id);
-  }
-  return static_cast<std::size_t>(h);
-}
 
 // ---------------------------------------------------------------------------
 // Flat tables.
@@ -711,134 +703,7 @@ ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
 }
 
 // ---------------------------------------------------------------------------
-// Shaping (Fig. 10) memoised on node-id pairs.
-
-std::pair<ArenaNodeId, ArenaNodeId> FddArena::shape_pair(ArenaNodeId a,
-                                                         ArenaNodeId b) {
-  if (a == b) {
-    // Identical subdiagrams are already semi-isomorphic and aligned.
-    return {a, b};
-  }
-  const std::uint64_t key = IdPairMemo::key(a, b);
-  if (const auto it = shape_cache_.find(key); it != shape_cache_.end()) {
-    ++stats_.shape_cache_hits;
-    return it->second;
-  }
-  ++stats_.shape_cache_misses;
-  govern::checkpoint(govern_);
-  // Step 1 (label alignment by node insertion): terminals rank after every
-  // field, the earlier label absorbs the other under a full-domain edge.
-  const auto rank = [this](ArenaNodeId n) {
-    return is_terminal(n) ? std::numeric_limits<std::uint64_t>::max()
-                          : static_cast<std::uint64_t>(field(n));
-  };
-  ArenaNodeId x = a;
-  ArenaNodeId y = b;
-  while (rank(x) != rank(y)) {
-    if (rank(x) < rank(y)) {
-      const std::size_t f = field(x);
-      y = internal(f, {{intern(schema_.domain_set(f)), y}});
-    } else {
-      const std::size_t f = field(y);
-      x = internal(f, {{intern(schema_.domain_set(f)), x}});
-    }
-  }
-  std::pair<ArenaNodeId, ArenaNodeId> result;
-  if (is_terminal(x)) {
-    result = {x, y};
-  } else {
-    // Step 2: common refinement of the two edge partitions, fragments of
-    // one edge *pair* kept merged (same optimisation as the tree path).
-    // Where the tree version clones the source subtree for every fragment
-    // but the last, ids are simply referenced again.
-    struct Fragment {
-      IntervalSet label;
-      ArenaNodeId a_child;
-      ArenaNodeId b_child;
-    };
-    const std::span<const ArenaEdge> xv = edges(x);
-    const std::span<const ArenaEdge> yv = edges(y);
-    const std::vector<ArenaEdge> xe(xv.begin(), xv.end());
-    const std::vector<ArenaEdge> ye(yv.begin(), yv.end());
-    std::vector<Fragment> fragments;
-    for (const ArenaEdge& ea : xe) {
-      for (const ArenaEdge& eb : ye) {
-        IntervalSet common = labels_[ea.label].intersect(labels_[eb.label]);
-        if (!common.empty()) {
-          fragments.push_back({std::move(common), ea.target, eb.target});
-        }
-      }
-    }
-    std::sort(fragments.begin(), fragments.end(),
-              [](const Fragment& p, const Fragment& q) {
-                return p.label.min() < q.label.min();
-              });
-    std::vector<ArenaEdge> a_edges;
-    std::vector<ArenaEdge> b_edges;
-    a_edges.reserve(fragments.size());
-    b_edges.reserve(fragments.size());
-    const std::size_t f = field(x);
-    for (const Fragment& frag : fragments) {
-      const auto [ca, cb] = shape_pair(frag.a_child, frag.b_child);
-      const ArenaLabelId lid = intern(frag.label);
-      a_edges.push_back({lid, ca});
-      b_edges.push_back({lid, cb});
-    }
-    result = {internal(f, std::move(a_edges)),
-              internal(f, std::move(b_edges))};
-  }
-  shape_cache_.emplace(key, result);
-  return result;
-}
-
-void FddArena::shape_all(std::vector<ArenaNodeId>& roots) {
-  if (roots.empty()) {
-    throw std::invalid_argument("shape_all: no FDDs");
-  }
-  // Pass 1: funnel every refinement into roots[0]. Pass 2: roots[0] is now
-  // the common refinement; re-aligning the others splits only their edges.
-  for (std::size_t i = 1; i < roots.size(); ++i) {
-    std::tie(roots[0], roots[i]) = shape_pair(roots[0], roots[i]);
-  }
-  for (std::size_t i = 1; i + 1 < roots.size(); ++i) {
-    std::tie(roots[0], roots[i]) = shape_pair(roots[0], roots[i]);
-  }
-}
-
-bool FddArena::semi_isomorphic(ArenaNodeId a, ArenaNodeId b) {
-  if (a == b) {
-    return true;
-  }
-  const std::uint64_t key = IdPairMemo::key(a, b);
-  if (const auto it = equiv_cache_.find(key); it != equiv_cache_.end()) {
-    ++stats_.equiv_cache_hits;
-    return it->second;
-  }
-  ++stats_.equiv_cache_misses;
-  govern::checkpoint(govern_);
-  bool result = true;
-  if (is_terminal(a) != is_terminal(b)) {
-    result = false;
-  } else if (is_terminal(a)) {
-    result = true;  // decisions may differ
-  } else if (field(a) != field(b) ||
-             edges(a).size() != edges(b).size()) {
-    result = false;
-  } else {
-    const std::span<const ArenaEdge> ea = edges(a);
-    const std::span<const ArenaEdge> eb = edges(b);
-    for (std::size_t i = 0; i < ea.size() && result; ++i) {
-      // Interned labels: id equality is set equality.
-      result = ea[i].label == eb[i].label &&
-               semi_isomorphic(ea[i].target, eb[i].target);
-    }
-  }
-  equiv_cache_.emplace(key, result);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Comparison (Section 5) with identical-subdiagram pruning.
+// Comparison (Section 5): one product walk over canonical diagrams.
 
 std::vector<Discrepancy> FddArena::compare(
     const std::vector<ArenaNodeId>& roots) {
@@ -852,69 +717,113 @@ void FddArena::compare_into(const std::vector<ArenaNodeId>& roots,
   if (roots.empty()) {
     throw std::invalid_argument("FddArena::compare: no roots");
   }
-  for (std::size_t i = 1; i < roots.size(); ++i) {
-    if (!semi_isomorphic(roots[0], roots[i])) {
-      throw std::invalid_argument(
-          "FddArena::compare: diagrams are not pairwise semi-isomorphic");
-    }
+  if (std::ranges::find(roots, kEmpty) != roots.end()) {
+    return;  // no packet is decided by every diagram
   }
-  std::vector<IntervalSet> conjuncts;
-  conjuncts.reserve(schema_.field_count());
-  for (std::size_t i = 0; i < schema_.field_count(); ++i) {
-    conjuncts.emplace_back(schema_.domain(i));
+  // A breach may have unwound an earlier walk mid-visit.
+  compare_levels_.resize(schema_.field_count());
+  for (CompareLevel& level : compare_levels_) {
+    level.visiting = kNotVisiting;
   }
-  // Memo: an id tuple whose subdiagrams agree everywhere contributes no
-  // discrepancy from any path prefix, so it is walked once and pruned on
-  // every later encounter. Tuples that do disagree must be re-walked (the
-  // records carry the path predicate), but those are exactly the regions
-  // the output has to spell out anyway.
-  std::unordered_map<std::vector<ArenaNodeId>, bool, ArenaIdTupleHash> memo;
-  const auto walk = [&](auto&& self,
-                        const std::vector<ArenaNodeId>& nodes) -> bool {
-    // The walk materialises no nodes, so it carries its own checkpoint;
-    // unwinding mid-walk leaves the discrepancies found so far in `out`.
-    govern::checkpoint(govern_);
-    const ArenaNodeId first = nodes.front();
-    if (std::all_of(nodes.begin(), nodes.end(),
-                    [&](ArenaNodeId n) { return n == first; })) {
-      return false;  // one shared subdiagram: trivially no disagreement
-    }
-    if (is_terminal(first)) {
-      // Terminals are hash-consed per decision, so unequal ids mean the
-      // decisions are not all equal.
-      Discrepancy d;
-      d.conjuncts = conjuncts;
-      d.decisions.reserve(nodes.size());
-      for (const ArenaNodeId n : nodes) {
-        d.decisions.push_back(decision(n));
+  compare_nodes(roots, out);
+}
+
+void FddArena::compare_nodes(std::span<const ArenaNodeId> nodes,
+                             std::vector<Discrepancy>& out) {
+  // The walk materialises no nodes, so it carries its own checkpoint;
+  // unwinding mid-walk leaves the discrepancies found so far in `out`.
+  govern::checkpoint(govern_);
+  const ArenaNodeId first = nodes.front();
+  if (std::ranges::all_of(nodes, [&](ArenaNodeId n) { return n == first; })) {
+    return;  // one shared subdiagram: no disagreement
+  }
+  // Terminals rank after every field.
+  std::uint32_t f = kArenaTerminalField;
+  for (const ArenaNodeId n : nodes) {
+    f = std::min(f, field(n));
+  }
+  if (f == kArenaTerminalField) {
+    // Terminals are hash-consed per decision, so unequal ids mean the
+    // decisions are not all equal. The predicate is the fragment each
+    // level on the path is visiting; untested fields span their domain.
+    Discrepancy d;
+    d.conjuncts.reserve(schema_.field_count());
+    for (std::size_t g = 0; g < schema_.field_count(); ++g) {
+      const CompareLevel& level = compare_levels_[g];
+      if (level.visiting == kNotVisiting) {
+        d.conjuncts.push_back(schema_.domain_set(g));
+      } else {
+        d.conjuncts.push_back(IntervalSet::from_runs(
+            level.fragment(level.current, level.visiting)));
       }
-      out.push_back(std::move(d));
-      return true;
     }
-    if (const auto it = memo.find(nodes); it != memo.end()) {
-      ++stats_.compare_cache_hits;
-      if (!it->second) {
-        return false;
+    d.decisions.reserve(nodes.size());
+    for (const ArenaNodeId n : nodes) {
+      d.decisions.push_back(decision(n));
+    }
+    out.push_back(std::move(d));
+    return;
+  }
+  // The fragments are the nonempty intersections of one edge label per
+  // node: start from the whole domain with every node its own child, and
+  // refine by each node that tests f in turn, replacing its child.
+  const std::size_t n_count = nodes.size();
+  CompareLevel& level = compare_levels_[f];
+  const std::vector<Interval>& domain = schema_.domain_set(f).intervals();
+  level.current = 0;
+  level.runs[0].assign(domain.begin(), domain.end());
+  level.ends[0].assign(1, static_cast<std::uint32_t>(domain.size()));
+  level.children[0].assign(nodes.begin(), nodes.end());
+  for (std::size_t k = 0; k < n_count; ++k) {
+    if (field(nodes[k]) != f) {
+      continue;
+    }
+    const int from = level.current;
+    const int to = 1 - from;
+    std::vector<Interval>& runs = level.runs[to];
+    std::vector<std::uint32_t>& ends = level.ends[to];
+    std::vector<ArenaNodeId>& children = level.children[to];
+    runs.clear();
+    ends.clear();
+    children.clear();
+    for (std::size_t i = 0; i < level.ends[from].size(); ++i) {
+      const std::span<const Interval> frag = level.fragment(from, i);
+      for (const ArenaEdge& e : edges(nodes[k])) {
+        const IntervalSet& lab = labels_[e.label];
+        if (lab.max() < frag.front().lo() || frag.back().hi() < lab.min()) {
+          continue;
+        }
+        intersect_into(frag, lab.intervals(), scratch_.runs);
+        if (scratch_.runs.empty()) {
+          continue;
+        }
+        runs.insert(runs.end(), scratch_.runs.begin(), scratch_.runs.end());
+        ends.push_back(static_cast<std::uint32_t>(runs.size()));
+        const auto row = level.children[from].begin() +
+                         static_cast<std::ptrdiff_t>(i * n_count);
+        children.insert(children.end(), row,
+                        row + static_cast<std::ptrdiff_t>(n_count));
+        children[children.size() - n_count + k] = e.target;
       }
-    } else {
-      ++stats_.compare_cache_misses;
     }
-    const std::size_t f = field(first);
-    const std::size_t edge_count = edges(first).size();
-    bool found = false;
-    std::vector<ArenaNodeId> children(nodes.size());
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      conjuncts[f] = labels_[edges(first)[e].label];
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        children[k] = edges(nodes[k])[e].target;
-      }
-      found |= self(self, children);
-    }
-    conjuncts[f] = schema_.domain_set(f);
-    memo.insert_or_assign(nodes, found);
-    return found;
-  };
-  walk(walk, roots);
+    level.current = to;
+  }
+  // Shaped diagrams keep their edges sorted by label minimum, and the
+  // reference walks them in that order.
+  const std::vector<std::uint32_t>& ends = level.ends[level.current];
+  const std::vector<ArenaNodeId>& children = level.children[level.current];
+  level.order.resize(ends.size());
+  for (std::uint32_t i = 0; i < ends.size(); ++i) {
+    level.order[i] = i;
+  }
+  std::ranges::sort(level.order, {}, [&](std::uint32_t i) {
+    return level.fragment(level.current, i).front().lo();
+  });
+  for (const std::uint32_t i : level.order) {
+    level.visiting = i;
+    compare_nodes(std::span(children).subspan(i * n_count, n_count), out);
+  }
+  level.visiting = kNotVisiting;
 }
 
 Decision FddArena::evaluate(ArenaNodeId root, const Packet& p) const {

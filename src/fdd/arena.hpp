@@ -15,8 +15,9 @@
 //     "clone subtree" becomes "copy an id" (copy-on-write appends) and
 //     sibling-merge reduction happens at node-creation time — a diagram
 //     built through canonical() is reduced by construction, no post-pass.
-//   * operations on ids are pure functions of their arguments, so shaping,
-//     comparison pruning, and semi-isomorphism memoise on node-id pairs.
+//   * operations on ids are pure functions of their arguments, so the
+//     construction and overlay walks memoise on node ids, and comparison
+//     prunes every tuple of equal ids without looking inside.
 //
 // The arena is the production representation: construction, comparison,
 // resolution, the compiled classifier, serve, lint and queries all read
@@ -38,8 +39,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "fdd/compare.hpp"
@@ -65,12 +64,6 @@ struct ArenaEdge {
   ArenaNodeId target;
 
   friend bool operator==(const ArenaEdge&, const ArenaEdge&) = default;
-};
-
-/// Hash of a node-id tuple (one id per diagram walked in lockstep), for
-/// memo tables keyed on such tuples.
-struct ArenaIdTupleHash {
-  std::size_t operator()(const std::vector<ArenaNodeId>& ids) const;
 };
 
 /// A memo from pairs of ids to node ids: the pair packed into one 64-bit
@@ -103,8 +96,9 @@ class FaultPlan;
 class FddArena {
  public:
   /// The empty partial diagram: no rule folded in, no packet decided. Only
-  /// append_rule and overlay accept it. Appending a rule to it yields the
-  /// rule's lone decision path (Fig. 6), so policy prefixes start here.
+  /// append_rule, overlay and compare accept it. Appending a rule to it
+  /// yields the rule's lone decision path (Fig. 6), so policy prefixes
+  /// start here.
   static constexpr ArenaNodeId kEmpty = static_cast<ArenaNodeId>(-1);
 
   explicit FddArena(Schema schema);
@@ -138,8 +132,7 @@ class FddArena {
 
   /// Interns a nonterminal exactly as given (edges are sorted by label
   /// minimum; labels must be disjoint and nonempty). No sibling merging or
-  /// splicing — shaping needs to represent aligned, non-canonical
-  /// partitions faithfully.
+  /// splicing, so it can represent non-canonical partitions faithfully.
   ArenaNodeId internal(std::size_t field, std::vector<ArenaEdge> edges);
 
   /// Interns a nonterminal in *canonical* (reduced) form: edges whose
@@ -222,22 +215,17 @@ class FddArena {
   /// materialises.
   ArenaNodeId overlay(ArenaNodeId a, ArenaNodeId b);
 
-  /// NODE_SHAPING (Fig. 10) over ids: returns the semi-isomorphic pair.
-  /// Memoised on (a, b); shape_pair(x, x) is O(1).
-  std::pair<ArenaNodeId, ArenaNodeId> shape_pair(ArenaNodeId a,
-                                                 ArenaNodeId b);
-
-  /// N-way shaping mirroring the tree shape_all: funnel every refinement
-  /// into roots[0], then re-align the others against it.
-  void shape_all(std::vector<ArenaNodeId>& roots);
-
-  /// Semi-isomorphism (Definition 4.2), memoised on (a, b).
-  bool semi_isomorphic(ArenaNodeId a, ArenaNodeId b);
-
-  /// Lockstep N-way comparison of pairwise semi-isomorphic diagrams.
-  /// Identical-id subdiagrams are pruned in O(1); subdiagram tuples proven
-  /// discrepancy-free are pruned via a memo keyed on the id tuple. Output
-  /// order and contents match the tree compare exactly.
+  /// N-way comparison (Section 5) as one product walk over canonical
+  /// diagrams, with no shaping. At a tuple of nodes it splits on the
+  /// smallest field any of them tests, reading a node that skips it as one
+  /// full-domain edge, and visits the nonempty intersections of their edge
+  /// labels in label-minimum order. A tuple of equal ids is pruned; a tuple
+  /// of terminals that are not all equal is one Discrepancy. Output order
+  /// and contents equal the tree reference's shape-then-compare. Equal
+  /// functions share one id, so every tuple the walk enters holds a
+  /// discrepancy: the work is bounded by the output times the field count,
+  /// and no memo is kept. Partial diagrams are compared where all of them
+  /// decide (kEmpty decides nothing); they never throw.
   std::vector<Discrepancy> compare(const std::vector<ArenaNodeId>& roots);
 
   /// Same walk, appending into a caller-owned vector: when a governance
@@ -350,6 +338,26 @@ class FddArena {
     std::vector<Interval> b_cover;     // union of the second side's labels
   };
 
+  // The fragments of the comparison visit at one field level: a visit at
+  // field f recurses only into fields > f, so each level has at most one
+  // live visit. Refining by one more node reads one buffer pair and
+  // writes the other.
+  static constexpr std::size_t kNotVisiting = static_cast<std::size_t>(-1);
+  struct CompareLevel {
+    std::vector<Interval> runs[2];         // fragment labels, back to back
+    std::vector<std::uint32_t> ends[2];    // each fragment's end in runs
+    std::vector<ArenaNodeId> children[2];  // N child ids per fragment
+    std::vector<std::uint32_t> order;      // fragments by label minimum
+    int current = 0;                       // the buffer pair in use
+    std::size_t visiting = kNotVisiting;   // the fragment being walked
+
+    /// The label of fragment i in buffer pair `pair`.
+    std::span<const Interval> fragment(int pair, std::size_t i) const {
+      const std::uint32_t begin = i == 0 ? 0 : ends[pair][i - 1];
+      return std::span(runs[pair]).subspan(begin, ends[pair][i] - begin);
+    }
+  };
+
   static std::uint64_t node_hash(std::uint32_t field, Decision decision,
                                  std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
@@ -366,6 +374,9 @@ class FddArena {
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
   /// overlay() on two nodes (neither kEmpty).
   ArenaNodeId overlay_nodes(ArenaNodeId a, ArenaNodeId b);
+  /// compare_into() on one tuple of nodes (none kEmpty).
+  void compare_nodes(std::span<const ArenaNodeId> nodes,
+                     std::vector<Discrepancy>& out);
 
   Schema schema_;
   std::vector<NodeRecord> nodes_;
@@ -376,14 +387,12 @@ class FddArena {
   std::vector<std::uint64_t> label_hashes_;
   IdTable node_table_;
   IdTable label_table_;
-  // Memo caches, keyed on packed id pairs / id tuples. Ids are immutable,
-  // so entries stay valid for the arena's lifetime.
-  std::unordered_map<std::uint64_t, std::pair<ArenaNodeId, ArenaNodeId>>
-      shape_cache_;
-  std::unordered_map<std::uint64_t, bool> equiv_cache_;
+  // Keyed on packed id pairs. Ids are immutable, so entries stay valid for
+  // the arena's lifetime.
   IdPairMemo overlay_cache_;
   AppendScratch scratch_;
   std::vector<OverlayLevel> overlay_levels_;  // one per field
+  std::vector<CompareLevel> compare_levels_;  // one per field
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection
@@ -424,12 +433,12 @@ std::vector<ArenaDiagram> build_diagrams(
 ArenaDiagram compact(const ArenaDiagram& diagram);
 
 /// The pipeline's second half, on diagrams already built: imports each
-/// root into `arena` (over their schema) and validates it there, shapes
-/// them all, and compares them, under the "validate", "shape" and
-/// "compare" phase spans. Only reads the diagrams' arenas. Appends the
-/// discrepancies to `out` — a governance breach leaves the ones found so
-/// far — and returns the shaped roots in input order. run.context governs
-/// `arena`; absorbing its stats is the caller's part.
+/// root into `arena` (over their schema) and validates it there, then
+/// compares them, under the "validate" and "compare" phase spans. Only
+/// reads the diagrams' arenas. Appends the discrepancies to `out` — a
+/// governance breach leaves the ones found so far — and returns the
+/// imported roots in input order. run.context governs `arena`; absorbing
+/// its stats is the caller's part.
 std::vector<ArenaNodeId> compare_diagrams(
     FddArena& arena, std::span<const ArenaDiagram> diagrams,
     const RunOptions& run, std::vector<Discrepancy>& out);

@@ -162,8 +162,8 @@ ArenaDiagram build_diagram(const Policy& policy, const RunOptions& run) {
 std::vector<ArenaDiagram> build_diagrams(
     std::span<const Policy* const> policies, const RunOptions& run) {
   // Construction dominates the pipeline (Fig. 13) and the diagrams are
-  // independent until shaping, so each builds in an arena of its own — a
-  // pool task apiece.
+  // independent until comparison, so each builds in an arena of its own —
+  // a pool task apiece.
   PhaseSpan phase(run.obs, "construct");
   return parallel_map<ArenaDiagram>(
       executor_or_inline(run), policies.size(),
@@ -191,10 +191,6 @@ std::vector<ArenaNodeId> compare_diagrams(
     for (const ArenaNodeId root : roots) {
       arena.validate(root);  // rejects non-comprehensive inputs up front
     }
-  }
-  {
-    PhaseSpan phase(run.obs, "shape");
-    arena.shape_all(roots);
   }
   PhaseSpan phase(run.obs, "compare");
   arena.compare_into(roots, out);

@@ -7,7 +7,11 @@
 // firewalls. We also provide the N-way generalisation (one record per
 // predicate whose decisions across the N diagrams are not all equal) and a
 // whole-pipeline convenience that goes from two rule sequences to
-// discrepancies (construct -> shape -> compare).
+// discrepancies. The paper shapes the FDDs semi-isomorphic and walks them
+// in lockstep; the tree functions below keep that as the reference. The
+// production pipeline builds canonical diagrams and compares them by one
+// product walk (FddArena::compare), which needs no shaping and yields the
+// same records in the same order (construct -> validate -> compare).
 
 #pragma once
 
@@ -38,14 +42,14 @@ struct Discrepancy {
 struct CompareOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.executor`: with a
   /// pool, the policies' diagrams build concurrently, one task each, and
-  /// shaping and comparison run on the calling thread; results are
-  /// identical for every executor. `run.context`: cancellation, deadline,
-  /// and resource budgets observed throughout the pipeline — construction
-  /// and shaping charge the nodes they intern and every phase takes
-  /// amortized checkpoints. The vector-returning entry points let a breach
+  /// comparison runs on the calling thread; results are identical for
+  /// every executor. `run.context`: cancellation, deadline, and resource
+  /// budgets observed throughout the pipeline — construction and import
+  /// charge the nodes they intern and every phase takes amortized
+  /// checkpoints. The vector-returning entry points let a breach
   /// propagate as dfw::Error; the *_governed entry points catch it and
   /// return the discrepancies found so far with complete=false. `run.obs`:
-  /// the pipelines emit phase spans — "construct", "validate", "shape",
+  /// the pipelines emit phase spans — "construct", "validate",
   /// "compare" — plus one "build_reduced_fdd" span and one executor
   /// "chunk" span per policy, record phase durations into the registry
   /// ("phase.<name>_ns"), and absorb every arena's ArenaStats into it.
@@ -73,8 +77,8 @@ std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b);
 /// shape_all). A path is reported when not all N decisions agree.
 std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds);
 
-/// Full pipeline on policies: construct, shape, compare. Policies must be
-/// comprehensive and share a schema. With a pool executor the two
+/// Full pipeline on policies: construct, validate, compare. Policies must
+/// be comprehensive and share a schema. With a pool executor the two
 /// diagrams are constructed concurrently.
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,
                                        const CompareOptions& options = {});

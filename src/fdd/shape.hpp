@@ -23,7 +23,8 @@ namespace dfw {
 /// ordered FDDs over the same schema (they need not be simple yet; shaping
 /// simplifies them first). Postcondition: semi_isomorphic(a, b). Serial
 /// and ungoverned: with compare_fdds it is the tree reference for the
-/// production pipeline (FddArena::shape_pair mirrors it on ids).
+/// production pipeline, whose product walk (FddArena::compare) reaches the
+/// same discrepancies without shaping.
 void shape_pair(Fdd& a, Fdd& b);
 
 /// The paper-literal variant of shape_pair: first makes both diagrams
@@ -31,7 +32,7 @@ void shape_pair(Fdd& a, Fdd& b);
 /// Fig. 10's edge-splitting sweep. Produces simple semi-isomorphic FDDs —
 /// exactly the paper's Figs. 4-5 pipeline — at the cost of tearing shared
 /// regions into per-interval edges. Kept for cross-validation and for the
-/// shaping ablation benchmark; shape_pair is the production path.
+/// shaping ablation benchmark; shape_pair is the reference path.
 void shape_pair_simple(Fdd& a, Fdd& b);
 
 /// Direct N-way extension (Section 7.3): makes every diagram in `fdds`

@@ -66,13 +66,6 @@ std::string to_string(const ArenaStats& s) {
          " append_hit=" +
          rate(s.append_cache_hits,
               s.append_cache_hits + s.append_cache_misses) +
-         " shape_hit=" +
-         rate(s.shape_cache_hits, s.shape_cache_hits + s.shape_cache_misses) +
-         " compare_hit=" +
-         rate(s.compare_cache_hits,
-              s.compare_cache_hits + s.compare_cache_misses) +
-         " equiv_hit=" +
-         rate(s.equiv_cache_hits, s.equiv_cache_hits + s.equiv_cache_misses) +
          " overlay_hit=" +
          rate(s.overlay_cache_hits,
               s.overlay_cache_hits + s.overlay_cache_misses);

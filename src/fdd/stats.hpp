@@ -39,12 +39,6 @@ struct ArenaStats {
   std::size_t label_hits = 0;      ///< lookups resolved to an existing label
   std::size_t append_cache_hits = 0;    ///< COW-append memo hits
   std::size_t append_cache_misses = 0;
-  std::size_t shape_cache_hits = 0;     ///< shaping-pair memo hits
-  std::size_t shape_cache_misses = 0;
-  std::size_t compare_cache_hits = 0;   ///< comparison-walk prune hits
-  std::size_t compare_cache_misses = 0;
-  std::size_t equiv_cache_hits = 0;     ///< semi-isomorphism memo hits
-  std::size_t equiv_cache_misses = 0;
   std::size_t overlay_cache_hits = 0;   ///< first-match overlay memo hits
   std::size_t overlay_cache_misses = 0;
 

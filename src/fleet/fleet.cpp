@@ -12,19 +12,13 @@
 #include "adapters/cisco.hpp"
 #include "adapters/iptables.hpp"
 #include "fw/parser.hpp"
+#include "lint/sarif.hpp"
 #include "obs/json.hpp"
 #include "obs/names.hpp"
 #include "rt/executor.hpp"
 
 namespace dfw::fleet {
 namespace {
-
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  json::escape(out, s);
-  out += '"';
-  return out;
-}
 
 /// FNV-1a over `s`, rendered as the lint layer's 16-hex-char fingerprint
 /// shape — used for the fleet-level SARIF results (divergences, device
@@ -515,8 +509,8 @@ std::string render_fleet_json(const FleetReport& report) {
   std::string out = "{\"schema\":\"dfw-fleet-report-v1\",";
   out += "\"complete\":";
   out += report.complete ? "true" : "false";
-  out += ",\"status\":" + json_quote(to_string(report.status));
-  out += ",\"message\":" + json_quote(report.message);
+  out += ",\"status\":" + json::quote(to_string(report.status));
+  out += ",\"message\":" + json::quote(report.message);
   out += ",\"devices\":[";
   std::size_t counts[5] = {0, 0, 0, 0, 0};
   std::size_t rules_before = 0;
@@ -529,14 +523,14 @@ std::string render_fleet_json(const FleetReport& report) {
     if (i != 0) {
       out += ",";
     }
-    out += "{\"name\":" + json_quote(dev.item.name);
-    out += ",\"path\":" + json_quote(dev.item.path);
-    out += ",\"format\":" + json_quote(to_string(dev.item.format));
-    out += ",\"status\":" + json_quote(to_string(dev.status));
-    out += ",\"message\":" + json_quote(dev.message);
+    out += "{\"name\":" + json::quote(dev.item.name);
+    out += ",\"path\":" + json::quote(dev.item.path);
+    out += ",\"format\":" + json::quote(to_string(dev.item.format));
+    out += ",\"status\":" + json::quote(to_string(dev.status));
+    out += ",\"message\":" + json::quote(dev.message);
     out += ",\"rules_before\":" + std::to_string(dev.simplify.rules_before);
     out += ",\"rules_after\":" + std::to_string(dev.simplify.rules_after);
-    out += ",\"proof\":" + json_quote(to_string(dev.simplify.proof));
+    out += ",\"proof\":" + json::quote(to_string(dev.simplify.proof));
     out += ",\"simplify_passes\":" + std::to_string(dev.simplify.passes);
     out += ",\"dead_eliminated\":" +
            std::to_string(dev.simplify.stats.dead_eliminated);
@@ -565,26 +559,26 @@ std::string render_fleet_json(const FleetReport& report) {
          std::to_string(report.divergences.size());
   out += "},\"compare\":{\"complete\":";
   out += report.compare_complete ? "true" : "false";
-  out += ",\"message\":" + json_quote(report.compare_message);
+  out += ",\"message\":" + json::quote(report.compare_message);
   out += ",\"divergences\":[";
   for (std::size_t i = 0; i < report.divergences.size(); ++i) {
     const Divergence& v = report.divergences[i];
     if (i != 0) {
       out += ",";
     }
-    out += "{\"class\":" + json_quote(v.text) + ",\"devices\":[";
+    out += "{\"class\":" + json::quote(v.text) + ",\"devices\":[";
     for (std::size_t d = 0; d < v.devices.size(); ++d) {
       if (d != 0) {
         out += ",";
       }
-      out += json_quote(v.devices[d]);
+      out += json::quote(v.devices[d]);
     }
     out += "],\"decisions\":[";
     for (std::size_t d = 0; d < v.decisions.size(); ++d) {
       if (d != 0) {
         out += ",";
       }
-      out += json_quote(default_decisions().name(v.decisions[d]));
+      out += json::quote(default_decisions().name(v.decisions[d]));
     }
     out += "]}";
   }
@@ -594,31 +588,10 @@ std::string render_fleet_json(const FleetReport& report) {
 
 namespace {
 
-constexpr const char* kSarifSchema =
-    "https://docs.oasis-open.org/sarif/sarif/v2.1.0/errata01/os/schemas/"
-    "sarif-schema-2.1.0.json";
-constexpr const char* kFingerprintKey = "dfwFingerprint/v1";
-
 constexpr const char* kRuleDivergence = "fleet.divergence";
 constexpr const char* kRuleParseError = "fleet.parse-error";
 constexpr const char* kRulePartial = "fleet.device-partial";
 constexpr const char* kRuleSkipped = "fleet.device-skipped";
-
-std::string fleet_rule_description(const std::string& id) {
-  if (id == kRuleDivergence) {
-    return "devices assign different decisions to the same traffic class";
-  }
-  if (id == kRuleParseError) {
-    return "the device configuration failed to parse";
-  }
-  if (id == kRulePartial) {
-    return "the global budget cut this device's analysis short";
-  }
-  if (id == kRuleSkipped) {
-    return "the global budget was exhausted before this device started";
-  }
-  return id;
-}
 
 /// One deduplicated lint finding: its first occurrence plus how many
 /// devices reproduce it.
@@ -649,90 +622,16 @@ std::string render_fleet_sarif(const FleetReport& report) {
     }
   }
 
-  std::vector<std::string> rule_ids;
-  for (const DedupedFinding& f : findings) {
-    rule_ids.push_back(f.diagnostic->check_id);
-  }
-  if (!report.divergences.empty()) {
-    rule_ids.push_back(kRuleDivergence);
-  }
-  for (const DeviceReport& dev : report.devices) {
-    if (dev.status == DeviceStatus::kParseError) {
-      rule_ids.push_back(kRuleParseError);
-    } else if (dev.status == DeviceStatus::kPartial) {
-      rule_ids.push_back(kRulePartial);
-    } else if (dev.status == DeviceStatus::kSkipped) {
-      rule_ids.push_back(kRuleSkipped);
-    }
-  }
-  std::sort(rule_ids.begin(), rule_ids.end());
-  rule_ids.erase(std::unique(rule_ids.begin(), rule_ids.end()),
-                 rule_ids.end());
-  std::map<std::string, std::size_t> rule_index;
-  for (std::size_t i = 0; i < rule_ids.size(); ++i) {
-    rule_index[rule_ids[i]] = i;
-  }
-
-  std::string out = "{";
-  out += "\"$schema\":" + json_quote(kSarifSchema) + ",";
-  out += "\"version\":\"2.1.0\",";
-  out += "\"runs\":[{";
-  out += "\"tool\":{\"driver\":{";
-  out += "\"name\":\"dfw-fleet\",";
-  out += "\"informationUri\":\"https://github.com/dfw/dfw\",";
-  out += "\"rules\":[";
-  for (std::size_t i = 0; i < rule_ids.size(); ++i) {
-    if (i != 0) {
-      out += ",";
-    }
-    out += "{\"id\":" + json_quote(rule_ids[i]) +
-           ",\"shortDescription\":{\"text\":" +
-           json_quote(fleet_rule_description(rule_ids[i])) + "}}";
-  }
-  out += "]}},";
-  const bool successful = report.complete && report.compare_complete;
-  out += "\"invocations\":[{\"executionSuccessful\":";
-  out += successful ? "true" : "false";
-  if (!successful) {
-    const std::string& why =
-        report.complete ? report.compare_message : report.message;
-    out += ",\"toolExecutionNotifications\":[{\"level\":\"error\","
-           "\"message\":{\"text\":" +
-           json_quote("partial result: " + why) + "}}]";
-  }
-  out += "}],";
-  out += "\"columnKind\":\"unicodeCodePoints\",";
-  out += "\"results\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& rule, const std::string& level,
-                        const std::string& text, const std::string& uri,
-                        std::size_t line, const std::string& fingerprint) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "{\"ruleId\":" + json_quote(rule) + ",";
-    out += "\"ruleIndex\":" + std::to_string(rule_index[rule]) + ",";
-    out += "\"level\":" + json_quote(level) + ",";
-    out += "\"message\":{\"text\":" + json_quote(text) + "},";
-    out += "\"locations\":[{\"physicalLocation\":{";
-    out += "\"artifactLocation\":{\"uri\":" + json_quote(uri) + "}";
-    if (line != 0) {
-      out += ",\"region\":{\"startLine\":" + std::to_string(line) + "}";
-    }
-    out += "}}],";
-    out += "\"partialFingerprints\":{" + json_quote(kFingerprintKey) + ":" +
-           json_quote(fingerprint) + "}}";
-  };
-
+  std::vector<lint::SarifResult> results;
   for (const DedupedFinding& f : findings) {
     const lint::Diagnostic& d = *f.diagnostic;
     std::string text = d.message;
     if (f.occurrences > 1) {
       text += " (seen on " + std::to_string(f.occurrences) + " devices)";
     }
-    emit(d.check_id, to_string(d.severity), text,
-         report.devices[f.device].item.path, d.line, d.fingerprint);
+    results.push_back({d.check_id, to_string(d.severity), std::move(text),
+                       report.devices[f.device].item.path, d.line,
+                       d.fingerprint});
   }
   for (const Divergence& v : report.divergences) {
     std::string text = "devices diverge on " + v.text + ":";
@@ -743,8 +642,9 @@ std::string render_fleet_sarif(const FleetReport& report) {
       text += " " + v.devices[i] + "=" + decision;
       key += "|" + v.devices[i] + "=" + decision;
     }
-    emit(kRuleDivergence, "warning", text, v.devices.empty() ? "" :
-         v.devices[0], 0, fnv_fingerprint(key));
+    results.push_back({kRuleDivergence, "warning", std::move(text),
+                       v.devices.empty() ? "" : v.devices[0], 0,
+                       fnv_fingerprint(key)});
   }
   for (const DeviceReport& dev : report.devices) {
     const char* rule = nullptr;
@@ -759,11 +659,15 @@ std::string render_fleet_sarif(const FleetReport& report) {
     } else {
       continue;
     }
-    emit(rule, level, dev.item.name + ": " + dev.message, dev.item.path, 0,
-         fnv_fingerprint(std::string(rule) + "|" + dev.item.name));
+    results.push_back({rule, level, dev.item.name + ": " + dev.message,
+                       dev.item.path, 0,
+                       fnv_fingerprint(std::string(rule) + "|" +
+                                       dev.item.name)});
   }
-  out += "]}]}";
-  return out;
+  const bool successful = report.complete && report.compare_complete;
+  return lint::write_sarif(
+      "dfw-fleet", results, successful,
+      report.complete ? report.compare_message : report.message);
 }
 
 }  // namespace dfw::fleet

@@ -5,13 +5,6 @@
 namespace dfw::lint {
 namespace {
 
-std::string quoted(std::string_view s) {
-  std::string out = "\"";
-  json::escape(out, s);
-  out += '"';
-  return out;
-}
-
 std::string witness_text(const LintInput& input, const Witness& w) {
   std::string out =
       "witness: " + format_class(input.policy->schema(), w.conjuncts);
@@ -56,17 +49,17 @@ std::string render_text(const LintInput& input, const LintReport& report) {
 std::string render_json(const LintInput& input, const LintReport& report) {
   std::string out = "{";
   out += "\"version\":1,";
-  out += "\"source\":" + quoted(input.source_name) + ",";
+  out += "\"source\":" + json::quote(input.source_name) + ",";
   out += std::string("\"complete\":") +
          (report.complete ? "true" : "false") + ",";
-  out += "\"status\":" + quoted(to_string(report.status)) + ",";
-  out += "\"message\":" + quoted(report.message) + ",";
+  out += "\"status\":" + json::quote(to_string(report.status)) + ",";
+  out += "\"message\":" + json::quote(report.message) + ",";
   out += "\"passes\":[";
   for (std::size_t i = 0; i < report.passes_run.size(); ++i) {
     if (i != 0) {
       out += ",";
     }
-    out += quoted(report.passes_run[i]);
+    out += json::quote(report.passes_run[i]);
   }
   out += "],";
   out += "\"counts\":{\"error\":" +
@@ -80,8 +73,8 @@ std::string render_json(const LintInput& input, const LintReport& report) {
       out += ",";
     }
     out += "{";
-    out += "\"check\":" + quoted(d.check_id) + ",";
-    out += "\"severity\":" + quoted(to_string(d.severity)) + ",";
+    out += "\"check\":" + json::quote(d.check_id) + ",";
+    out += "\"severity\":" + json::quote(to_string(d.severity)) + ",";
     if (d.rule != kNoRule) {
       out += "\"rule\":" + std::to_string(d.rule) + ",";
     }
@@ -91,12 +84,12 @@ std::string render_json(const LintInput& input, const LintReport& report) {
     if (d.line != 0) {
       out += "\"line\":" + std::to_string(d.line) + ",";
     }
-    out += "\"message\":" + quoted(d.message) + ",";
+    out += "\"message\":" + json::quote(d.message) + ",";
     if (d.witness.has_value()) {
       const Witness& w = *d.witness;
       out += "\"witness\":{";
       out += "\"class\":" +
-             quoted(format_class(input.policy->schema(), w.conjuncts)) + ",";
+             json::quote(format_class(input.policy->schema(), w.conjuncts)) + ",";
       // Packet values are emitted as strings: Value is 64-bit and JSON
       // numbers are not reliably lossless past 2^53.
       out += "\"packet\":[";
@@ -105,18 +98,18 @@ std::string render_json(const LintInput& input, const LintReport& report) {
         if (f != 0) {
           out += ",";
         }
-        out += quoted(std::to_string(packet[f]));
+        out += json::quote(std::to_string(packet[f]));
       }
       out += "]";
       if (w.observed.has_value()) {
-        out += ",\"observed\":" + quoted(input.decisions->name(*w.observed));
+        out += ",\"observed\":" + json::quote(input.decisions->name(*w.observed));
       }
       if (w.expected.has_value()) {
-        out += ",\"expected\":" + quoted(input.decisions->name(*w.expected));
+        out += ",\"expected\":" + json::quote(input.decisions->name(*w.expected));
       }
       out += "},";
     }
-    out += "\"fingerprint\":" + quoted(d.fingerprint);
+    out += "\"fingerprint\":" + json::quote(d.fingerprint);
     out += "}";
   }
   out += "]}";

@@ -14,15 +14,9 @@ constexpr const char* kSarifSchema =
     "sarif-schema-2.1.0.json";
 constexpr const char* kFingerprintKey = "dfwFingerprint/v1";
 
-std::string quoted(std::string_view s) {
-  std::string out = "\"";
-  json::escape(out, s);
-  out += '"';
-  return out;
-}
-
-// Per-check one-line descriptions for the rule catalog. Checks not listed
-// (adapter notes carry their own context) fall back to the check id.
+// One-line descriptions for the rule catalog: lint's checks and the
+// fleet audit's own rules. Rules not listed (adapter notes carry their
+// own context) fall back to the rule id.
 std::string rule_description(const std::string& id) {
   static const std::map<std::string, std::string> kDescriptions = {
       {"policy.shadowed-rule",
@@ -47,6 +41,13 @@ std::string rule_description(const std::string& id) {
       {"property.unsatisfied", "an exists property has no witness"},
       {"property.malformed", "a property lacks a required decision"},
       {"lint.unknown-pass", "the pass selection names an unknown pass"},
+      {"fleet.divergence",
+       "devices assign different decisions to the same traffic class"},
+      {"fleet.parse-error", "the device configuration failed to parse"},
+      {"fleet.device-partial",
+       "the global budget cut this device's analysis short"},
+      {"fleet.device-skipped",
+       "the global budget was exhausted before this device started"},
   };
   const auto it = kDescriptions.find(id);
   return it != kDescriptions.end() ? it->second : id;
@@ -54,12 +55,14 @@ std::string rule_description(const std::string& id) {
 
 }  // namespace
 
-std::string render_sarif(const LintInput& input, const LintReport& report) {
-  // Rule catalog: the check ids that fired, sorted and deduplicated so the
+std::string write_sarif(std::string_view tool,
+                        const std::vector<SarifResult>& results,
+                        bool successful, std::string_view failure) {
+  // Rule catalog: the rule ids that fired, sorted and deduplicated so the
   // catalog (and every result's ruleIndex) is deterministic.
   std::vector<std::string> rule_ids;
-  for (const Diagnostic& d : report.diagnostics) {
-    rule_ids.push_back(d.check_id);
+  for (const SarifResult& r : results) {
+    rule_ids.push_back(r.rule_id);
   }
   std::sort(rule_ids.begin(), rule_ids.end());
   rule_ids.erase(std::unique(rule_ids.begin(), rule_ids.end()),
@@ -70,43 +73,65 @@ std::string render_sarif(const LintInput& input, const LintReport& report) {
   }
 
   std::string out = "{";
-  out += "\"$schema\":" + quoted(kSarifSchema) + ",";
-  out += "\"version\":" + quoted(kSarifVersion) + ",";
+  out += "\"$schema\":" + json::quote(kSarifSchema) + ",";
+  out += "\"version\":" + json::quote(kSarifVersion) + ",";
   out += "\"runs\":[{";
   out += "\"tool\":{\"driver\":{";
-  out += "\"name\":\"dfw-lint\",";
+  out += "\"name\":" + json::quote(tool) + ",";
   out += "\"informationUri\":\"https://github.com/dfw/dfw\",";
   out += "\"rules\":[";
   for (std::size_t i = 0; i < rule_ids.size(); ++i) {
     if (i != 0) {
       out += ",";
     }
-    out += "{\"id\":" + quoted(rule_ids[i]) +
+    out += "{\"id\":" + json::quote(rule_ids[i]) +
            ",\"shortDescription\":{\"text\":" +
-           quoted(rule_description(rule_ids[i])) + "}}";
+           json::quote(rule_description(rule_ids[i])) + "}}";
   }
   out += "]}},";
   // An incomplete (governed, cut short) run is surfaced the SARIF way:
   // executionSuccessful=false plus a toolExecutionNotification.
   out += "\"invocations\":[{\"executionSuccessful\":";
-  out += report.complete ? "true" : "false";
-  if (!report.complete) {
+  out += successful ? "true" : "false";
+  if (!successful) {
+    std::string text = "partial result: ";
+    text += failure;
     out += ",\"toolExecutionNotifications\":[{\"level\":\"error\","
-           "\"message\":{\"text\":" +
-           quoted("partial result: " + report.message) + "}}]";
+           "\"message\":{\"text\":";
+    out += json::quote(text);
+    out += "}}]";
   }
   out += "}],";
   out += "\"columnKind\":\"unicodeCodePoints\",";
   out += "\"results\":[";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const SarifResult& r = results[i];
     if (i != 0) {
       out += ",";
     }
     out += "{";
-    out += "\"ruleId\":" + quoted(d.check_id) + ",";
-    out += "\"ruleIndex\":" + std::to_string(rule_index[d.check_id]) + ",";
-    out += "\"level\":" + quoted(to_string(d.severity)) + ",";
+    out += "\"ruleId\":" + json::quote(r.rule_id) + ",";
+    out += "\"ruleIndex\":" + std::to_string(rule_index[r.rule_id]) + ",";
+    out += "\"level\":" + json::quote(r.level) + ",";
+    out += "\"message\":{\"text\":" + json::quote(r.text) + "},";
+    out += "\"locations\":[{\"physicalLocation\":{";
+    out += "\"artifactLocation\":{\"uri\":" + json::quote(r.uri) + "}";
+    if (r.line != 0) {
+      out += ",\"region\":{\"startLine\":" + std::to_string(r.line) + "}";
+    }
+    out += "}}],";
+    out += "\"partialFingerprints\":{" + json::quote(kFingerprintKey) + ":" +
+           json::quote(r.fingerprint) + "}";
+    out += "}";
+  }
+  out += "]}]}";
+  return out;
+}
+
+std::string render_sarif(const LintInput& input, const LintReport& report) {
+  std::vector<SarifResult> results;
+  results.reserve(report.diagnostics.size());
+  for (const Diagnostic& d : report.diagnostics) {
     std::string text = d.message;
     if (d.witness.has_value()) {
       text += " [witness: " +
@@ -116,20 +141,10 @@ std::string render_sarif(const LintInput& input, const LintReport& report) {
       }
       text += "]";
     }
-    out += "\"message\":{\"text\":" + quoted(text) + "},";
-    out += "\"locations\":[{\"physicalLocation\":{";
-    out += "\"artifactLocation\":{\"uri\":" + quoted(input.source_name) +
-           "}";
-    if (d.line != 0) {
-      out += ",\"region\":{\"startLine\":" + std::to_string(d.line) + "}";
-    }
-    out += "}}],";
-    out += "\"partialFingerprints\":{" + quoted(kFingerprintKey) + ":" +
-           quoted(d.fingerprint) + "}";
-    out += "}";
+    results.push_back({d.check_id, to_string(d.severity), std::move(text),
+                       input.source_name, d.line, d.fingerprint});
   }
-  out += "]}]}";
-  return out;
+  return write_sarif("dfw-lint", results, report.complete, report.message);
 }
 
 SarifValidation validate_sarif(std::string_view text) {

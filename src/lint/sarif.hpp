@@ -1,12 +1,13 @@
 // SARIF 2.1.0 emission and structural validation.
 //
 // SARIF (Static Analysis Results Interchange Format, OASIS) is the
-// interchange format CI code-scanning surfaces ingest. The emitter
+// interchange format CI code-scanning surfaces ingest. write_sarif
 // produces a minimal, spec-conformant log: one run, the tool's rule
-// catalog (the check ids actually fired, sorted), one result per
-// diagnostic with level, message, location, and a partial fingerprint for
-// result matching across runs. Like the JSON renderer it is a pure
-// function of (input, report) — no timestamps, no absolute paths — so
+// catalog (the rule ids actually fired, sorted, each with its one-line
+// description), one result per finding with level, message, location, and
+// a partial fingerprint for result matching across runs. dfw-lint's and
+// dfw-fleet's renderers only build the results. Like the JSON renderer it
+// is a pure function of its input — no timestamps, no absolute paths — so
 // output is byte-deterministic across runs and thread counts.
 //
 // validate_sarif is the in-repo structural checker (the
@@ -16,6 +17,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +25,25 @@
 #include "lint/engine.hpp"
 
 namespace dfw::lint {
+
+/// One SARIF result: a finding of rule `rule_id` in the artifact `uri`.
+struct SarifResult {
+  std::string rule_id;
+  std::string level;  ///< error, warning, note or none
+  std::string text;
+  std::string uri;
+  std::size_t line = 0;  ///< 1-based start line; 0 = no region
+  std::string fingerprint;
+};
+
+/// Writes a SARIF 2.1.0 log of one run of the tool named `tool`. The rule
+/// catalog holds the results' rule ids, sorted and deduplicated, each with
+/// its one-line description (the id itself when it has none), and each
+/// result points into it by ruleIndex. An unsuccessful run says so and
+/// carries "partial result: <failure>" as an error notification.
+std::string write_sarif(std::string_view tool,
+                        const std::vector<SarifResult>& results,
+                        bool successful, std::string_view failure);
 
 /// Renders the report as a SARIF 2.1.0 log (single run).
 std::string render_sarif(const LintInput& input, const LintReport& report);

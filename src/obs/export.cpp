@@ -59,19 +59,16 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> cumulative_buckets(
 
 }  // namespace
 
-MetricsExporter::MetricsExporter(ExportOptions options)
-    : options_(std::move(options)) {}
-
 std::string MetricsExporter::prometheus(
     const MetricsSnapshot& snapshot) const {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {
-    const std::string family = sanitize(options_.prometheus_prefix, name);
+    const std::string family = sanitize(kPrometheusPrefix, name);
     out += "# TYPE " + family + " counter\n";
     out += family + " " + std::to_string(value) + "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
-    const std::string family = sanitize(options_.prometheus_prefix, name);
+    const std::string family = sanitize(kPrometheusPrefix, name);
     out += "# TYPE " + family + " histogram\n";
     for (const auto& [le, cum] : cumulative_buckets(h)) {
       out += family + "_bucket{le=\"" + std::to_string(le) + "\"} " +
@@ -91,7 +88,7 @@ std::string MetricsExporter::jsonl(const MetricsSnapshot& snapshot,
   out += std::to_string(seq);
   out += ", \"uptime_ms\": " + std::to_string(uptime_ms);
   out += ", \"source\": \"";
-  json::escape(out, options_.source);
+  json::escape(out, kSource);
   out += "\", \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {

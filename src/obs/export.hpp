@@ -36,19 +36,13 @@ struct Value;
 
 namespace dfw {
 
-/// Rendering knobs for a MetricsExporter.
-struct ExportOptions {
-  /// Prepended to every Prometheus family name (after sanitization);
-  /// dotted registry names become e.g. dfw_serve_batch_ns.
-  std::string prometheus_prefix = "dfw_";
-  /// The "source" field of every JSONL record — which process/core the
-  /// series came from, for multi-daemon aggregation.
-  std::string source = "dfw";
-};
-
 class MetricsExporter {
  public:
-  explicit MetricsExporter(ExportOptions options = {});
+  /// Prepended to every Prometheus family name (after sanitization);
+  /// dotted registry names become e.g. dfw_serve_batch_ns.
+  static constexpr std::string_view kPrometheusPrefix = "dfw_";
+  /// The "source" field of every JSONL record.
+  static constexpr std::string_view kSource = "dfw";
 
   /// The snapshot as a Prometheus text-exposition document: one
   /// "# TYPE name counter" + sample per counter, one histogram family
@@ -64,9 +58,6 @@ class MetricsExporter {
   /// time-series file.
   std::string jsonl(const MetricsSnapshot& snapshot, std::uint64_t seq,
                     std::uint64_t uptime_ms) const;
-
- private:
-  ExportOptions options_;
 };
 
 /// Result of validating a Prometheus text-exposition document.

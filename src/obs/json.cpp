@@ -248,4 +248,11 @@ void escape(std::string& out, std::string_view s) {
   }
 }
 
+std::string quote(std::string_view s) {
+  std::string out = "\"";
+  escape(out, s);
+  out += '"';
+  return out;
+}
+
 }  // namespace dfw::json

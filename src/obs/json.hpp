@@ -6,8 +6,9 @@
 // point at rule ids declared elsewhere), which wants a document tree. This
 // parser builds that tree: strict enough for validation work (rejects
 // trailing garbage, truncated escapes, unbounded nesting), small enough to
-// stay dependency-free. Writers keep hand-emitting JSON — only escape() is
-// shared on that side, so every emitter escapes strings identically.
+// stay dependency-free. Writers keep hand-emitting JSON — only escape() and
+// quote() are shared on that side, so every emitter escapes strings
+// identically.
 
 #pragma once
 
@@ -52,5 +53,8 @@ std::optional<Value> parse(std::string_view text, std::string* error);
 /// Appends `s` to `out` as a JSON string body (no surrounding quotes),
 /// escaping quotes, backslashes, and control characters.
 void escape(std::string& out, std::string_view s);
+
+/// `s` as a JSON string literal: escape() between double quotes.
+std::string quote(std::string_view s);
 
 }  // namespace dfw::json

@@ -246,16 +246,6 @@ void absorb(MetricsRegistry& registry, const ArenaStats& stats) {
   registry.counter("fdd.arena.append_cache_hits").add(stats.append_cache_hits);
   registry.counter("fdd.arena.append_cache_misses")
       .add(stats.append_cache_misses);
-  registry.counter("fdd.arena.shape_cache_hits").add(stats.shape_cache_hits);
-  registry.counter("fdd.arena.shape_cache_misses")
-      .add(stats.shape_cache_misses);
-  registry.counter("fdd.arena.compare_cache_hits")
-      .add(stats.compare_cache_hits);
-  registry.counter("fdd.arena.compare_cache_misses")
-      .add(stats.compare_cache_misses);
-  registry.counter("fdd.arena.equiv_cache_hits").add(stats.equiv_cache_hits);
-  registry.counter("fdd.arena.equiv_cache_misses")
-      .add(stats.equiv_cache_misses);
   registry.counter("fdd.arena.overlay_cache_hits")
       .add(stats.overlay_cache_hits);
   registry.counter("fdd.arena.overlay_cache_misses")

@@ -1,8 +1,8 @@
 #include "simplify/simplify.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -178,36 +178,20 @@ bool coalesce_runs(const Schema& schema, std::vector<Rule>& rules,
 /// Arena-backed equivalence proof on the canonical roots of both policies
 /// in the rounds' shared arena: the reduced ordered FDD of a packet
 /// function is unique, so root-id equality decides equivalence outright
-/// (for partial functions too) and nothing is built. The explicit shape +
-/// compare walk is run as the reportable artifact, O(1) on equal ids: a
-/// proven rewrite shows zero discrepancies from the same comparison
-/// machinery the paper's cross-team pipeline uses.
+/// (for partial functions too) and nothing is built. The comparison walk
+/// is run as the reportable artifact, O(1) on equal ids: a proven rewrite
+/// shows zero discrepancies from the same comparison the paper's
+/// cross-team pipeline uses. On distinct roots it itemizes the witnesses
+/// where both diagrams decide; root inequality alone is the witness when
+/// they differ only where one is undecided.
 ProofStatus prove(FddArena& arena, ArenaNodeId a, ArenaNodeId b,
                   SimplifyReport& report) {
+  const std::size_t found = arena.compare({a, b}).size();
   if (a == b) {
-    const auto shaped = arena.shape_pair(a, b);
-    report.proof_discrepancies =
-        arena.compare({shaped.first, shaped.second}).size();
-    return report.proof_discrepancies == 0 ? ProofStatus::kProven
-                                           : ProofStatus::kRefuted;
+    report.proof_discrepancies = found;
+    return ProofStatus::kProven;
   }
-  // Distinct canonical roots refute equivalence by themselves; the
-  // comparison walk is attempted for witness discrepancies, but partial
-  // diagrams may not shape (std::logic_error), and a governance breach
-  // (dfw::Error) must still unwind to the caller.
-  report.proof_discrepancies = 1;
-  try {
-    const auto shaped = arena.shape_pair(a, b);
-    const std::vector<Discrepancy> found =
-        arena.compare({shaped.first, shaped.second});
-    if (!found.empty()) {
-      report.proof_discrepancies = found.size();
-    }
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    // Root inequality remains the (unitemized) witness.
-  }
+  report.proof_discrepancies = std::max<std::size_t>(found, 1);
   return ProofStatus::kRefuted;
 }
 

@@ -16,7 +16,6 @@
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
 #include "fdd/reduce.hpp"
-#include "fdd/shape.hpp"
 #include "gen/generate.hpp"
 #include "rt/fault.hpp"
 #include "rt/govern.hpp"
@@ -443,30 +442,6 @@ TEST(FddArena, OverlayMatchesAppendOnSynthPolicies) {
   }
 }
 
-TEST(FddArena, ShapePairProducesSemiIsomorphicEquivalents) {
-  std::mt19937_64 rng(17);
-  for (int round = 0; round < 20; ++round) {
-    const Schema schema = test::tiny3();
-    const Policy pa = test::random_policy(schema, 7, rng);
-    const Policy pb = test::random_policy(schema, 7, rng);
-    FddArena arena(schema);
-    const ArenaNodeId a = arena.build_reduced(pa);
-    const ArenaNodeId b = arena.build_reduced(pb);
-    const auto [sa, sb] = arena.shape_pair(a, b);
-    EXPECT_TRUE(arena.semi_isomorphic(sa, sb));
-    arena.validate(sa);
-    arena.validate(sb);
-    for (const Packet& p : test::all_packets(schema)) {
-      EXPECT_EQ(arena.evaluate(sa, p), pa.evaluate(p));
-      EXPECT_EQ(arena.evaluate(sb, p), pb.evaluate(p));
-    }
-    // Shaping a diagram against itself is the O(1) identity.
-    const auto [ta, tb] = arena.shape_pair(a, a);
-    EXPECT_EQ(ta, a);
-    EXPECT_EQ(tb, a);
-  }
-}
-
 TEST(FddArena, ValidateMatchesTreeMessages) {
   const Schema schema = test::tiny2();
   FddArena arena(schema);
@@ -526,6 +501,73 @@ TEST(FddArenaEquivalence, NWayDiscrepanciesMatchTreePipeline) {
                               perturb_policy(a, 30.0, rng)};
     EXPECT_EQ(discrepancies_many(teams), test::reference_discrepancies(teams))
         << "round " << round;
+  }
+  // Small universes: 2-4 unrelated policies of 1-7 rules, where the teams'
+  // diagrams test different fields at the same depth and the product walk
+  // splits against nodes that skip the field.
+  std::mt19937_64 tiny_rng(5);
+  std::uniform_int_distribution<std::size_t> rules(1, 7);
+  for (int round = 0; round < 1500; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    std::vector<Policy> teams;
+    for (std::size_t t = 0; t < 2 + static_cast<std::size_t>(round % 3);
+         ++t) {
+      teams.push_back(test::random_policy(schema, rules(tiny_rng), tiny_rng));
+    }
+    ASSERT_EQ(discrepancies_many(teams), test::reference_discrepancies(teams))
+        << "round " << round;
+  }
+}
+
+TEST(FddArenaEquivalence, CompareCoversExactlyWhereAllPartialDiagramsDisagree) {
+  // Policy prefixes are partial diagrams: the walk compares them where all
+  // of them decide, without throwing, and kEmpty (no rule) decides nothing.
+  std::mt19937_64 rng(31);
+  std::uniform_int_distribution<std::size_t> prefix(0, 5);
+  for (int round = 0; round < 200; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    FddArena arena(schema);
+    std::vector<ArenaNodeId> roots;
+    for (int t = 0; t < 2 + round % 2; ++t) {
+      const Policy policy = test::random_policy(schema, 6, rng);
+      ArenaNodeId root = FddArena::kEmpty;
+      const std::size_t length = prefix(rng);
+      for (std::size_t r = 0; r < length; ++r) {
+        root = arena.append_rule(root, policy.rules()[r]);
+      }
+      roots.push_back(root);
+    }
+    const std::vector<Discrepancy> found = arena.compare(roots);
+    if (std::ranges::find(roots, FddArena::kEmpty) != roots.end()) {
+      EXPECT_TRUE(found.empty());
+      continue;
+    }
+    for (const Packet& p : test::all_packets(schema)) {
+      std::vector<Decision> decisions;
+      for (const ArenaNodeId root : roots) {
+        try {
+          decisions.push_back(arena.evaluate(root, p));
+        } catch (const std::logic_error&) {
+          break;  // this diagram leaves p undecided
+        }
+      }
+      const bool disagree =
+          decisions.size() == roots.size() &&
+          std::ranges::count(decisions, decisions.front()) !=
+              static_cast<std::ptrdiff_t>(decisions.size());
+      std::size_t covering = 0;
+      for (const Discrepancy& d : found) {
+        bool inside = true;
+        for (std::size_t f = 0; f < p.size(); ++f) {
+          inside = inside && d.conjuncts[f].contains(p[f]);
+        }
+        if (inside) {
+          ++covering;
+          EXPECT_EQ(d.decisions, decisions) << "round " << round;
+        }
+      }
+      EXPECT_EQ(covering, disagree ? 1u : 0u) << "round " << round;
+    }
   }
 }
 

@@ -404,6 +404,12 @@ TEST(FleetCli, RedundancyPassRunsByDefault) {
   const std::string finding = "\"ruleId\":\"policy.redundant-rule\"";
   EXPECT_NE(with_pass.find(finding), std::string::npos);
   EXPECT_EQ(without_pass.find(finding), std::string::npos);
+  // The fleet's rule catalog describes lint checks as lint's does.
+  EXPECT_NE(with_pass.find("{\"id\":\"policy.redundant-rule\","
+                           "\"shortDescription\":{\"text\":\"removing "
+                           "this rule leaves every packet's decision "
+                           "unchanged\"}}"),
+            std::string::npos);
 }
 
 TEST(FleetCli, ReportFileAndExitCodes) {

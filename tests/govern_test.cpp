@@ -230,8 +230,8 @@ TEST(GovernTest, CrossCompareReportsPerPairStatusUnderSharedBudget) {
   const Policy trivial_a = constant_policy(kAccept);
   const Policy trivial_b = constant_policy(kDiscard);
   // Pairs reuse the submitted diagrams, so the heavy pair charges only
-  // its import and shaping: ~610 nodes at n = 32 (~180 at n = 16, inside
-  // the margin below).
+  // its import: ~305 nodes at n = 32 (~90 at n = 16, inside the margin
+  // below).
   const Policy heavy = adversarial(32, false);
 
   // Probe 1: node cost of submitting all three teams (each submit builds

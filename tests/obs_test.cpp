@@ -493,14 +493,15 @@ TEST(PipelineObsTest, TracedDiscrepanciesEmitsAllPhaseSpans) {
   const TraceValidation v = validate_chrome_trace(tracer.chrome_trace_json());
   ASSERT_TRUE(v.ok) << v.error;
   for (const char* phase :
-       {"construct", "validate", "shape", "compare", "build_reduced_fdd"}) {
+       {"construct", "validate", "compare", "build_reduced_fdd"}) {
     EXPECT_GE(v.name_counts.count(phase), 1u) << "missing span " << phase;
   }
   EXPECT_EQ(v.name_counts.at("build_reduced_fdd"), 2u);
+  EXPECT_EQ(v.name_counts.count("shape"), 0u) << "production never shapes";
 
   const MetricsSnapshot snap = registry.snapshot();
-  for (const char* hist : {"phase.construct_ns", "phase.validate_ns",
-                           "phase.shape_ns", "phase.compare_ns"}) {
+  for (const char* hist :
+       {"phase.construct_ns", "phase.validate_ns", "phase.compare_ns"}) {
     ASSERT_TRUE(snap.histograms.count(hist) != 0) << "missing " << hist;
     EXPECT_EQ(snap.histograms.at(hist).count, 1u);
   }

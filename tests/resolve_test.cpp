@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "diverse/resolve.hpp"
+#include "fdd/arena.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -45,12 +46,12 @@ TEST_P(ResolveProperty, BothMethodsRealiseTheAgreedMapping) {
   for (std::size_t i = 0; i < diffs.size(); ++i) {
     plan.push_back(adopt(i, diffs[i], team_pick(rng)));
   }
+  const Policy via_fdd = resolve_via_fdd(teams, plan);
   for (std::size_t base = 0; base < teams.size(); ++base) {
-    const Policy via_fdd = resolve_via_fdd(teams, plan, base);
     const Policy via_corr = resolve_via_corrections(teams, plan, base);
     for (const Packet& pkt : all_packets(tiny3())) {
       const Decision want = expected_decision(teams, diffs, plan, pkt);
-      EXPECT_EQ(via_fdd.evaluate(pkt), want) << "method 1, base " << base;
+      EXPECT_EQ(via_fdd.evaluate(pkt), want) << "method 1";
       EXPECT_EQ(via_corr.evaluate(pkt), want) << "method 2, base " << base;
     }
   }
@@ -67,7 +68,7 @@ TEST_P(ResolveProperty, ThreeTeamsResolveConsistently) {
   for (std::size_t i = 0; i < diffs.size(); ++i) {
     plan.push_back(adopt(i, diffs[i], i % teams.size()));
   }
-  const Policy m1 = resolve_via_fdd(teams, plan, 1);
+  const Policy m1 = resolve_via_fdd(teams, plan);
   const Policy m2 = resolve_via_corrections(teams, plan, 2);
   for (const Packet& pkt : all_packets(tiny3())) {
     EXPECT_EQ(m1.evaluate(pkt),
@@ -94,14 +95,14 @@ TEST(Resolve, PlanValidationCatchesGaps) {
     GTEST_SKIP() << "seed produced equivalent policies";
   }
   // Missing resolutions.
-  EXPECT_THROW(resolve_via_fdd(teams, {}, 0), std::invalid_argument);
+  EXPECT_THROW(resolve_via_fdd(teams, {}), std::invalid_argument);
   // Duplicate resolution.
   ResolutionPlan dup;
   for (std::size_t i = 0; i < diffs.size(); ++i) {
     dup.push_back({i, kAccept});
   }
   dup.push_back({0, kDiscard});
-  EXPECT_THROW(resolve_via_fdd(teams, dup, 0), std::invalid_argument);
+  EXPECT_THROW(resolve_via_fdd(teams, dup), std::invalid_argument);
   // Out-of-range index.
   ResolutionPlan bad;
   bad.push_back({diffs.size(), kAccept});
@@ -131,7 +132,7 @@ TEST(Resolve, MajorityVoteEndToEnd) {
   const std::vector<Policy> teams = {consensus, outlier, consensus};
   const std::vector<Discrepancy> diffs = discrepancies_many(teams);
   const Policy final_policy =
-      resolve_via_fdd(teams, plan_by_majority(diffs, 1), 1);
+      resolve_via_fdd(teams, plan_by_majority(diffs, 1));
   for (const Packet& pkt : all_packets(tiny3())) {
     EXPECT_EQ(final_policy.evaluate(pkt), consensus.evaluate(pkt));
   }
@@ -140,16 +141,69 @@ TEST(Resolve, MajorityVoteEndToEnd) {
 TEST(Resolve, RejectsSingleTeam) {
   std::mt19937_64 rng(10);
   std::vector<Policy> one = {test::random_policy(tiny3(), 4, rng)};
-  EXPECT_THROW(resolve_via_fdd(one, {}, 0), std::invalid_argument);
+  EXPECT_THROW(resolve_via_fdd(one, {}), std::invalid_argument);
 }
 
 TEST(Resolve, RejectsUnknownBaseTeam) {
+  // Only method 2 takes a base team.
   std::mt19937_64 rng(11);
   std::vector<Policy> teams = {test::random_policy(tiny3(), 4, rng),
                                test::random_policy(tiny3(), 4, rng)};
-  EXPECT_THROW(resolve_via_fdd(teams, {}, 5), std::invalid_argument);
   EXPECT_THROW(resolve_via_corrections(teams, {}, 5),
                std::invalid_argument);
+}
+
+// Method 1 overlays the corrections a team got wrong on that team's
+// canonical diagram. The result is the canonical diagram of the resolved
+// function, so starting from any team reaches the same id, and it is the
+// diagram of method 2's policy for any base team.
+TEST(Resolve, MethodOneIsTheCanonicalDiagramOfThePlan) {
+  std::mt19937_64 rng(41);
+  for (int round = 0; round < 120; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const Schema schema = round % 2 == 0 ? test::tiny2() : tiny3();
+    std::uniform_int_distribution<std::size_t> rules(1, 6);
+    std::vector<Policy> teams;
+    for (int t = 0; t < 2 + round % 3; ++t) {
+      teams.push_back(test::random_policy(schema, rules(rng), rng));
+    }
+    const std::vector<Discrepancy> diffs = discrepancies_many(teams);
+    ResolutionPlan plan;
+    std::uniform_int_distribution<std::size_t> team_pick(0, teams.size() - 1);
+    for (std::size_t i = 0; i < diffs.size(); ++i) {
+      plan.push_back(adopt(i, diffs[i], team_pick(rng)));
+    }
+    const Policy resolved = resolve_via_fdd(teams, plan);
+    for (const Packet& pkt : all_packets(schema)) {
+      ASSERT_EQ(resolved.evaluate(pkt),
+                expected_decision(teams, diffs, plan, pkt));
+    }
+
+    FddArena arena(schema);
+    std::vector<ArenaNodeId> roots;
+    for (const Policy& team : teams) {
+      roots.push_back(arena.build_reduced(team));
+    }
+    for (std::size_t t = 0; t < teams.size(); ++t) {
+      ArenaNodeId fix = FddArena::kEmpty;
+      for (const Resolution& r : plan) {
+        const Discrepancy& d = diffs[r.discrepancy_index];
+        if (d.decisions[t] != r.agreed) {
+          fix = arena.append_rule(fix, Rule(schema, d.conjuncts, r.agreed));
+        }
+      }
+      EXPECT_EQ(arena.generate(arena.overlay(fix, roots[t])).rules(),
+                resolved.rules())
+          << "from team " << t;
+    }
+    for (std::size_t base = 0; base < teams.size(); ++base) {
+      FddArena fresh(schema);
+      const Policy method2 = resolve_via_corrections(teams, plan, base);
+      EXPECT_EQ(fresh.generate(fresh.build_reduced(method2)).rules(),
+                resolved.rules())
+          << "method 2 from base " << base;
+    }
+  }
 }
 
 }  // namespace

@@ -247,7 +247,7 @@ Answers expected(const std::vector<Policy>& teams, const ResolutionPlan& plan) {
     for (std::size_t base = 0; base < teams.size(); ++base) {
       out.resolved.push_back(
           (method == ResolutionMethod::kCorrectedFdd
-               ? resolve_via_fdd(teams, plan, base)
+               ? resolve_via_fdd(teams, plan)
                : resolve_via_corrections(teams, plan, base))
               .rules());
     }
