@@ -57,16 +57,8 @@ ArenaDiagram PolicyAnalysis::diagram() const {
   return {std::shared_ptr<const FddArena>(shared_, &shared_->arena), root()};
 }
 
-bool PolicyAnalysis::comprehensive() {
-  if (!comprehensive_.has_value()) {
-    try {
-      arena().validate(root());
-      comprehensive_ = true;
-    } catch (const std::logic_error&) {
-      comprehensive_ = false;  // some packet falls through
-    }
-  }
-  return *comprehensive_;
+bool PolicyAnalysis::comprehensive() const {
+  return root() != FddArena::kEmpty && arena().is_complete(root());
 }
 
 std::vector<std::size_t> PolicyAnalysis::dead() const {

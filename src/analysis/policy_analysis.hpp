@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fdd/arena.hpp"
@@ -83,8 +82,8 @@ class PolicyAnalysis {
   /// still append to: read the diagram on the thread that owns the arena.
   ArenaDiagram diagram() const;
 
-  /// Whether p_n decides every packet: one validate, on the first call.
-  bool comprehensive();
+  /// Whether p_n decides every packet: its root's completeness bit.
+  bool comprehensive() const;
 
   /// Indices (ascending) of the rules no packet first-matches.
   std::vector<std::size_t> dead() const;
@@ -113,7 +112,6 @@ class PolicyAnalysis {
   Policy policy_;
   std::vector<ArenaNodeId> prefix_;  // p_0..p_n
   std::vector<ArenaNodeId> paths_;   // path(r_k), the suffix fold's input
-  std::optional<bool> comprehensive_;
 };
 
 }  // namespace dfw

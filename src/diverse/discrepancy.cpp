@@ -5,23 +5,9 @@
 namespace dfw {
 namespace {
 
-std::string team_label(const std::vector<std::string>& names,
-                       std::size_t i) {
-  if (i < names.size() && !names[i].empty()) {
-    return names[i];
-  }
-  std::string label = "team";
-  label += std::to_string(i + 1);
-  return label;
-}
-
-}  // namespace
-
-std::string format_discrepancy(const Schema& schema,
-                               const DecisionSet& decisions,
-                               const Discrepancy& d,
-                               const std::vector<std::string>& team_names) {
-  std::string out;
+void append_discrepancy(std::string& out, const Schema& schema,
+                        const DecisionSet& decisions, const Discrepancy& d,
+                        const std::vector<std::string>& team_names) {
   bool any_field = false;
   for (std::size_t i = 0; i < schema.field_count(); ++i) {
     if (d.conjuncts[i] == schema.domain_set(i)) {
@@ -33,7 +19,7 @@ std::string format_discrepancy(const Schema& schema,
     const Field& field = schema.field(i);
     out += field.name;
     out += " in ";
-    out += format_spec(field, d.conjuncts[i]);
+    append_spec(out, field, d.conjuncts[i]);
     any_field = true;
   }
   if (!any_field) {
@@ -44,10 +30,25 @@ std::string format_discrepancy(const Schema& schema,
     if (i != 0) {
       out += ", ";
     }
-    out += team_label(team_names, i);
+    if (i < team_names.size() && !team_names[i].empty()) {
+      out += team_names[i];
+    } else {
+      out += "team";
+      out += std::to_string(i + 1);
+    }
     out += '=';
     out += decisions.name(d.decisions[i]);
   }
+}
+
+}  // namespace
+
+std::string format_discrepancy(const Schema& schema,
+                               const DecisionSet& decisions,
+                               const Discrepancy& d,
+                               const std::vector<std::string>& team_names) {
+  std::string out;
+  append_discrepancy(out, schema, decisions, d, team_names);
   return out;
 }
 
@@ -66,8 +67,7 @@ std::string format_discrepancy_report(
     out += "  d";
     out += std::to_string(i + 1);
     out += ": ";
-    out += format_discrepancy(schema, decisions, discrepancies[i],
-                              team_names);
+    append_discrepancy(out, schema, decisions, discrepancies[i], team_names);
     out += '\n';
     const Value n = discrepancy_packet_count(discrepancies[i]);
     packets = (packets > UINT64_MAX - n) ? UINT64_MAX : packets + n;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "rt/fault.hpp"
 #include "rt/govern.hpp"
@@ -251,6 +250,7 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   NodeRecord record;
   record.field = field;
   record.decision = decision;
+  record.complete = complete_bit(field, edges);
   record.edge_begin = static_cast<std::uint32_t>(edge_pool_.size());
   record.edge_count = static_cast<std::uint32_t>(edges.size());
   edge_pool_.insert(edge_pool_.end(), edges.begin(), edges.end());
@@ -259,6 +259,43 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   node_table_.insert(slot, node_hashes_);
   stats_.unique_nodes = nodes_.size();
   return id;
+}
+
+bool FddArena::complete_bit(std::uint32_t field,
+                            std::span<const ArenaEdge> edges) {
+  if (field == kArenaTerminalField) {
+    return true;
+  }
+  if (!std::ranges::all_of(edges, [&](const ArenaEdge& e) {
+        return nodes_[e.target].complete;
+      })) {
+    return false;
+  }
+  // Coverage from the runs, not the labels' sizes: those saturate on
+  // 64-bit fields, and overlapping labels internal() was given would count
+  // twice.
+  std::vector<Interval>& runs = coverage_;
+  runs.clear();
+  for (const ArenaEdge& e : edges) {
+    const std::vector<Interval>& lab = labels_[e.label].intervals();
+    runs.insert(runs.end(), lab.begin(), lab.end());
+  }
+  if (runs.empty()) {
+    return false;
+  }
+  std::ranges::sort(runs, {}, &Interval::lo);
+  const Interval& domain = schema_.domain(field);
+  if (runs.front().lo() != domain.lo()) {
+    return false;
+  }
+  Value reach = runs.front().hi();  // everything in [domain.lo, reach]
+  for (const Interval& iv : runs) {
+    if (iv.lo() > reach && iv.lo() - reach > 1) {
+      return false;  // a gap before iv
+    }
+    reach = std::max(reach, iv.hi());
+  }
+  return reach == domain.hi();
 }
 
 ArenaNodeId FddArena::terminal(Decision d) {
@@ -332,15 +369,15 @@ ArenaNodeId FddArena::make_canonical(std::size_t field,
 
 std::size_t FddArena::reachable_node_count(ArenaNodeId root) const {
   std::vector<ArenaNodeId> stack{root};
-  std::unordered_map<ArenaNodeId, bool> seen;
+  std::vector<char> seen(nodes_.size(), 0);
   std::size_t count = 0;
   while (!stack.empty()) {
     const ArenaNodeId id = stack.back();
     stack.pop_back();
-    if (seen[id]) {
+    if (seen[id] != 0) {
       continue;
     }
-    seen[id] = true;
+    seen[id] = 1;
     ++count;
     for (const ArenaEdge& e : edges(id)) {
       stack.push_back(e.target);
@@ -350,18 +387,17 @@ std::size_t FddArena::reachable_node_count(ArenaNodeId root) const {
 }
 
 std::size_t FddArena::expanded_node_count(ArenaNodeId root) const {
-  std::unordered_map<ArenaNodeId, std::size_t> memo;
+  std::vector<std::size_t> memo(nodes_.size(), 0);  // 0: not counted yet
   const auto visit = [&](auto&& self, ArenaNodeId id) -> std::size_t {
-    const auto it = memo.find(id);
-    if (it != memo.end()) {
-      return it->second;
+    if (memo[id] != 0) {
+      return memo[id];
     }
     std::size_t total = 1;
     for (const ArenaEdge& e : edges(id)) {
       const std::size_t sub = self(self, e.target);
       total = (total > SIZE_MAX - sub) ? SIZE_MAX : total + sub;
     }
-    memo.emplace(id, total);
+    memo[id] = total;
     return total;
   };
   return visit(visit, root);
@@ -505,10 +541,18 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
   // APPEND(v, rule) of Fig. 7 on ids: instead of cloning the subdiagram a
   // case-3 split copies, both halves reference it by id and only the half
   // the rule reaches is rebuilt (copy-on-write). Labels stay ids: relate()
-  // classifies each edge against the conjunct, and only a split edge
-  // materialises its two halves.
+  // classifies each edge against the conjunct, and only a split edge whose
+  // subdiagram changed materialises its two halves. The walk stops where
+  // the rule changes nothing (the terminal and identity cases of BDD
+  // apply): a complete node, and a node whose edges all come back
+  // unchanged with no part of the conjunct left uncovered, keep their ids.
   const auto append = [&](auto&& self, ArenaNodeId v,
                           std::size_t from) -> ArenaNodeId {
+    if (nodes_[v].complete) {
+      // Earlier (higher priority) rules decide every packet reaching v, so
+      // the appended rule never applies there. Terminals are complete.
+      return v;
+    }
     const std::uint64_t key =
         (static_cast<std::uint64_t>(v) << 32) | from;
     ArenaNodeId result;
@@ -518,30 +562,30 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
     }
     ++stats_.append_cache_misses;
     govern::checkpoint(govern_);
-    const std::size_t rank = is_terminal(v) ? d : field(v);
+    const std::size_t f = field(v);
     std::size_t g = from;
-    while (g < rank && s.wildcard[g]) {
+    while (g < f && s.wildcard[g]) {
       ++g;
     }
-    if (g < rank) {
+    if (g < f) {
       // Node insertion: the diagram skipped field g but the rule
       // constrains it. A full-domain node is materialised and immediately
       // split against the conjunct; the off-conjunct half keeps `v` by
-      // reference.
+      // reference. When the rule adds nothing below, there is no split.
       const ArenaNodeId tail = self(self, v, g + 1);
-      ArenaEdge split[2] = {{conjunct_label(g), tail},
-                            {outside_label(g), v}};
-      result = make_canonical(g, split);
-    } else if (is_terminal(v)) {
-      // A packet reaching a terminal was decided by an earlier (higher
-      // priority) rule; the appended rule never applies there.
-      result = v;
+      if (tail == v) {
+        result = v;
+      } else {
+        ArenaEdge split[2] = {{conjunct_label(g), tail},
+                              {outside_label(g), v}};
+        result = make_canonical(g, split);
+      }
     } else {
-      const std::size_t f = rank;
       const std::vector<Interval>& conj = rule.conjunct(f).intervals();
       std::vector<ArenaEdge>& out = s.level[f];
       out.clear();
       bool overlapped = false;
+      bool changed = false;
       // Recursion and interning grow the pools, so each edge and label is
       // re-read by index rather than held across them.
       const std::size_t edge_count = nodes_[v].edge_count;
@@ -553,9 +597,14 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
           continue;
         }
         overlapped = true;
+        const ArenaNodeId child = self(self, e.target, f + 1);
+        if (child == e.target) {
+          out.push_back(e);  // the rule changes nothing below this edge
+          continue;
+        }
+        changed = true;
         if (relation == Relation::kInside) {
-          // case (2): edge fully inside S — recurse.
-          out.push_back({e.label, self(self, e.target, f + 1)});
+          out.push_back({e.label, child});  // case (2): edge fully inside S
           continue;
         }
         // case (3): split; the outside half shares the old subdiagram.
@@ -564,13 +613,14 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
         intersect_into(labels_[e.label].intervals(), conj, s.runs);
         const ArenaLabelId on = intern_runs(s.runs);
         out.push_back({off, e.target});
-        out.push_back({on, self(self, e.target, f + 1)});
+        out.push_back({on, child});
       }
       // The part of S no edge covers gets the rule's decision path. A
       // disjoint label covers none of S, so a label whose range misses
       // what is left of S is skipped, and no union of labels is built.
       if (!overlapped) {
         out.push_back({conjunct_label(f), build_path(build_path, f + 1)});
+        changed = true;
       } else {
         s.runs.assign(conj.begin(), conj.end());
         for (std::size_t i = 0; i < edge_count && !s.runs.empty(); ++i) {
@@ -585,9 +635,10 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
         }
         if (!s.runs.empty()) {
           out.push_back({intern_runs(s.runs), build_path(build_path, f + 1)});
+          changed = true;
         }
       }
-      result = make_canonical(f, out);
+      result = changed ? make_canonical(f, out) : v;
     }
     s.memo.insert(key, result);
     return result;
@@ -851,20 +902,25 @@ Decision FddArena::evaluate(ArenaNodeId root, const Packet& p) const {
 void FddArena::validate(ArenaNodeId root, bool require_complete) const {
   // Consistency, completeness, domain, and emptiness are per-node facts;
   // ordering reduces to the per-edge check field(target) > field(node).
-  // All are checked once per unique reachable node.
-  std::unordered_map<ArenaNodeId, bool> seen;
+  // All are checked once per unique reachable node. A visit at field f
+  // recurses only into fields > f (the order check comes first), so each
+  // level's covered runs survive the visits below it.
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<std::vector<Interval>> covered(schema_.field_count());
+  std::vector<Interval> spare;
   const auto visit = [&](auto&& self, ArenaNodeId id) -> void {
-    if (seen[id]) {
+    if (seen[id] != 0) {
       return;
     }
-    seen[id] = true;
+    seen[id] = 1;
     govern::checkpoint(govern_);
     if (is_terminal(id)) {
       return;
     }
     const std::size_t f = field(id);
     const IntervalSet& domain = schema_.domain_set(f);
-    IntervalSet covered;
+    std::vector<Interval>& cover = covered[f];
+    cover.clear();
     for (const ArenaEdge& e : edges(id)) {
       const IntervalSet& lab = labels_[e.label];
       if (lab.empty()) {
@@ -874,11 +930,12 @@ void FddArena::validate(ArenaNodeId root, bool require_complete) const {
         throw std::logic_error("FDD: edge label exceeds domain of field " +
                                schema_.field(f).name);
       }
-      if (covered.overlaps(lab)) {
+      if (relate(cover, lab.intervals()) != Relation::kDisjoint) {
         throw std::logic_error("FDD: consistency violated at field " +
                                schema_.field(f).name);
       }
-      covered = covered.unite(lab);
+      unite_into(cover, lab.intervals(), spare);
+      cover.swap(spare);
       if (!is_terminal(e.target) && field(e.target) <= f) {
         throw std::logic_error(
             "FDD: field order violated on a path (field " +
@@ -886,7 +943,7 @@ void FddArena::validate(ArenaNodeId root, bool require_complete) const {
       }
       self(self, e.target);
     }
-    if (require_complete && !(covered == domain)) {
+    if (require_complete && !std::ranges::equal(cover, domain.intervals())) {
       throw std::logic_error("FDD: completeness violated at field " +
                              schema_.field(f).name);
     }
@@ -926,19 +983,19 @@ Policy FddArena::generate(ArenaNodeId root) const {
   // Number of rules gen would emit for a subdiagram — the election metric.
   // On trees this recomputation is O(nodes * depth); memoised by id it is
   // O(unique nodes) for the whole walk.
-  std::unordered_map<ArenaNodeId, std::size_t> rule_costs;
+  std::vector<std::size_t> rule_costs(nodes_.size(), 0);  // 0: not yet
   const auto rule_cost = [&](auto&& self, ArenaNodeId id) -> std::size_t {
     if (is_terminal(id)) {
       return 1;
     }
-    if (const auto it = rule_costs.find(id); it != rule_costs.end()) {
-      return it->second;
+    if (rule_costs[id] != 0) {
+      return rule_costs[id];
     }
     std::size_t total = 0;
     for (const ArenaEdge& e : edges(id)) {
       total += self(self, e.target);
     }
-    rule_costs.emplace(id, total);
+    rule_costs[id] = total;
     return total;
   };
 

@@ -154,6 +154,10 @@ class FddArena {
   /// Field index of a nonterminal, or kArenaTerminalField.
   std::uint32_t field(ArenaNodeId id) const { return nodes_[id].field; }
   Decision decision(ArenaNodeId id) const { return nodes_[id].decision; }
+  /// Whether the diagram under `id` decides every packet: a terminal, or a
+  /// node whose labels cover its field's domain and whose children are all
+  /// complete. Set once, when the node is interned.
+  bool is_complete(ArenaNodeId id) const { return nodes_[id].complete; }
   std::span<const ArenaEdge> edges(ArenaNodeId id) const {
     const NodeRecord& n = nodes_[id];
     return {edge_pool_.data() + n.edge_begin, n.edge_count};
@@ -199,10 +203,12 @@ class FddArena {
   ArenaNodeId build_reduced(const Policy& policy);
 
   /// Appends one rule (lowest priority) to a diagram, returning the new
-  /// root. The input diagram is unchanged (ids are immutable). `root` may
-  /// be kEmpty. Labels stay ids on the walk and its scratch is the
-  /// arena's, so in steady state it allocates only for the nodes and
-  /// labels it materialises.
+  /// root, canonical when `root` is. The input diagram is unchanged (ids
+  /// are immutable). `root` may be kEmpty. The walk stops where the rule
+  /// changes nothing: a complete node, and an edge or node whose
+  /// subdiagram comes back unchanged, keep their ids. Labels stay ids on
+  /// the walk and its scratch is the arena's, so in steady state it
+  /// allocates only for the nodes and labels it materialises.
   ArenaNodeId append_rule(ArenaNodeId root, const Rule& rule);
 
   /// The diagram deciding like `a` wherever `a` decides and like `b`
@@ -269,9 +275,11 @@ class FddArena {
   struct NodeRecord {
     std::uint32_t field;       // kArenaTerminalField for terminals
     Decision decision;         // meaningful for terminals only
+    bool complete;             // decides every packet; see is_complete()
     std::uint32_t edge_begin;  // span into edge_pool_
     std::uint32_t edge_count;
   };
+  static_assert(sizeof(NodeRecord) == 16, "the bit sits in padding");
 
   // A unique table: ids in open addressing over a power-of-two array at
   // most half full. The owner keeps each id's hash beside its record, so a
@@ -362,6 +370,10 @@ class FddArena {
                                  std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
                           std::span<const ArenaEdge> edges);
+  /// is_complete() of a node about to be created: a terminal, or one whose
+  /// children are all complete and whose labels' runs unite to exactly
+  /// the field's domain.
+  bool complete_bit(std::uint32_t field, std::span<const ArenaEdge> edges);
   bool record_equals(const NodeRecord& r, std::uint32_t field,
                      Decision decision,
                      std::span<const ArenaEdge> edges) const;
@@ -387,6 +399,7 @@ class FddArena {
   std::vector<std::uint64_t> label_hashes_;
   IdTable node_table_;
   IdTable label_table_;
+  std::vector<Interval> coverage_;  // complete_bit()'s runs
   // Keyed on packed id pairs. Ids are immutable, so entries stay valid for
   // the arena's lifetime.
   IdPairMemo overlay_cache_;

@@ -1,13 +1,22 @@
 #include "fw/format.hpp"
 
+#include <bit>
+#include <charconv>
+
 #include "net/ipv4.hpp"
 #include "net/ipv6.hpp"
-#include "net/prefix.hpp"
 
 namespace dfw {
 namespace {
 
-std::string format_protocol_value(const Field& field, Value v) {
+void append_number(std::string& out, Value v) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
+
+// A protocol value's mnemonic, or null where it prints as a number.
+const char* protocol_name(const Field& field, Value v) {
   if (field.domain.hi() <= 1) {
     return v == 0 ? "tcp" : "udp";
   }
@@ -19,38 +28,55 @@ std::string format_protocol_value(const Field& field, Value v) {
     case 17:
       return "udp";
     default:
-      return std::to_string(v);
+      return nullptr;
   }
 }
 
-std::string format_interval(const Field& field, const Interval& iv) {
+void append_range(std::string& out, const Interval& iv) {
+  append_number(out, iv.lo());
+  if (iv.lo() != iv.hi()) {
+    out += '-';
+    append_number(out, iv.hi());
+  }
+}
+
+void append_interval(std::string& out, const Field& field,
+                     const Interval& iv) {
   switch (field.kind) {
     case FieldKind::kIpv4: {
-      // Prefer CIDR when the interval is coverable by one prefix, else an
-      // address range.
-      const std::vector<Prefix> prefixes = interval_to_prefixes(iv, 32);
-      if (prefixes.size() == 1) {
-        return prefixes.front().to_string();
+      // CIDR when one aligned block of 2^k addresses is the interval (the
+      // minimal prefix cover is then that one prefix), else an address
+      // range.
+      const std::uint64_t span = iv.hi() - iv.lo();
+      append_ipv4(out, static_cast<std::uint32_t>(iv.lo()));
+      if ((span & (span + 1)) == 0 && (iv.lo() & span) == 0) {
+        out += '/';
+        append_number(out, static_cast<Value>(32 - std::popcount(span)));
+      } else {
+        out += '-';
+        append_ipv4(out, static_cast<std::uint32_t>(iv.hi()));
       }
-      return format_ipv4(static_cast<std::uint32_t>(iv.lo())) + "-" +
-             format_ipv4(static_cast<std::uint32_t>(iv.hi()));
+      return;
     }
-    case FieldKind::kProtocol:
-      if (iv.lo() == iv.hi()) {
-        return format_protocol_value(field, iv.lo());
+    case FieldKind::kProtocol: {
+      const char* name =
+          iv.lo() == iv.hi() ? protocol_name(field, iv.lo()) : nullptr;
+      if (name != nullptr) {
+        out += name;
+      } else {
+        append_range(out, iv);
       }
-      return std::to_string(iv.lo()) + "-" + std::to_string(iv.hi());
+      return;
+    }
     case FieldKind::kInteger:
     case FieldKind::kIpv6Hi:
     case FieldKind::kIpv6Lo:
       // IPv6 halves reaching this path render as raw 64-bit ranges; the
       // rule formatter prints recognisable (hi, lo) pairs as CIDR instead.
-      if (iv.lo() == iv.hi()) {
-        return std::to_string(iv.lo());
-      }
-      return std::to_string(iv.lo()) + "-" + std::to_string(iv.hi());
+      append_range(out, iv);
+      return;
   }
-  return iv.to_string();
+  out += iv.to_string();
 }
 
 // Renders an IPv6 (hi, lo) conjunct pair as one CIDR when it has prefix
@@ -103,17 +129,24 @@ std::optional<std::string> ipv6_pair_as_prefix(const IntervalSet& hi,
 }  // namespace
 
 std::string format_spec(const Field& field, const IntervalSet& set) {
-  if (set == IntervalSet(field.domain)) {
-    return "*";
-  }
   std::string out;
-  for (std::size_t i = 0; i < set.intervals().size(); ++i) {
-    if (i != 0) {
-      out += ",";
-    }
-    out += format_interval(field, set.intervals()[i]);
-  }
+  append_spec(out, field, set);
   return out;
+}
+
+void append_spec(std::string& out, const Field& field,
+                 const IntervalSet& set) {
+  const std::vector<Interval>& runs = set.intervals();
+  if (runs.size() == 1 && runs.front() == field.domain) {
+    out += '*';
+    return;
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i != 0) {
+      out += ',';
+    }
+    append_interval(out, field, runs[i]);
+  }
 }
 
 std::string format_rule(const Schema& schema, const DecisionSet& decisions,
@@ -124,8 +157,8 @@ std::string format_rule(const Schema& schema, const DecisionSet& decisions,
     if (field.kind == FieldKind::kIpv6Hi) {
       const IntervalSet& hi = rule.conjunct(i);
       const IntervalSet& lo = rule.conjunct(i + 1);
-      const bool both_full = hi == IntervalSet(field.domain) &&
-                             lo == IntervalSet(schema.domain(i + 1));
+      const bool both_full =
+          hi == schema.domain_set(i) && lo == schema.domain_set(i + 1);
       if (both_full) {
         ++i;  // wildcard pair: omit, and skip the lo half
         continue;
@@ -137,10 +170,13 @@ std::string format_rule(const Schema& schema, const DecisionSet& decisions,
       }
       // Fall through: print both halves raw (report-style output).
     }
-    if (rule.conjunct(i) == IntervalSet(field.domain)) {
+    if (rule.conjunct(i) == schema.domain_set(i)) {
       continue;
     }
-    out += " " + field.name + "=" + format_spec(field, rule.conjunct(i));
+    out += ' ';
+    out += field.name;
+    out += '=';
+    append_spec(out, field, rule.conjunct(i));
   }
   return out;
 }
@@ -165,7 +201,9 @@ std::string format_policy_table(const Policy& policy,
     const Rule& rule = policy.rule(i);
     for (std::size_t f = 0; f < policy.schema().field_count(); ++f) {
       const Field& field = policy.schema().field(f);
-      out += field.name + " in " + format_spec(field, rule.conjunct(f));
+      out += field.name;
+      out += " in ";
+      append_spec(out, field, rule.conjunct(f));
       out += " ^ ";
     }
     // Replace the trailing " ^ " with the decision arrow.

@@ -19,6 +19,9 @@ namespace dfw {
 /// "224.168.0.0/16", "tcp", comma unions).
 std::string format_spec(const Field& field, const IntervalSet& set);
 
+/// format_spec appended to `out`.
+void append_spec(std::string& out, const Field& field, const IntervalSet& set);
+
 /// Renders a rule in parser syntax: "<decision> f1=... f2=...". Fields whose
 /// set is the whole domain are omitted.
 std::string format_rule(const Schema& schema, const DecisionSet& decisions,

@@ -1,5 +1,7 @@
 #include "net/ipv4.hpp"
 
+#include <charconv>
+
 namespace dfw {
 
 std::optional<std::uint32_t> parse_ipv4(std::string_view text) {
@@ -35,10 +37,21 @@ std::optional<std::uint32_t> parse_ipv4(std::string_view text) {
 }
 
 std::string format_ipv4(std::uint32_t addr) {
-  return std::to_string((addr >> 24) & 0xff) + "." +
-         std::to_string((addr >> 16) & 0xff) + "." +
-         std::to_string((addr >> 8) & 0xff) + "." +
-         std::to_string(addr & 0xff);
+  std::string out;
+  append_ipv4(out, addr);
+  return out;
+}
+
+void append_ipv4(std::string& out, std::uint32_t addr) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    char octet[3];
+    const auto end =
+        std::to_chars(octet, octet + sizeof octet, (addr >> shift) & 0xff).ptr;
+    out.append(octet, end);
+    if (shift != 0) {
+      out += '.';
+    }
+  }
 }
 
 }  // namespace dfw

@@ -20,4 +20,7 @@ std::optional<std::uint32_t> parse_ipv4(std::string_view text);
 /// Formats a 32-bit integer as dotted-quad "a.b.c.d".
 std::string format_ipv4(std::uint32_t addr);
 
+/// format_ipv4 appended to `out`.
+void append_ipv4(std::string& out, std::uint32_t addr);
+
 }  // namespace dfw

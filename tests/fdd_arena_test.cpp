@@ -106,19 +106,25 @@ TEST(FddArena, BuildReducedMatchesReferenceOnSynthPolicies) {
   // At five-tuple scale, in one arena: build_reduced lands on the id of
   // the paper-literal reduced tree, and on the id of the forward fold
   // overlay(p_k, path(r_k)) that reaches it by another route.
+  // Seed 2004 at 400 rules with two 10% perturbations is the shape of a
+  // perfbench `design` session.
   struct Case {
     std::uint64_t seed;
     std::size_t rules;
+    std::size_t perturbations;
   };
   const Schema schema = five_tuple_schema();
   FddArena arena(schema);
-  for (const Case c : {Case{1, 200}, Case{2, 200}, Case{3, 200},
-                       Case{1, 400}}) {
+  for (const Case c : {Case{1, 200, 1}, Case{2, 200, 1}, Case{3, 200, 1},
+                       Case{1, 400, 1}, Case{2004, 400, 2}}) {
     SynthConfig config;
     config.num_rules = c.rules;
     Rng rng(c.seed);
-    const Policy base = synth_policy(config, rng);
-    for (const Policy& policy : {base, perturb_policy(base, 10.0, rng)}) {
+    std::vector<Policy> policies{synth_policy(config, rng)};
+    for (std::size_t i = 0; i < c.perturbations; ++i) {
+      policies.push_back(perturb_policy(policies.front(), 10.0, rng));
+    }
+    for (const Policy& policy : policies) {
       const ArenaNodeId root = arena.build_reduced(policy);
       EXPECT_EQ(arena.from_tree_canonical(test::reference_fdd(policy).root()),
                 root)
@@ -240,6 +246,14 @@ TEST(FddArena, ImportIsStructurallyEqualToTheSource) {
     EXPECT_TRUE(
         structurally_equal(dest.to_fdd(imported), source.to_fdd(root)));
     dest.validate(imported);
+    // An imported node keeps its source's completeness bit, partial
+    // prefixes too.
+    ArenaNodeId prefix = FddArena::kEmpty;
+    for (const Rule& rule : policy.rules()) {
+      prefix = source.append_rule(prefix, rule);
+      EXPECT_EQ(dest.is_complete(dest.import(source, prefix)),
+                source.is_complete(prefix));
+    }
   }
 }
 
@@ -317,6 +331,90 @@ TEST(FddArena, AppendIsCopyOnWrite) {
     EXPECT_EQ(arena.evaluate(root, p), policy.evaluate(p));
     EXPECT_EQ(arena.evaluate(appended, p), policy.evaluate(p));
   }
+}
+
+TEST(FddArena, CompleteBitIsFullCoverage) {
+  // A prefix root is complete exactly when its rules match every packet.
+  std::mt19937_64 rng(23);
+  for (int round = 0; round < 300; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    const std::vector<Packet> packets = test::all_packets(schema);
+    const Policy policy = test::random_policy(schema, 6, rng);
+    FddArena arena(schema);
+    ArenaNodeId prefix = FddArena::kEmpty;
+    for (std::size_t k = 0; k < policy.size(); ++k) {
+      prefix = arena.append_rule(prefix, policy.rule(k));
+      const bool covered =
+          std::ranges::all_of(packets, [&](const Packet& p) {
+            return std::any_of(policy.rules().begin(),
+                               policy.rules().begin() +
+                                   static_cast<std::ptrdiff_t>(k + 1),
+                               [&](const Rule& r) { return r.matches(p); });
+          });
+      EXPECT_EQ(arena.is_complete(prefix), covered)
+          << "round " << round << ", prefix " << k + 1;
+    }
+  }
+
+  // On a 64-bit field the label sizes saturate: [0, 2^63) and
+  // [2^63, 2^64 - 1) sum to the domain's saturated size, yet miss its top
+  // value.
+  const Schema v6 = five_tuple_v6_schema();
+  const auto rule = [&](Value lo, Value hi, Decision d) {
+    std::vector<IntervalSet> conjuncts;
+    for (std::size_t f = 0; f < v6.field_count(); ++f) {
+      conjuncts.push_back(v6.domain_set(f));
+    }
+    conjuncts[0] = IntervalSet(Interval(lo, hi));
+    return Rule(v6, std::move(conjuncts), d);
+  };
+  const Value half = Value{1} << 63;
+  FddArena arena(v6);
+  const ArenaNodeId partial = arena.build_reduced(Policy(
+      v6, {rule(0, half - 1, kAccept), rule(half, UINT64_MAX - 1, kDiscard)}));
+  ASSERT_EQ(arena.field(partial), 0u);
+  EXPECT_FALSE(arena.is_complete(partial));
+  const ArenaNodeId complete = arena.append_rule(
+      partial, rule(UINT64_MAX, UINT64_MAX, kAccept));
+  ASSERT_EQ(arena.field(complete), 0u);
+  EXPECT_TRUE(arena.is_complete(complete));
+  EXPECT_NO_THROW(arena.validate(complete));
+}
+
+TEST(FddArena, AppendingToACompleteDiagramMaterialisesNothing) {
+  // A complete diagram decides every packet, so any appended rule is dead:
+  // the walk returns the root before it interns a label or a node.
+  std::mt19937_64 rng(29);
+  for (int round = 0; round < 40; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    FddArena arena(schema);
+    const ArenaNodeId root =
+        arena.build_reduced(test::random_policy(schema, 8, rng));
+    ASSERT_TRUE(arena.is_complete(root));
+    const Policy more = test::random_policy(schema, 6, rng);
+    for (const Rule& rule : more.rules()) {
+      const std::size_t nodes = arena.unique_node_count();
+      const std::size_t labels = arena.stats().unique_labels;
+      EXPECT_EQ(arena.append_rule(root, rule), root);
+      EXPECT_EQ(arena.unique_node_count(), nodes);
+      EXPECT_EQ(arena.stats().unique_labels, labels);
+    }
+  }
+  SynthConfig config;
+  config.num_rules = 200;
+  Rng rng5(5);
+  const Policy policy = synth_policy(config, rng5);
+  FddArena arena(five_tuple_schema());
+  const ArenaNodeId root = arena.build_reduced(policy);
+  ASSERT_TRUE(arena.is_complete(root));
+  const std::size_t nodes = arena.unique_node_count();
+  const std::size_t labels = arena.stats().unique_labels;
+  const Policy later = perturb_policy(policy, 10.0, rng5);
+  for (const Rule& rule : later.rules()) {
+    EXPECT_EQ(arena.append_rule(root, rule), root);
+  }
+  EXPECT_EQ(arena.unique_node_count(), nodes);
+  EXPECT_EQ(arena.stats().unique_labels, labels);
 }
 
 TEST(FddArena, OverlayIsFirstMatchAcrossPartialDiagrams) {
