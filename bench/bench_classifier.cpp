@@ -1,26 +1,22 @@
-// Classification-backend shoot-out (library extension, not a paper
-// figure): lookup latency and batch throughput of every execution form —
-// linear first-match scan, walking the reduced diagram, the bit-level
-// BDD baseline, and the two compiled backends (flat_slab, prefix_trie) —
-// swept across policy size, batch length, and executor thread count.
-// Compile cost per backend is reported separately as the one-time charge
-// it is.
+// Classification shoot-out (library extension, not a paper figure):
+// lookup latency and batch throughput of every execution form — linear
+// first-match scan, walking the reduced diagram, the bit-level BDD
+// baseline, and the compiled flat-slab classifier — swept across policy
+// size, batch length, and executor thread count. Compile cost is
+// reported separately as the one-time charge it is.
 //
 // Expected shape: the linear scan degrades with the rule count and the
-// BDD baseline pays one node walk per *bit*; the compiled backends stay
-// near-constant in the rule count (depth <= d). On these uniform random
-// packets prefix_trie (one or two indexed loads on IPv4 nodes instead of
-// a binary search) looks up faster than flat_slab and pays for it in
-// compile time and table memory. flat_slab walks a batch eight packets
-// at a time, so its batched cells cost less per packet than its batch-1
-// cells; docs/classifier.md has the measured sweep.
+// BDD baseline pays one node walk per *bit*; the compiled classifier
+// stays near-constant in the rule count (depth <= d). It walks a batch
+// eight packets at a time, so its batched cells cost less per packet
+// than its batch-1 cells; docs/classifier.md has the measured sweep.
 //
 // Writes BENCH_classifier.json (dfw-bench-obs-v1): "compile.<form>"
-// records (fdd, the build_diagram every backend compiles from; bdd; and
-// one per backend with the phase.classifier.compile.*_ns histogram),
-// each the median of kCompileReps compiles, and "classify.<form>"
-// records with integer params {rules, batch, threads} plus the
-// engine.classifier.* counters.
+// records (fdd, the build_diagram the classifier compiles from; bdd; and
+// flat_slab with the phase.classifier.compile_ns histogram), each the
+// median of kCompileReps compiles, and "classify.<form>" records with
+// integer params {rules, batch, threads} plus the engine.classifier.*
+// counters.
 // --quick shrinks the sweep for CI smoke runs.
 
 #include <algorithm>
@@ -40,11 +36,6 @@
 
 namespace dfw {
 namespace {
-
-constexpr ClassifierBackendKind kBackends[] = {
-    ClassifierBackendKind::kFlatSlab,
-    ClassifierBackendKind::kPrefixTrie,
-};
 
 /// Compiles per compile.* record. One timing measures what ran before it
 /// as much as the compile: the first flat_slab compile after the BDD
@@ -71,9 +62,9 @@ std::uint64_t classify_pool_batched(const Classifier& c,
                                     std::vector<Decision>& out) {
   std::uint64_t sum = 0;
   if (batch == 1) {
-    // Single-packet callers use classify, a run of one through the
-    // backend without the batch path's executor call and metrics;
-    // measure what they would pay.
+    // Single-packet callers use classify, a walk of one packet without
+    // the batch path's executor call and metrics; measure what they
+    // would pay.
     for (const Packet& p : pool) {
       sum += c.classify(p);
     }
@@ -119,7 +110,7 @@ int main(int argc, char** argv) {
 
   bench::ObsReport report("bench_classifier");
 
-  std::printf("Classifier backend sweep (%zu random packets per cell)\n",
+  std::printf("Classifier sweep (%zu random packets per cell)\n",
               kPackets);
   std::printf("%8s %14s %6s %8s %14s %12s\n", "rules", "form", "batch",
               "threads", "ns/packet", "compile(ms)");
@@ -139,8 +130,7 @@ int main(int argc, char** argv) {
       pool.push_back({ip(rng), ip(rng), port(rng), port(rng), proto(rng)});
     }
 
-    // The shared diagram build: every compiled backend starts from it, so
-    // its cost is charged once, not per backend.
+    // The diagram build the classifier compiles from, charged on its own.
     ArenaDiagram diagram;
     {
       MetricsRegistry registry;
@@ -152,7 +142,7 @@ int main(int argc, char** argv) {
     }
 
     // Interpreted contenders: linear first-match scan and the diagram
-    // walk. Their decision sums are the cross-check every backend must
+    // walk. Their decision sums are the cross-check the classifier must
     // hit.
     std::uint64_t sum_expected = 0;
     {
@@ -227,51 +217,48 @@ int main(int argc, char** argv) {
                   static_cast<double>(build_ns) / 1e6);
     }
 
-    for (const ClassifierBackendKind kind : kBackends) {
-      MetricsRegistry compile_registry;
-      CompileOptions options;
-      options.backend = kind;
-      options.run.obs.metrics = &compile_registry;
-      std::optional<Classifier> compiled;
-      const std::uint64_t compile_ns = median_ns([&] {
-        compiled.reset();  // the previous copy's teardown stays untimed
-        return time_ns(
-            [&] { compiled.emplace(Classifier::compile(diagram, options)); });
-      });
-      const double compile_ms = static_cast<double>(compile_ns) / 1e6;
-      report.add(std::string("compile.") + to_string(kind), {{"rules", n}},
-                 compile_ns, compile_registry.snapshot());
+    MetricsRegistry compile_registry;
+    CompileOptions options;
+    options.run.obs.metrics = &compile_registry;
+    std::optional<Classifier> compiled;
+    const std::uint64_t compile_ns = median_ns([&] {
+      compiled.reset();  // the previous copy's teardown stays untimed
+      return time_ns(
+          [&] { compiled.emplace(Classifier::compile(diagram, options)); });
+    });
+    const double compile_ms = static_cast<double>(compile_ns) / 1e6;
+    report.add("compile.flat_slab", {{"rules", n}}, compile_ns,
+               compile_registry.snapshot());
 
-      std::vector<Decision> out(pool.size());
-      for (const std::size_t batch : batches) {
-        for (const std::size_t threads : thread_counts) {
-          if (threads != 0 && batch == 1) {
-            continue;  // a 1-packet batch cannot shard
-          }
-          std::optional<Executor> pool_executor;
-          if (threads != 0) {
-            pool_executor.emplace(threads);
-          }
-          MetricsRegistry registry;
-          std::uint64_t sum = 0;
-          const std::uint64_t ns = time_ns([&] {
-            sum = classify_pool_batched(
-                *compiled, pool, batch,
-                pool_executor ? &*pool_executor : nullptr, &registry, out);
-          });
-          if (sum != sum_expected) {
-            std::printf("DISAGREEMENT %s at %zu rules (batch %zu)!\n",
-                        to_string(kind), n, batch);
-            return 1;
-          }
-          report.add(std::string("classify.") + to_string(kind),
-                     {{"rules", n}, {"batch", batch}, {"threads", threads}},
-                     ns, registry.snapshot());
-          std::printf("%8zu %14s %6zu %8zu %14.1f %12.1f\n", n,
-                      to_string(kind), batch, threads,
-                      static_cast<double>(ns) / kPackets, compile_ms);
-          std::fflush(stdout);
+    std::vector<Decision> out(pool.size());
+    for (const std::size_t batch : batches) {
+      for (const std::size_t threads : thread_counts) {
+        if (threads != 0 && batch == 1) {
+          continue;  // a 1-packet batch cannot shard
         }
+        std::optional<Executor> pool_executor;
+        if (threads != 0) {
+          pool_executor.emplace(threads);
+        }
+        MetricsRegistry registry;
+        std::uint64_t sum = 0;
+        const std::uint64_t ns = time_ns([&] {
+          sum = classify_pool_batched(
+              *compiled, pool, batch,
+              pool_executor ? &*pool_executor : nullptr, &registry, out);
+        });
+        if (sum != sum_expected) {
+          std::printf("DISAGREEMENT flat_slab at %zu rules (batch %zu)!\n",
+                      n, batch);
+          return 1;
+        }
+        report.add("classify.flat_slab",
+                   {{"rules", n}, {"batch", batch}, {"threads", threads}}, ns,
+                   registry.snapshot());
+        std::printf("%8zu %14s %6zu %8zu %14.1f %12.1f\n", n, "flat_slab",
+                    batch, threads, static_cast<double>(ns) / kPackets,
+                    compile_ms);
+        std::fflush(stdout);
       }
     }
   }

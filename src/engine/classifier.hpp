@@ -4,11 +4,10 @@
 // form for the very firewalls they model (the paper's FDD lineage, ref
 // [10], introduced them for specification *and* lookup). This module
 // compiles a policy's reduced diagram — the hash-consed DAG the analyses
-// read, never an expanded tree — into one of two flat, cache-friendly
-// layouts (engine/backend.hpp): the default flat-slab form and a
-// prefix-trie form for IPv4-heavy policies. Both produce byte-identical
-// decisions; the choice is a pure performance knob (docs/classifier.md
-// compares the cost models).
+// read, never an expanded tree — into one flat, cache-friendly layout
+// (engine/slab_layout.hpp): one sorted slab run per unique nonterminal,
+// searched without branches, with eight packets walking the diagram
+// together (docs/classifier.md has the cost model).
 //
 // The classifier is the deployment-side counterpart of the comparison
 // pipeline: resolve the teams' discrepancies, compile the agreed policy
@@ -25,12 +24,15 @@
 #include <span>
 #include <vector>
 
-#include "engine/backend.hpp"
 #include "fdd/arena.hpp"
 #include "fw/policy.hpp"
 #include "rt/run_options.hpp"
 
 namespace dfw {
+
+namespace engine_detail {
+struct SlabLayout;
+}  // namespace engine_detail
 
 /// Compile- and batch-execution options, in the same options-struct idiom
 /// as ConstructOptions/CompareOptions.
@@ -47,15 +49,12 @@ struct CompileOptions {
   /// Packets per pool task in classify_batch; tune upward for tiny
   /// per-packet cost, downward for very skewed batches.
   std::size_t batch_grain = 512;
-
-  /// Which compiled layout to execute (engine/backend.hpp). The default
-  /// is the historical flat-slab form; both backends are byte-identical
-  /// in output.
-  ClassifierBackendKind backend = ClassifierBackendKind::kFlatSlab;
 };
 
-/// An immutable compiled classifier. Copyable; a shared handle to an
-/// immutable backend plus the compile options.
+/// An immutable compiled classifier. Copyable; a shared handle to the
+/// immutable compiled layout plus the compile options. Lookups take no
+/// locks and read only that layout, so concurrent batches on one
+/// classifier are safe.
 class Classifier {
  public:
   /// Compiles a comprehensive policy (via build_diagram, governed and
@@ -65,7 +64,9 @@ class Classifier {
 
   /// Compiles an already-built diagram, which must be complete (throws
   /// std::logic_error otherwise). Completeness is checked once per unique
-  /// node, and each unique nonterminal compiles to one node.
+  /// node, and each unique nonterminal compiles to one node. Throws
+  /// dfw::Error(ErrorCode::kCapacityExceeded) past the layout's 31-bit
+  /// node index space.
   static Classifier compile(const ArenaDiagram& diagram,
                             const CompileOptions& options = {});
 
@@ -73,30 +74,22 @@ class Classifier {
   Decision classify(const Packet& p) const;
 
   /// Decisions for a whole batch, indexed like `packets`, sharded over
-  /// the compile-time executor (serial when none was given).
-  std::vector<Decision> classify_batch(std::span<const Packet> packets) const;
-  /// Same, under per-call execution knobs: `run.executor` overrides the
-  /// compile-time executor (null falls back to it), and lookups take no
-  /// locks — the hot path reads only immutable tables, so concurrent
-  /// batches on one classifier are safe.
+  /// `run.executor`, or the compile-time executor when that is null
+  /// (serial when neither was given). `run.obs` likewise overrides the
+  /// compile-time sinks for the batch metrics.
   std::vector<Decision> classify_batch(std::span<const Packet> packets,
-                                       const RunOptions& run) const;
+                                       const RunOptions& run = {}) const;
 
   /// Allocation-free batch: writes decisions into `out`, which must have
   /// exactly packets.size() elements (throws std::invalid_argument
   /// otherwise). Output is byte-identical to classify_batch.
-  void classify_into(std::span<const Packet> packets,
-                     std::span<Decision> out) const;
   void classify_into(std::span<const Packet> packets, std::span<Decision> out,
-                     const RunOptions& run) const;
-
-  /// The layout this classifier executes.
-  ClassifierBackendKind backend() const { return backend_->kind(); }
+                     const RunOptions& run = {}) const;
 
   /// Compiled interior nodes, one per unique diagram nonterminal.
-  std::size_t node_count() const { return backend_->node_count(); }
-  /// Slab/table entries across all nodes (backend-specific gauge).
-  std::size_t slab_count() const { return backend_->slab_count(); }
+  std::size_t node_count() const;
+  /// Slab entries across all nodes.
+  std::size_t slab_count() const;
 
  private:
   Classifier() = default;
@@ -104,7 +97,7 @@ class Classifier {
   void run_batch(std::span<const Packet> packets, std::span<Decision> out,
                  const RunOptions& run) const;
 
-  std::shared_ptr<const ClassifierBackend> backend_;
+  std::shared_ptr<const engine_detail::SlabLayout> layout_;
   std::size_t field_count_ = 0;
   CompileOptions options_{};
 };

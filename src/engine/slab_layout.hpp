@@ -1,14 +1,12 @@
-// The shared flat-slab layout the pointer-walking backends compile to.
+// The flat-slab layout the classifier compiles to.
 //
-// Both the flat-slab backend and the prefix-trie backend flatten the
-// diagram the same way: children first, so each node's slabs land
+// The diagram is flattened children first, so each node's slabs land
 // contiguously; one record per unique nonterminal of the hash-consed DAG
-// holding a sorted run of (upper-bound, next) slabs; `next` encodes either
+// holds a sorted run of (upper-bound, next) slabs; `next` encodes either
 // another node index or a terminal decision through the high bit. A
-// subdiagram the DAG shares is flattened once and shared by index. The
-// trie backend then augments IPv4-field nodes with stride tables while
-// keeping the slab run as its fallback and build-time source of truth.
-// Internal header — not part of the public engine surface.
+// subdiagram the DAG shares is flattened once and shared by index. A
+// lookup is one branchless binary search per diagram level. Internal
+// header — not part of the public engine surface.
 
 #pragma once
 

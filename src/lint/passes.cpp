@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 
 #include "analysis/anomaly.hpp"
 #include "fw/format.hpp"
@@ -163,17 +162,14 @@ void pass_syntax_pairs(PassState& state, std::vector<Diagnostic>& out) {
 
 // Finds the first traffic class, in path order, that the (partial)
 // diagram does not cover; conjuncts must come in sized to the schema with
-// full domains. A shared subdiagram found fully covered is not walked
-// again.
+// full domains. The walk enters incomplete nodes only: a complete
+// subdiagram has no gap, and an incomplete node whose labels cover its
+// field has an incomplete child.
 bool find_uncovered(const ArenaDiagram& diagram,
                     std::vector<IntervalSet>& conjuncts) {
   const FddArena& arena = *diagram.arena;
   const Schema& schema = arena.schema();
-  std::unordered_set<ArenaNodeId> covered;
   const auto visit = [&](auto&& self, ArenaNodeId id) -> bool {
-    if (arena.is_terminal(id) || covered.count(id) != 0) {
-      return false;
-    }
     const std::size_t f = arena.field(id);
     IntervalSet labels;
     for (const ArenaEdge& e : arena.edges(id)) {
@@ -185,16 +181,18 @@ bool find_uncovered(const ArenaDiagram& diagram,
       return true;
     }
     for (const ArenaEdge& e : arena.edges(id)) {
+      if (arena.is_complete(e.target)) {
+        continue;
+      }
       conjuncts[f] = arena.label(e.label);
       if (self(self, e.target)) {
         return true;
       }
     }
     conjuncts[f] = schema.domain_set(f);
-    covered.insert(id);
     return false;
   };
-  return visit(visit, diagram.root);
+  return !arena.is_complete(diagram.root) && visit(visit, diagram.root);
 }
 
 void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {

@@ -48,11 +48,6 @@ inline constexpr const char* kServeBatchRejected = "serve.batch.rejected";
 inline constexpr const char* kServeBatchNs = "serve.batch.ns";
 /// Individual packet lookups across all admitted batches.
 inline constexpr const char* kServeLookupCount = "serve.lookup.count";
-/// Versions compiled with each classifier backend (one counter bumps per
-/// successful compile_version, keyed by ServeOptions::backend).
-inline constexpr const char* kServeBackendFlatSlab = "serve.backend.flat_slab";
-inline constexpr const char* kServeBackendPrefixTrie =
-    "serve.backend.prefix_trie";
 
 /// Telemetry ticks taken by the serve reporter thread (one per interval
 /// elapse while the core is up; on-demand telemetry_now() calls do not
@@ -112,12 +107,9 @@ inline constexpr const char* kSpanFleetDevices = "fleet.devices";
 inline constexpr const char* kSpanFleetCompare = "fleet.compare";
 inline constexpr const char* kSpanFleetRender = "fleet.render";
 
-/// Per-backend classifier compile phases (phase.<name>_ns histograms via
-/// PhaseSpan, which requires these to be static string literals).
-inline constexpr const char* kClassifierCompileFlatSlab =
-    "classifier.compile.flat_slab";
-inline constexpr const char* kClassifierCompilePrefixTrie =
-    "classifier.compile.prefix_trie";
+/// The classifier compile phase (the phase.classifier.compile_ns
+/// histogram via PhaseSpan, which requires a static string literal).
+inline constexpr const char* kClassifierCompile = "classifier.compile";
 /// Packet lookups through Classifier::classify* (recorded per batch).
 inline constexpr const char* kClassifierLookupCount =
     "engine.classifier.lookup.count";

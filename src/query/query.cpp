@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fw/format.hpp"
 #include "rt/govern.hpp"
@@ -72,11 +71,12 @@ std::vector<QueryResult> run_query(const Policy& policy, const Query& query) {
 std::vector<Decision> reachable_decisions(const ArenaDiagram& diagram) {
   const FddArena& arena = *diagram.arena;
   std::vector<Decision> out;
-  std::unordered_set<ArenaNodeId> seen;
+  std::vector<char> seen(arena.unique_node_count(), 0);
   const auto collect = [&](auto&& self, ArenaNodeId id) -> void {
-    if (!seen.insert(id).second) {
+    if (seen[id] != 0) {
       return;
     }
+    seen[id] = 1;
     if (arena.is_terminal(id)) {
       out.push_back(arena.decision(id));
       return;

@@ -2,7 +2,7 @@
 //
 // The governance layer (rt/govern.hpp) made hostile *inputs* a first-class,
 // testable condition. This header does the same for hostile *environments*:
-// allocation failures mid-build, a backend compile dying under memory
+// allocation failures mid-build, a classifier compile dying under memory
 // pressure, a serialization write torn by the machine rebooting. Those
 // failures are rare and non-reproducible in the wild, which is exactly why
 // the recovery paths that handle them — serve's retry/last-good
@@ -47,7 +47,8 @@ namespace fault::sites {
 inline constexpr const char* kArenaAlloc = "fdd.arena.alloc";
 /// Entry into build_diagram (the construct phase boundary).
 inline constexpr const char* kConstructPhase = "fdd.construct.phase";
-/// Classifier backend compilation (engine/classifier.cpp, every backend).
+/// Classifier compilation (engine/classifier.cpp). The name is kept
+/// because fault plans refer to it.
 inline constexpr const char* kBackendCompile = "engine.backend.compile";
 /// Snapshot serialization (serve/snapshot.cpp, encode side).
 inline constexpr const char* kSnapshotSave = "serve.snapshot.save";

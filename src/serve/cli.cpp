@@ -30,9 +30,6 @@ constexpr const char* kUsage =
     "serving:\n"
     "  --max-inflight=N  refuse batches past N in flight (default 0 =\n"
     "                    unbounded); refusals exit-code 1\n"
-    "  --backend=NAME    compiled layout for every version: flat_slab\n"
-    "                    (default) or prefix_trie; both are\n"
-    "                    byte-identical in output (docs/classifier.md)\n"
     "  --swap-retries=N  retry a transiently failed swap up to N times\n"
     "                    under exponential backoff (default 0)\n"
     "\n"
@@ -62,7 +59,7 @@ constexpr const char* kUsage =
     "  prom            print the snapshot as Prometheus text exposition\n"
     "  window          print the reporter's rolling window, one JSONL\n"
     "                  record per tick (empty until the reporter ticks)\n"
-    "  health          print the health JSON (dfw-serve-health-v2)\n"
+    "  health          print the health JSON (dfw-serve-health-v3)\n"
     "  reclaim         drain the retire limbo now\n"
     "  quit            flush --trace and --metrics-out output and exit\n"
     "\n"
@@ -134,7 +131,6 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
   std::size_t metrics_interval = 0;
   std::string metrics_out;
   std::string snapshot_path;
-  ClassifierBackendKind backend = ClassifierBackendKind::kFlatSlab;
   for (const std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
       out << kUsage << cli::kCommonUsage;
@@ -188,14 +184,6 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
         return cli::kExitUsage;
       }
       snapshot_path = *s;
-    } else if (const auto b = cli::flag_value(arg, "--backend=")) {
-      const auto kind = parse_backend_kind(*b);
-      if (!kind.has_value()) {
-        err << "dfw_serve: unknown backend '" << *b
-            << "' (flat_slab, prefix_trie)\n";
-        return cli::kExitUsage;
-      }
-      backend = *kind;
     } else if (arg.rfind("--", 0) == 0) {
       err << "dfw_serve: unknown option '" << arg << "'\n"
           << kUsage << cli::kCommonUsage;
@@ -226,7 +214,6 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
   options.max_inflight_batches = max_inflight;
   options.swap_budgets.max_nodes = common.max_nodes;
   options.swap_deadline_ms = common.deadline_ms;
-  options.backend = backend;
   options.swap_max_retries = swap_retries;
   options.telemetry_interval_ms = metrics_interval;
 
@@ -306,7 +293,6 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
 
   ServeCore::Shard shard = core->shard();
   out << "serving version=" << core->current_sequence()
-      << " backend=" << to_string(core->health().backend)
       << (restored ? " (restored)" : "") << "\n";
 
   bool any_rejected = false;

@@ -38,14 +38,8 @@ std::unique_ptr<PolicyVersion> compile_version(
   compile.run.obs = options.run.obs;
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
-  compile.backend = options.backend;
   ArenaDiagram diagram = compact(build_diagram(policy, compile.run));
   Classifier classifier = Classifier::compile(diagram, compile);
-  if (options.run.obs.metrics != nullptr) {
-    options.run.obs.metrics
-        ->counter(serve_backend_counter_name(options.backend))
-        .add();
-  }
   return std::make_unique<PolicyVersion>(sequence, std::move(policy),
                                          std::move(diagram),
                                          std::move(classifier));
@@ -66,13 +60,7 @@ std::unique_ptr<PolicyVersion> restored_version(
   compile.run.obs = options.run.obs;
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
-  compile.backend = restored.backend;
   Classifier classifier = Classifier::compile(restored.diagram, compile);
-  if (options.run.obs.metrics != nullptr) {
-    options.run.obs.metrics
-        ->counter(serve_backend_counter_name(restored.backend))
-        .add();
-  }
   return std::make_unique<PolicyVersion>(
       restored.sequence, std::move(restored.policy),
       std::move(restored.diagram), std::move(classifier));
@@ -91,7 +79,6 @@ bool is_transient(ErrorCode code) {
 ServeCore::ServeCore(Policy initial, ServeOptions options)
     : options_(std::move(options)),
       handle_(domain_, boot_version(std::move(initial), options_)) {
-  served_backend_.store(options_.backend, std::memory_order_relaxed);
   start_reporter();
 }
 
@@ -99,8 +86,6 @@ ServeCore::ServeCore(snapshot::SnapshotData restored, ServeOptions options)
     : options_(std::move(options)),
       handle_(domain_, restored_version(std::move(restored), options_)) {
   next_sequence_ = handle_.current_sequence() + 1;
-  served_backend_.store(handle_.current_unpinned().classifier.backend(),
-                        std::memory_order_relaxed);
   start_reporter();
 }
 
@@ -283,7 +268,6 @@ Result<std::uint64_t> ServeCore::swap(const Policy& next) {
     const std::uint64_t sequence = next_sequence_++;
     handle_.publish(std::move(version));
     swaps_.fetch_add(1, std::memory_order_relaxed);
-    served_backend_.store(options_.backend, std::memory_order_relaxed);
     last_swap_ok_.store(true, std::memory_order_relaxed);
     if (metrics != nullptr) {
       metrics->counter(names::kServeSwapCount).add();
@@ -325,7 +309,6 @@ ServeStats ServeCore::stats() const {
 ServeHealth ServeCore::health() const {
   ServeHealth h;
   h.sequence = handle_.current_sequence();
-  h.backend = served_backend_.load(std::memory_order_relaxed);
   h.last_swap_ok = last_swap_ok_.load(std::memory_order_relaxed);
   h.stats = stats();
   return h;
@@ -419,9 +402,9 @@ std::string ServeCore::snapshot_text() {
   // published version, never a blend.
   std::lock_guard<std::mutex> lock(swap_mu_);
   const PolicyVersion& version = handle_.current_unpinned();
-  const std::string text = snapshot::encode(
-      version.sequence, version.classifier.backend(), version.policy,
-      version.diagram, default_decisions(), options_.run.faults);
+  const std::string text =
+      snapshot::encode(version.sequence, version.policy, version.diagram,
+                       default_decisions(), options_.run.faults);
   if (options_.run.obs.metrics != nullptr) {
     options_.run.obs.metrics->counter(names::kServeSnapshotSave).add();
   }
@@ -430,9 +413,8 @@ std::string ServeCore::snapshot_text() {
 
 std::string ServeHealth::to_json() const {
   std::ostringstream out;
-  out << "{\"schema\":\"dfw-serve-health-v2\""
+  out << "{\"schema\":\"dfw-serve-health-v3\""
       << ",\"sequence\":" << sequence
-      << ",\"backend\":\"" << to_string(backend) << '"'
       << ",\"last_swap_ok\":" << (last_swap_ok ? "true" : "false")
       << ",\"swaps\":" << stats.swaps
       << ",\"swaps_rejected\":" << stats.swaps_rejected

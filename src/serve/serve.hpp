@@ -53,7 +53,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/backend.hpp"
 #include "fw/policy.hpp"
 #include "rt/govern.hpp"
 #include "rt/run_options.hpp"
@@ -92,12 +91,6 @@ struct ServeOptions {
   /// untouched.
   Budgets swap_budgets = {};
   std::int64_t swap_deadline_ms = 0;
-
-  /// Compiled layout every version (boot and swaps) executes — a pure
-  /// performance knob; both backends are byte-identical in output
-  /// (engine/backend.hpp). Each successful compile bumps the matching
-  /// serve.backend.* counter.
-  ClassifierBackendKind backend = ClassifierBackendKind::kFlatSlab;
 
   /// Extra swap attempts after a *transient* failure (injected fault,
   /// per-attempt deadline breach, std::bad_alloc). 0 = fail fast.
@@ -158,11 +151,9 @@ struct ServeStats {
 
 /// A point-in-time health report: what is being served, whether the last
 /// operator action succeeded, and the full counter set. `to_json()` is
-/// the `health` command's wire format (schema dfw-serve-health-v2).
+/// the `health` command's wire format (schema dfw-serve-health-v3).
 struct ServeHealth {
   std::uint64_t sequence = 0;  ///< served version right now
-  ClassifierBackendKind backend =
-      ClassifierBackendKind::kFlatSlab;  ///< its compiled layout
   bool last_swap_ok = true;  ///< false after a failed swap, true again
                              ///< after the next success (true at boot)
   ServeStats stats;
@@ -190,9 +181,8 @@ class ServeCore {
 
   /// Resumes from a decoded snapshot (serve/snapshot.hpp): serves the
   /// snapshot's version at its recorded sequence, compiled from the
-  /// snapshot's diagram on the snapshot's backend (the restart must be
-  /// byte-identical to the pre-crash daemon; options.backend applies to
-  /// later swaps). Subsequent swaps number from sequence + 1.
+  /// snapshot's diagram (the restart must be byte-identical to the
+  /// pre-crash daemon). Subsequent swaps number from sequence + 1.
   ServeCore(snapshot::SnapshotData restored, ServeOptions options);
 
   /// All Shards must be destroyed first; no batch may be in flight.
@@ -254,8 +244,8 @@ class ServeCore {
   const ServeOptions& options() const { return options_; }
   ServeStats stats() const;
 
-  /// Liveness/readiness for operators: served sequence + backend, the
-  /// last swap's outcome, and the counters. Lock-free reads; callable
+  /// Liveness/readiness for operators: the served sequence, the last
+  /// swap's outcome, and the counters. Lock-free reads; callable
   /// from any thread.
   ServeHealth health() const;
 
@@ -277,8 +267,8 @@ class ServeCore {
 
   /// The served version serialized as a crash-consistent snapshot
   /// (serve/snapshot.hpp, format dfws 1): policy text, reduced diagram
-  /// (dfdd v2 DAG), sequence, backend, checksum. Serialized against swaps so
-  /// the snapshot is always one published version, never a blend.
+  /// (dfdd v2 DAG), sequence, checksum. Serialized against swaps so the
+  /// snapshot is always one published version, never a blend.
   std::string snapshot_text();
 
  private:
@@ -299,8 +289,6 @@ class ServeCore {
   std::atomic<std::uint64_t> swap_retries_{0};
   std::atomic<std::uint64_t> swap_failed_{0};
   std::atomic<bool> last_swap_ok_{true};
-  std::atomic<ClassifierBackendKind> served_backend_{
-      ClassifierBackendKind::kFlatSlab};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batches_rejected_{0};
   std::atomic<std::uint64_t> lookups_{0};

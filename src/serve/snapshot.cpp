@@ -110,16 +110,16 @@ std::string_view take_block(std::string_view text, std::size_t& pos,
 
 }  // namespace
 
-std::string encode(std::uint64_t sequence, ClassifierBackendKind backend,
-                   const Policy& policy, const ArenaDiagram& diagram,
-                   const DecisionSet& decisions, FaultPlan* faults) {
+std::string encode(std::uint64_t sequence, const Policy& policy,
+                   const ArenaDiagram& diagram, const DecisionSet& decisions,
+                   FaultPlan* faults) {
   fault::hit(faults, fault::sites::kSnapshotSave);
   const std::string policy_text = format_policy(policy, decisions);
   const std::string fdd_text = serialize_fdd_dag(diagram);
   std::ostringstream body;
   body << "dfws 1\n"
        << "sequence " << sequence << '\n'
-       << "backend " << to_string(backend) << '\n'
+       << "backend flat_slab\n"
        << "policy " << policy_text.size() << '\n'
        << policy_text << '\n'
        << "fdd " << fdd_text.size() << '\n'
@@ -146,8 +146,7 @@ SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
   }
   const std::string_view backend_name =
       expect_keyword(take_line(text, pos), "backend");
-  const auto backend = parse_backend_kind(backend_name);
-  if (!backend.has_value()) {
+  if (backend_name != "flat_slab" && backend_name != "prefix_trie") {
     fail_parse("unknown backend \"" + std::string(backend_name) + "\"");
   }
   const std::string_view policy_text = take_block(text, pos, "policy");
@@ -169,8 +168,7 @@ SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
   try {
     Policy policy = parse_policy(schema, decisions, policy_text);
     ArenaDiagram diagram = deserialize_fdd_dag(schema, fdd_text);
-    return SnapshotData{sequence, *backend, std::move(policy),
-                        std::move(diagram)};
+    return SnapshotData{sequence, std::move(policy), std::move(diagram)};
   } catch (const std::invalid_argument& error) {
     throw Error(ErrorCode::kParseError,
                 std::string("snapshot payload: ") + error.what());

@@ -2,16 +2,16 @@
 //
 // A serve daemon's only durable state is the version it is serving; a
 // snapshot captures exactly that — the operator's policy text, the
-// reduced diagram it compiled from (dfdd v2 DAG, fdd/serialize.hpp), the
-// version sequence, and the compiled backend — so a restarted daemon
-// resumes byte-identical classification at the next sequence number
-// instead of reverting to its boot policy.
+// reduced diagram it compiled from (dfdd v2 DAG, fdd/serialize.hpp) and
+// the version sequence — so a restarted daemon resumes byte-identical
+// classification at the next sequence number instead of reverting to its
+// boot policy.
 //
 // Format "dfws 1", line-based like the dfdd formats it embeds:
 //
 //   dfws 1                      header: magic + version
 //   sequence <n>                served version (>= 1)
-//   backend <name>              flat_slab | prefix_trie
+//   backend <name>              the compiled layout: flat_slab
 //   policy <bytes>              byte count of the policy text that follows
 //   <policy text>
 //   fdd <bytes>                 byte count of the dfdd v2 text that follows
@@ -26,9 +26,12 @@
 // served. The decoder inherits the dfdd v2 loader's hardening (bounds
 // checks, byte counts capped by the input size, id and field-order
 // checks); the DAG loads straight into an arena and is never expanded.
-// It throws dfw::Error only: kParseError for malformed text (including
-// a backend name this build does not know, e.g. a layout since removed),
-// kInvalidInput for structural violations and checksum mismatches.
+// The backend line is read for compatibility: snapshots written by a
+// daemon that ran the prefix_trie layout, since removed, name it there,
+// and they restore onto flat_slab with the same decisions. It throws
+// dfw::Error only: kParseError for malformed text (including any other
+// backend name, e.g. bit_parallel), kInvalidInput for structural
+// violations and checksum mismatches.
 
 #pragma once
 
@@ -36,7 +39,6 @@
 #include <string>
 #include <string_view>
 
-#include "engine/backend.hpp"
 #include "fdd/arena.hpp"
 #include "fw/decision.hpp"
 #include "fw/policy.hpp"
@@ -52,7 +54,6 @@ namespace dfw::serve::snapshot {
 /// reaches.
 struct SnapshotData {
   std::uint64_t sequence;
-  ClassifierBackendKind backend;
   Policy policy;
   ArenaDiagram diagram;
 };
@@ -61,9 +62,9 @@ struct SnapshotData {
 /// text. `decisions` renders the policy's decision names (the serve CLI
 /// uses default_decisions()). `faults` (borrowed, nullable) is consulted
 /// at the serve.snapshot.save site before any byte is produced.
-std::string encode(std::uint64_t sequence, ClassifierBackendKind backend,
-                   const Policy& policy, const ArenaDiagram& diagram,
-                   const DecisionSet& decisions, FaultPlan* faults = nullptr);
+std::string encode(std::uint64_t sequence, const Policy& policy,
+                   const ArenaDiagram& diagram, const DecisionSet& decisions,
+                   FaultPlan* faults = nullptr);
 
 /// Parses and verifies a snapshot. The caller supplies the schema and
 /// decision set (the formats store structure, not domains — the dfdd

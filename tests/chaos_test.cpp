@@ -10,9 +10,10 @@
 //     several seeds — every classified batch stays byte-identical to a
 //     serial replay against the version it pinned, versions are neither
 //     torn nor leaked, and the same seed reproduces the same metrics;
-//   * snapshots round-trip byte-identically on every backend, and a
-//     truncated or corrupt snapshot is refused (exit 2 at the CLI),
-//     never served.
+//   * snapshots round-trip byte-identically, one written by a daemon
+//     that ran the removed prefix_trie layout restores with the same
+//     decisions, and a truncated or corrupt snapshot is refused (exit 2
+//     at the CLI), never served.
 //
 // Set DFW_CHAOS_ARTIFACTS=<dir> to dump each storm seed's fault
 // schedule and metrics snapshot (the CI chaos-smoke job uploads them).
@@ -651,48 +652,37 @@ TEST(ChaosStorm, ConcurrentReadersSurviveAFaultedSwapStorm) {
 
 // -- Snapshot round-trips -----------------------------------------------------
 
-constexpr ClassifierBackendKind kAllBackends[] = {
-    ClassifierBackendKind::kFlatSlab,
-    ClassifierBackendKind::kPrefixTrie,
-};
+TEST(Snapshot, RoundTripsByteIdentically) {
+  ServeCore core(make_policy(15, 61), ServeOptions{});
+  ASSERT_TRUE(core.swap(make_policy(15, 62)).ok());
+  ASSERT_TRUE(core.swap(make_policy(15, 63)).ok());
+  const Policy served = make_policy(15, 63);
 
-TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
-  for (const ClassifierBackendKind backend : kAllBackends) {
-    ServeOptions options;
-    options.backend = backend;
-    ServeCore core(make_policy(15, 61), options);
-    ASSERT_TRUE(core.swap(make_policy(15, 62)).ok());
-    ASSERT_TRUE(core.swap(make_policy(15, 63)).ok());
-    const Policy served = make_policy(15, 63);
+  const std::string text = core.snapshot_text();
+  auto data =
+      serve::snapshot::decode(five_tuple_schema(), default_decisions(), text);
+  EXPECT_EQ(data.sequence, 3u);
 
-    const std::string text = core.snapshot_text();
-    auto data = serve::snapshot::decode(five_tuple_schema(),
-                                        default_decisions(), text);
-    EXPECT_EQ(data.sequence, 3u);
-    EXPECT_EQ(data.backend, backend);
+  // Determinism: the same served state snapshots to the same bytes.
+  EXPECT_EQ(text, core.snapshot_text());
 
-    // Determinism: the same served state snapshots to the same bytes.
-    EXPECT_EQ(text, core.snapshot_text());
+  ServeCore restored(std::move(data), ServeOptions{});
+  EXPECT_EQ(restored.current_sequence(), 3u);
+  EXPECT_EQ(restored.snapshot_text(), text)
+      << "restore must re-encode byte-identically";
 
-    ServeCore restored(std::move(data), options);
-    EXPECT_EQ(restored.current_sequence(), 3u);
-    EXPECT_EQ(restored.health().backend, backend);
-    EXPECT_EQ(restored.snapshot_text(), text)
-        << to_string(backend) << ": restore must re-encode byte-identically";
+  Rng rng(64);
+  const std::vector<Packet> probes = synth_trace(served, 300, rng);
+  const BatchResult before = core.classify_batch(probes);
+  const BatchResult after = restored.classify_batch(probes);
+  EXPECT_EQ(before.decisions, after.decisions)
+      << "restart must be byte-identical";
+  EXPECT_EQ(after.decisions, serial_replay(served, probes));
 
-    Rng rng(64);
-    const std::vector<Packet> probes = synth_trace(served, 300, rng);
-    const BatchResult before = core.classify_batch(probes);
-    const BatchResult after = restored.classify_batch(probes);
-    EXPECT_EQ(before.decisions, after.decisions)
-        << to_string(backend) << ": restart must be byte-identical";
-    EXPECT_EQ(after.decisions, serial_replay(served, probes));
-
-    // Sequence numbering resumes, not restarts.
-    const auto next = restored.swap(make_policy(15, 65));
-    ASSERT_TRUE(next.ok());
-    EXPECT_EQ(next.value(), 4u);
-  }
+  // Sequence numbering resumes, not restarts.
+  const auto next = restored.swap(make_policy(15, 65));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value(), 4u);
 
   // A snapshot committed from an earlier build re-encodes to its own
   // bytes too.
@@ -702,6 +692,47 @@ TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
                                            default_decisions(), committed),
                    ServeOptions{});
   EXPECT_EQ(booted.snapshot_text(), committed);
+}
+
+// A snapshot written by a daemon that ran the prefix_trie layout, since
+// removed: it booted tests/corpus/native/basic.fw and swapped to
+// multifield.fw. It restores at its recorded sequence onto slabs and
+// serves every batch as a flat_slab daemon at the same version does.
+TEST(Snapshot, LegacyPrefixTrieSnapshotRestoresOntoSlabs) {
+  const std::string legacy = serve::snapshot::read_file(
+      std::string(DFW_CORPUS_DIR) +
+      "/snapshot/legacy_backend_prefix_trie.dfws");
+  const std::size_t backend_line = legacy.find("backend prefix_trie\n");
+  ASSERT_NE(backend_line, std::string::npos);
+  auto data =
+      serve::snapshot::decode(five_tuple_schema(), default_decisions(), legacy);
+  ASSERT_EQ(data.sequence, 2u);
+  const Policy served = data.policy;
+  ServeCore restored(std::move(data), ServeOptions{});
+  EXPECT_EQ(restored.current_sequence(), 2u);
+
+  ServeCore flat(served, ServeOptions{});
+  ASSERT_TRUE(flat.swap(served).ok());
+  EXPECT_EQ(restored.snapshot_text(), flat.snapshot_text());
+  // Re-encoding changes the backend line, and with it the checksum, only.
+  std::string expected = legacy;
+  expected.replace(backend_line, std::string("backend prefix_trie").size(),
+                   "backend flat_slab");
+  const std::string reencoded = restored.snapshot_text();
+  EXPECT_EQ(reencoded.substr(0, reencoded.rfind("checksum ")),
+            expected.substr(0, expected.rfind("checksum ")));
+
+  Rng rng(67);
+  const std::vector<Packet> trace = synth_trace(served, 600, rng);
+  for (std::size_t begin = 0; begin < trace.size(); begin += 150) {
+    const std::span<const Packet> batch(trace.data() + begin, 150);
+    const BatchResult legacy_batch = restored.classify_batch(batch);
+    const BatchResult flat_batch = flat.classify_batch(batch);
+    EXPECT_EQ(legacy_batch.version, 2u);
+    EXPECT_EQ(flat_batch.version, 2u);
+    EXPECT_EQ(legacy_batch.decisions, flat_batch.decisions);
+    EXPECT_EQ(legacy_batch.decisions, serial_replay(served, batch));
+  }
 }
 
 TEST(Snapshot, DecodeRejectsTruncationAndCorruption) {
@@ -864,6 +895,19 @@ TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {
       << err;
 }
 
+// One compiled layout: the banner names none, and --backend is gone.
+TEST_F(ServeCliSnapshot, BannerNamesNoLayoutAndBackendFlagIsUnknown) {
+  std::string out;
+  ASSERT_EQ(run({policy_a_}, "quit\n", &out), 0) << out;
+  EXPECT_EQ(out, "serving version=1\n");
+  std::string err;
+  EXPECT_EQ(run({"--backend=flat_slab", policy_a_}, "quit\n", nullptr, &err),
+            2);
+  EXPECT_NE(err.find("unknown option '--backend=flat_slab'"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(ServeCliSnapshot, HealthIntervalAndHealthCommandReport) {
   std::string out;
   ASSERT_EQ(run({"--health-interval=1", policy_a_},
@@ -873,7 +917,7 @@ TEST_F(ServeCliSnapshot, HealthIntervalAndHealthCommandReport) {
   // One health line per command (interval 1) plus the explicit command.
   std::size_t count = 0;
   for (std::size_t pos = 0;
-       (pos = out.find("dfw-serve-health-v2", pos)) != std::string::npos;
+       (pos = out.find("dfw-serve-health-v3", pos)) != std::string::npos;
        ++pos) {
     ++count;
   }

@@ -1,10 +1,10 @@
-// Cross-backend equivalence harness: every compiled classifier layout
-// (flat-slab, prefix-trie) must produce byte-identical decisions — to
-// each other, to the interpreted FDD walk, to the policy's first-match
-// evaluation, and (on the accept/discard fragment) to the BDD baseline.
-// Probes mix exhaustive small universes, random five-tuple traffic, and
+// Classifier equivalence harness: the compiled flat-slab classifier must
+// produce byte-identical decisions to the interpreted FDD walk, to the
+// policy's first-match evaluation, and (on the accept/discard fragment)
+// to the BDD baseline. Probes mix exhaustive small universes, random
+// five-tuple traffic, 64-bit IPv6 halves at their domain corners, and
 // adversarial edge packets sitting exactly on interval boundaries, where
-// off-by-one bugs live. Batch paths are checked at every run length a
+// off-by-one bugs live. Batch paths are checked at every run length the
 // lane kernel treats differently, and for determinism across 1/2/8-thread
 // executors: parallelism may reorder work, never output.
 
@@ -30,18 +30,6 @@ namespace {
 
 using test::tiny2;
 using test::tiny3;
-
-constexpr ClassifierBackendKind kAllBackends[] = {
-    ClassifierBackendKind::kFlatSlab,
-    ClassifierBackendKind::kPrefixTrie,
-};
-
-Classifier compile_with(const ArenaDiagram& diagram,
-                        ClassifierBackendKind kind) {
-  CompileOptions options;
-  options.backend = kind;
-  return Classifier::compile(diagram, options);
-}
 
 /// Adversarial probes: every rule-conjunct corner and every domain corner,
 /// in every combination pattern that stays one packet (per-field lows,
@@ -126,8 +114,8 @@ void batches_agree(const Classifier& c, std::span<const Packet> probes,
       c.classify_into(probes.subspan(offset, length), out);
       for (std::size_t i = 0; i < length; ++i) {
         ASSERT_EQ(out[i], want[offset + i])
-            << to_string(c.backend()) << " offset " << offset << " length "
-            << length << " packet " << i;
+            << "offset " << offset << " length " << length << " packet "
+            << i;
       }
     }
   }
@@ -160,17 +148,6 @@ TEST(SlabSearch, MatchesStdLowerBoundAndClampsToTheLastSlab) {
   }
 }
 
-TEST(BackendKind, NameRoundTrip) {
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    const auto parsed = parse_backend_kind(to_string(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(parse_backend_kind("slab").has_value());
-  EXPECT_FALSE(parse_backend_kind("").has_value());
-  EXPECT_FALSE(parse_backend_kind("bit_parallel").has_value());
-}
-
 TEST(ClassifierBackend, AgreesWithPolicyExhaustively) {
   std::mt19937_64 rng(711);
   std::mt19937_64 shuffle_rng(719);
@@ -184,14 +161,11 @@ TEST(ClassifierBackend, AgreesWithPolicyExhaustively) {
     for (const Packet& pkt : probes) {
       want.push_back(p.evaluate(pkt));
     }
-    for (const ClassifierBackendKind kind : kAllBackends) {
-      const Classifier c = compile_with(diagram, kind);
-      EXPECT_EQ(c.backend(), kind);
-      for (const Packet& pkt : universe) {
-        ASSERT_EQ(c.classify(pkt), p.evaluate(pkt)) << to_string(kind);
-      }
-      ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
+    const Classifier c = Classifier::compile(diagram);
+    for (const Packet& pkt : universe) {
+      ASSERT_EQ(c.classify(pkt), p.evaluate(pkt));
     }
+    ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
   }
 }
 
@@ -204,13 +178,11 @@ TEST(ClassifierBackend, ConstantPolicy) {
   const std::vector<Packet> probes =
       batch_probes(test::all_packets(s), rng);
   const std::vector<Decision> want(probes.size(), kDiscard);
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    const Classifier c = compile_with(diagram, kind);
-    EXPECT_EQ(c.node_count(), 0u) << to_string(kind);
-    EXPECT_EQ(c.classify({0, 0}), kDiscard) << to_string(kind);
-    EXPECT_EQ(c.classify({7, 7}), kDiscard) << to_string(kind);
-    ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
-  }
+  const Classifier c = Classifier::compile(diagram);
+  EXPECT_EQ(c.node_count(), 0u);
+  EXPECT_EQ(c.classify({0, 0}), kDiscard);
+  EXPECT_EQ(c.classify({7, 7}), kDiscard);
+  ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
 }
 
 TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
@@ -219,11 +191,7 @@ TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
   Rng rng(712);
   const Policy p = synth_policy(config, rng);
   const ArenaDiagram diagram = build_diagram(p, {});
-
-  std::vector<Classifier> classifiers;
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    classifiers.push_back(compile_with(diagram, kind));
-  }
+  const Classifier c = Classifier::compile(diagram);
 
   std::vector<Packet> probes = edge_packets(p);
   std::uniform_int_distribution<Value> ip(0, UINT32_MAX);
@@ -237,14 +205,68 @@ TEST(ClassifierBackend, FiveTupleRandomAndEdgeProbesAgree) {
   for (const Packet& pkt : probes) {
     want.push_back(diagram.arena->evaluate(diagram.root, pkt));
     ASSERT_EQ(p.evaluate(pkt), want.back());
-    for (std::size_t b = 0; b < classifiers.size(); ++b) {
-      ASSERT_EQ(classifiers[b].classify(pkt), want.back())
-          << to_string(kAllBackends[b]);
+    ASSERT_EQ(c.classify(pkt), want.back());
+  }
+  ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
+}
+
+// The IPv6 halves span the whole 64-bit Value domain: slab bounds and the
+// search's comparisons must hold at 2^63, where a signed reading flips,
+// and at the domain's top, past which no bound exists.
+TEST(ClassifierBackend, SixtyFourBitFieldsAgreeAtDomainCorners) {
+  const Schema schema = five_tuple_v6_schema();
+  constexpr Value kHalf = Value{1} << 63;
+  const Value corners[] = {0, kHalf - 1, kHalf, UINT64_MAX};
+  // Rules bounded on the corners, then random 64-bit ones and a catch-all.
+  const auto rule = [&](std::vector<std::pair<std::size_t, Interval>> set,
+                        Decision decision) {
+    std::vector<IntervalSet> conjuncts;
+    for (std::size_t f = 0; f < schema.field_count(); ++f) {
+      conjuncts.emplace_back(schema.domain(f));
+    }
+    for (const auto& [field, interval] : set) {
+      conjuncts[field] = IntervalSet(interval);
+    }
+    return Rule(schema, std::move(conjuncts), decision);
+  };
+  std::vector<Rule> rules = {
+      rule({{0, Interval(kHalf, UINT64_MAX)}, {3, Interval(0, kHalf - 1)}},
+           kAccept),
+      rule({{1, Interval(kHalf - 1, kHalf)}}, kDiscard),
+      rule({{2, Interval::point(UINT64_MAX)}, {6, Interval(6, 6)}}, kAccept),
+      rule({{3, Interval::point(kHalf)}}, kDiscard),
+      rule({{0, Interval(0, kHalf - 1)}, {2, Interval(kHalf, UINT64_MAX)}},
+           kAccept),
+  };
+  std::mt19937_64 rng(720);
+  const Policy random = test::random_policy(schema, 12, rng);
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    rules.push_back(random.rule(i));
+  }
+  const Policy p(schema, std::move(rules));
+  const Classifier c = Classifier::compile(build_diagram(p, {}));
+
+  std::vector<Packet> probes = edge_packets(p);
+  for (const Value sip : corners) {
+    for (const Value sip_lo : corners) {
+      for (const Value dip : corners) {
+        for (const Value dip_lo : corners) {
+          probes.push_back({sip, sip_lo, dip, dip_lo, 0, 0, 0});
+          probes.push_back({sip, sip_lo, dip, dip_lo, 65535, 65535, 6});
+        }
+      }
     }
   }
-  for (const Classifier& c : classifiers) {
-    ASSERT_NO_FATAL_FAILURE(batches_agree(c, probes, want));
+  for (const Packet& pkt : probes) {
+    ASSERT_EQ(c.classify(pkt), p.evaluate(pkt));
   }
+  std::mt19937_64 shuffle_rng(721);
+  const std::vector<Packet> batch = batch_probes(probes, shuffle_rng);
+  std::vector<Decision> want;
+  for (const Packet& pkt : batch) {
+    want.push_back(p.evaluate(pkt));
+  }
+  ASSERT_NO_FATAL_FAILURE(batches_agree(c, batch, want));
 }
 
 TEST(ClassifierBackend, BddBaselineAgreesOnAcceptSet) {
@@ -257,11 +279,7 @@ TEST(ClassifierBackend, BddBaselineAgreesOnAcceptSet) {
   const BitLayout layout = layout_for(p.schema());
   BddManager mgr(layout.total_bits);
   const BddRef accept_set = encode_policy(mgr, layout, p);
-
-  std::vector<Classifier> classifiers;
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    classifiers.push_back(compile_with(diagram, kind));
-  }
+  const Classifier c = Classifier::compile(diagram);
 
   std::uniform_int_distribution<Value> ip(0, UINT32_MAX);
   std::uniform_int_distribution<Value> port(0, 65535);
@@ -270,10 +288,7 @@ TEST(ClassifierBackend, BddBaselineAgreesOnAcceptSet) {
     const Packet pkt = {ip(rng), ip(rng), port(rng), port(rng), proto(rng)};
     const bool accepted =
         mgr.evaluate(accept_set, encode_packet(layout, pkt));
-    for (std::size_t b = 0; b < classifiers.size(); ++b) {
-      ASSERT_EQ(classifiers[b].classify(pkt) == kAccept, accepted)
-          << to_string(kAllBackends[b]);
-    }
+    ASSERT_EQ(c.classify(pkt) == kAccept, accepted);
   }
 }
 
@@ -292,34 +307,31 @@ TEST(ClassifierBackend, BatchDeterminismAcrossThreadCounts) {
     packets.push_back({ip(rng), ip(rng), port(rng), port(rng), proto(rng)});
   }
 
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    CompileOptions options;
-    options.backend = kind;
-    options.batch_grain = 64;  // force many chunks even at 8 threads
-    const Classifier c = Classifier::compile(diagram, options);
+  CompileOptions options;
+  options.batch_grain = 64;  // force many chunks even at 8 threads
+  const Classifier c = Classifier::compile(diagram, options);
 
-    const std::vector<Decision> serial = c.classify_batch(packets);
-    ASSERT_EQ(serial.size(), packets.size());
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      ASSERT_EQ(serial[i], c.classify(packets[i])) << to_string(kind);
-    }
-    for (const std::size_t threads : {2u, 8u}) {
-      Executor pool(threads);
-      RunOptions run;
-      run.executor = &pool;
-      EXPECT_EQ(c.classify_batch(packets, run), serial)
-          << to_string(kind) << " threads=" << threads;
-      std::vector<Decision> out(packets.size(), Decision{0xff});
-      c.classify_into(packets, out, run);
-      EXPECT_EQ(out, serial) << to_string(kind) << " threads=" << threads;
-    }
-    std::vector<Decision> out(packets.size(), Decision{0xff});
-    c.classify_into(packets, out);
-    EXPECT_EQ(out, serial) << to_string(kind);
+  const std::vector<Decision> serial = c.classify_batch(packets);
+  ASSERT_EQ(serial.size(), packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    ASSERT_EQ(serial[i], c.classify(packets[i]));
   }
+  for (const std::size_t threads : {2u, 8u}) {
+    Executor pool(threads);
+    RunOptions run;
+    run.executor = &pool;
+    EXPECT_EQ(c.classify_batch(packets, run), serial)
+        << "threads=" << threads;
+    std::vector<Decision> out(packets.size(), Decision{0xff});
+    c.classify_into(packets, out, run);
+    EXPECT_EQ(out, serial) << "threads=" << threads;
+  }
+  std::vector<Decision> out(packets.size(), Decision{0xff});
+  c.classify_into(packets, out);
+  EXPECT_EQ(out, serial);
 }
 
-// Both layouts flatten the hash-consed DAG, not its tree expansion: one
+// The layout flattens the hash-consed DAG, not its tree expansion: one
 // compiled node per unique nonterminal the root reaches.
 TEST(ClassifierBackend, CompilesOneSlabNodePerUniqueDiagramNode) {
   SynthConfig config;
@@ -342,10 +354,7 @@ TEST(ClassifierBackend, CompilesOneSlabNodePerUniqueDiagramNode) {
       stack.push_back(e.target);
     }
   }
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    EXPECT_EQ(compile_with(diagram, kind).node_count(), nonterminals.size())
-        << to_string(kind);
-  }
+  EXPECT_EQ(Classifier::compile(diagram).node_count(), nonterminals.size());
 }
 
 TEST(ClassifierBackend, ClassifyIntoValidatesOutputSize) {
@@ -360,24 +369,19 @@ TEST(ClassifierBackend, ClassifyIntoValidatesOutputSize) {
 TEST(ClassifierBackend, CompilePhaseAndBatchMetricsRecorded) {
   std::mt19937_64 rng(717);
   const Policy p = test::random_policy(tiny3(), 6, rng);
-  for (const ClassifierBackendKind kind : kAllBackends) {
-    MetricsRegistry metrics;
-    CompileOptions options;
-    options.backend = kind;
-    options.run.obs.metrics = &metrics;
-    const Classifier c = Classifier::compile(p, options);
-    const std::string phase =
-        std::string("phase.") + compile_phase_name(kind) + "_ns";
-    EXPECT_EQ(metrics.histogram(phase).count(), 1u) << to_string(kind);
+  MetricsRegistry metrics;
+  CompileOptions options;
+  options.run.obs.metrics = &metrics;
+  const Classifier c = Classifier::compile(p, options);
+  EXPECT_EQ(metrics.histogram("phase.classifier.compile_ns").count(), 1u);
 
-    const std::vector<Packet> packets = test::all_packets(tiny3());
-    c.classify_batch(packets);
-    c.classify_batch(packets);
-    EXPECT_EQ(metrics.counter(names::kClassifierBatchCount).value(), 2u);
-    EXPECT_EQ(metrics.counter(names::kClassifierLookupCount).value(),
-              2 * packets.size());
-    EXPECT_EQ(metrics.histogram(names::kClassifierBatchNs).count(), 2u);
-  }
+  const std::vector<Packet> packets = test::all_packets(tiny3());
+  c.classify_batch(packets);
+  c.classify_batch(packets);
+  EXPECT_EQ(metrics.counter(names::kClassifierBatchCount).value(), 2u);
+  EXPECT_EQ(metrics.counter(names::kClassifierLookupCount).value(),
+            2 * packets.size());
+  EXPECT_EQ(metrics.histogram(names::kClassifierBatchNs).count(), 2u);
 }
 
 }  // namespace

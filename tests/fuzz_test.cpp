@@ -394,12 +394,11 @@ TEST(CorpusFuzz, FddMutants) {
   }
 }
 
-// The compiled-backend surface on hostile diagrams: whatever the
-// deserializer accepts (seed or mutant), interned into an arena, every
-// classifier backend must compile unless validate() rejects it as
-// incomplete — a structured dfw::Error escapes and fails the test — and
-// the compiled classifiers must agree with the interpreted tree walk on
-// random in-domain packets.
+// The compiled classifier on hostile diagrams: whatever the deserializer
+// accepts (seed or mutant), interned into an arena, must compile unless
+// validate() rejects it as incomplete — a structured dfw::Error escapes
+// and fails the test — and the classifier must agree with the
+// interpreted tree walk on random in-domain packets.
 TEST(CorpusFuzz, ClassifierBackendCompileOnFddSeeds) {
   std::mt19937_64 rng(2006);
   const Schema schema = five_tuple_schema();
@@ -414,14 +413,9 @@ TEST(CorpusFuzz, ClassifierBackendCompileOnFddSeeds) {
       }
       auto arena = std::make_shared<FddArena>(schema);
       const ArenaDiagram diagram{arena, arena->from_tree(fdd->root())};
-      std::vector<Classifier> compiled;
+      std::optional<Classifier> compiled;
       try {
-        for (const auto kind : {ClassifierBackendKind::kFlatSlab,
-                                ClassifierBackendKind::kPrefixTrie}) {
-          CompileOptions options;
-          options.backend = kind;
-          compiled.push_back(Classifier::compile(diagram, options));
-        }
+        compiled.emplace(Classifier::compile(diagram));
       } catch (const std::logic_error&) {
         continue;  // validate() rejected an incomplete mutant
       }
@@ -432,10 +426,7 @@ TEST(CorpusFuzz, ClassifierBackendCompileOnFddSeeds) {
                                                     schema.domain(f).hi());
           pkt.push_back(pick(rng));
         }
-        const Decision want = fdd->evaluate(pkt);
-        for (const Classifier& c : compiled) {
-          ASSERT_EQ(c.classify(pkt), want) << to_string(c.backend());
-        }
+        ASSERT_EQ(compiled->classify(pkt), fdd->evaluate(pkt));
       }
     }
   }
@@ -527,9 +518,9 @@ TEST(Fuzz, SnapshotDecoderNeverCrashes) {
 }
 
 TEST(CorpusFuzz, SnapshotSeedsBehaveAsDocumented) {
-  // Filename prefixes pin the contract: valid_* seeds decode; bad_*
-  // seeds (bad magic, truncation, checksum flip, unknown backend) throw
-  // dfw::Error.
+  // Filename prefixes pin the contract: valid_* seeds decode, and so do
+  // legacy_* ones (written by a layout since removed); bad_* seeds (bad
+  // magic, truncation, checksum flip, unknown backend) throw dfw::Error.
   const Schema schema = five_tuple_schema();
   const std::filesystem::path dir =
       std::filesystem::path(DFW_CORPUS_DIR) / "snapshot";
@@ -544,7 +535,7 @@ TEST(CorpusFuzz, SnapshotSeedsBehaveAsDocumented) {
     std::ostringstream buf;
     buf << in.rdbuf();
     const std::string seed = std::move(buf).str();
-    if (name.rfind("valid_", 0) == 0) {
+    if (name.rfind("valid_", 0) == 0 || name.rfind("legacy_", 0) == 0) {
       ++valid_seen;
       const auto data =
           serve::snapshot::decode(schema, default_decisions(), seed);

@@ -269,12 +269,12 @@ TEST(Serve, ThrownBatchReleasesItsAdmission) {
 // The gate: byte-identical decisions for every batch, zero dropped
 // lookups, and retired == reclaimed == swaps once drained.
 
-void run_swap_storm(ClassifierBackendKind backend, std::uint64_t min_swaps) {
+TEST(ServeStorm, SerialReplayIsByteIdenticalAcrossHotSwaps) {
   constexpr std::size_t kPolicies = 8;
   constexpr std::size_t kReaders = 3;
   constexpr std::size_t kBatchesPerReader = 60;
   constexpr std::size_t kBatchLen = 64;
-  const std::uint64_t kMinSwaps = min_swaps;
+  constexpr std::uint64_t kMinSwaps = 100;
 
   std::vector<Policy> ring;
   ring.reserve(kPolicies);
@@ -294,7 +294,6 @@ void run_swap_storm(ClassifierBackendKind backend, std::uint64_t min_swaps) {
   ServeOptions options;
   options.run.executor = &executor;
   options.batch_grain = 16;  // several chunks per batch
-  options.backend = backend;
   ServeCore core(ring[0], options);
 
   // version sequence -> index into `ring`. Sequence 1 is the boot policy.
@@ -377,17 +376,6 @@ void run_swap_storm(ClassifierBackendKind backend, std::uint64_t min_swaps) {
   EXPECT_EQ(drained.retired, drained.swaps);
   EXPECT_EQ(drained.reclaimed, drained.retired);
   EXPECT_EQ(drained.limbo, 0u);
-}
-
-TEST(ServeStorm, SerialReplayIsByteIdenticalAcrossHotSwaps) {
-  run_swap_storm(ClassifierBackendKind::kFlatSlab, 100);
-}
-
-// The prefix-trie storm runs shorter: the gate is identical — byte-equal
-// serial replay under concurrent swaps — and the flat-slab storm already
-// soaks the swap machinery itself.
-TEST(ServeStorm, PrefixTrieBackendReplaysByteIdentically) {
-  run_swap_storm(ClassifierBackendKind::kPrefixTrie, 30);
 }
 
 }  // namespace
