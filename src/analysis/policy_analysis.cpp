@@ -71,11 +71,11 @@ std::vector<std::size_t> PolicyAnalysis::dead() const {
   return dead;
 }
 
-bool PolicyAnalysis::redundant_at(std::size_t k, ArenaNodeId suffix) {
-  // Dead (upward redundant) is O(1) and implies the overlay test
-  // (downward redundant).
+bool PolicyAnalysis::redundant_at(std::size_t k, ArenaNodeId with,
+                                  ArenaNodeId without) {
+  // Dead (upward redundant) is O(1) and implies downward redundancy.
   return prefix_[k + 1] == prefix_[k] ||
-         arena().overlay(prefix_[k], suffix) == root();
+         arena().agree_outside(prefix_[k], with, without);
 }
 
 bool PolicyAnalysis::is_redundant(std::size_t index) {
@@ -89,7 +89,7 @@ bool PolicyAnalysis::is_redundant(std::size_t index) {
   for (std::size_t k = policy_.size(); k-- > index + 1;) {
     suffix = arena().overlay(paths_[k], suffix);
   }
-  return redundant_at(index, suffix);
+  return redundant_at(index, arena().overlay(paths_[index], suffix), suffix);
 }
 
 std::vector<std::size_t> PolicyAnalysis::redundant() {
@@ -97,13 +97,14 @@ std::vector<std::size_t> PolicyAnalysis::redundant() {
   if (!comprehensive()) {
     return result;
   }
-  ArenaNodeId suffix = FddArena::kEmpty;  // rules (k, n)
+  ArenaNodeId suffix = FddArena::kEmpty;  // S_{k+1}, the rules (k, n)
   for (std::size_t k = policy_.size(); k-- > 0;) {
     govern::checkpoint(arena().context());
-    if (redundant_at(k, suffix)) {
+    const ArenaNodeId with = arena().overlay(paths_[k], suffix);  // S_k
+    if (redundant_at(k, with, suffix)) {
       result.push_back(k);
     }
-    suffix = arena().overlay(paths_[k], suffix);
+    suffix = with;
   }
   std::reverse(result.begin(), result.end());
   return result;
@@ -114,16 +115,21 @@ Policy PolicyAnalysis::without_redundant() {
     return policy_;
   }
   // Because p_k does not change when a later rule goes, each test is
-  // against the rules still kept; and dropping an earlier rule never makes
-  // a kept one redundant (the packet that needed it still first-matches
-  // it), so the one pass leaves no redundant rule.
+  // against the rules still kept: the kept suffix keeps
+  // p_n = overlay(p_k, overlay(path(r_k), kept)). And dropping an earlier
+  // rule never makes a kept one redundant (the packet that needed it
+  // still first-matches it), so the one pass leaves no redundant rule.
   std::vector<Rule> kept;
   ArenaNodeId suffix = FddArena::kEmpty;  // the kept rules of (k, n)
   for (std::size_t k = policy_.size(); k-- > 0;) {
     govern::checkpoint(arena().context());
-    if (!redundant_at(k, suffix)) {
+    if (prefix_[k + 1] == prefix_[k]) {
+      continue;  // dead, so redundant without building anything
+    }
+    const ArenaNodeId with = arena().overlay(paths_[k], suffix);
+    if (!arena().agree_outside(prefix_[k], with, suffix)) {
       kept.push_back(policy_.rule(k));
-      suffix = arena().overlay(paths_[k], suffix);
+      suffix = with;
     }
   }
   std::reverse(kept.begin(), kept.end());

@@ -13,7 +13,10 @@
 //     suffix roots S_k = overlay(path(r_k), S_{k+1}) grown back to front,
 //     path(r) being the rule's lone decision path and S_n the empty
 //     diagram (Hazelhurst's reading of an access list as nested
-//     if-then-else);
+//     if-then-else). Since p_n = overlay(p_k, S_k), that holds iff S_k and
+//     S_{k+1} decide alike, undecided included, on every packet p_k
+//     leaves undecided, which FddArena::agree_outside decides without
+//     building overlay(p_k, S_{k+1});
 //   * two versions are equivalent iff their p_n are the same id.
 //
 // A PolicyAnalysis builds that chain once per policy version and answers
@@ -105,8 +108,8 @@ class PolicyAnalysis {
 
  private:
   /// Whether rule k can go from rules [0, k] followed by the rules whose
-  /// diagram is `suffix`.
-  bool redundant_at(std::size_t k, ArenaNodeId suffix);
+  /// diagram is `without`, `with` being overlay(path(r_k), without).
+  bool redundant_at(std::size_t k, ArenaNodeId with, ArenaNodeId without);
 
   std::shared_ptr<AnalysisArena> shared_;
   Policy policy_;

@@ -40,6 +40,10 @@ std::uint64_t hash_runs(std::span<const Interval> runs) {
   return finish(h);
 }
 
+std::uint64_t hash_triple(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  return finish(mix((static_cast<std::uint64_t>(a) << 32) | b, c));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -130,6 +134,53 @@ void FddArena::StampedMemo::insert(std::uint64_t key, ArenaNodeId value) {
     i = (i + 1) & mask;
   }
   slots_[i] = {key, value, stamp_};
+  ++live_;
+}
+
+void FddArena::TripleSet::next_call() {
+  live_ = 0;
+  if (++stamp_ == 0) {
+    for (Slot& s : slots_) {
+      s.stamp = 0;
+    }
+    stamp_ = 1;
+  }
+}
+
+bool FddArena::TripleSet::contains(ArenaNodeId m, ArenaNodeId x,
+                                   ArenaNodeId y) const {
+  if (slots_.empty()) {
+    return false;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash_triple(m, x, y) & mask; slots_[i].stamp == stamp_;
+       i = (i + 1) & mask) {
+    if (slots_[i].m == m && slots_[i].x == x && slots_[i].y == y) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void FddArena::TripleSet::insert(ArenaNodeId m, ArenaNodeId x,
+                                 ArenaNodeId y) {
+  if ((live_ + 1) * 2 > slots_.size()) {
+    // Grow, keeping only the current call's entries.
+    std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 64));
+    old.swap(slots_);
+    live_ = 0;
+    for (const Slot& s : old) {
+      if (s.stamp == stamp_) {
+        insert(s.m, s.x, s.y);
+      }
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash_triple(m, x, y) & mask;
+  while (slots_[i].stamp == stamp_) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = {m, x, y, stamp_};
   ++live_;
 }
 
@@ -751,6 +802,100 @@ ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
   result = make_canonical(f, level.out);
   overlay_cache_.insert(key, result);
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// Agreement where a mask leaves packets undecided: a read-only product walk.
+
+bool FddArena::agree_outside(ArenaNodeId mask, ArenaNodeId x, ArenaNodeId y) {
+  agree_levels_.resize(schema_.field_count());
+  agree_memo_.next_call();
+  return agree_nodes(mask, x, y);
+}
+
+bool FddArena::agree_nodes(ArenaNodeId mask, ArenaNodeId x, ArenaNodeId y) {
+  // The walk materialises no nodes, so it carries its own checkpoint.
+  govern::checkpoint(govern_);
+  if (x == y || (mask != kEmpty && nodes_[mask].complete)) {
+    return true;
+  }
+  // Below here the mask leaves some packet undecided, so two leaves that
+  // differ disagree on it.
+  const auto leaf = [&](ArenaNodeId n) {
+    return n == kEmpty || is_terminal(n);
+  };
+  if (leaf(x) && leaf(y)) {
+    return false;
+  }
+  if (agree_memo_.contains(mask, x, y)) {
+    return true;
+  }
+  std::uint32_t f = kArenaTerminalField;
+  for (const ArenaNodeId n : {mask, x, y}) {
+    if (n != kEmpty) {
+      f = std::min(f, field(n));
+    }
+  }
+  AgreeLevel& level = agree_levels_[f];
+  agree_runs(mask, f, level.sides[0]);
+  agree_runs(x, f, level.sides[1]);
+  agree_runs(y, f, level.sides[2]);
+  // Sweep the cells of the three partitions in domain order: each cell
+  // runs from `lo` to the nearest boundary of any side, and each side's
+  // child there is its run's, or kEmpty in a gap.
+  const Interval& domain = schema_.domain(f);
+  std::size_t at[3] = {0, 0, 0};
+  for (Value lo = domain.lo();;) {
+    ArenaNodeId child[3];
+    Value hi = domain.hi();
+    for (int s = 0; s < 3; ++s) {
+      const std::vector<AgreeRun>& runs = level.sides[s];
+      while (at[s] < runs.size() && runs[at[s]].run.hi() < lo) {
+        ++at[s];
+      }
+      if (at[s] == runs.size()) {
+        child[s] = kEmpty;
+      } else if (runs[at[s]].run.lo() <= lo) {
+        child[s] = runs[at[s]].child;
+        hi = std::min(hi, runs[at[s]].run.hi());
+      } else {
+        child[s] = kEmpty;
+        hi = std::min(hi, runs[at[s]].run.lo() - 1);
+      }
+    }
+    if (child[1] != child[2] && !agree_nodes(child[0], child[1], child[2])) {
+      return false;
+    }
+    if (hi == domain.hi()) {
+      break;
+    }
+    lo = hi + 1;
+  }
+  agree_memo_.insert(mask, x, y);
+  return true;
+}
+
+void FddArena::agree_runs(ArenaNodeId n, std::uint32_t f,
+                          std::vector<AgreeRun>& runs) const {
+  runs.clear();
+  if (n == kEmpty) {
+    return;
+  }
+  if (field(n) != f) {
+    runs.push_back({schema_.domain(f), n});
+    return;
+  }
+  for (const ArenaEdge& e : edges(n)) {
+    for (const Interval& iv : labels_[e.label].intervals()) {
+      runs.push_back({iv, e.target});
+    }
+  }
+  // Edges are sorted by label minimum, so only labels of several runs
+  // interleave.
+  const auto lower = [](const AgreeRun& r) { return r.run.lo(); };
+  if (!std::ranges::is_sorted(runs, {}, lower)) {
+    std::ranges::sort(runs, {}, lower);
+  }
 }
 
 // ---------------------------------------------------------------------------

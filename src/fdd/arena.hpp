@@ -31,7 +31,9 @@
 // undecided region left edgeless and kEmpty standing for "nothing decided".
 // overlay() combines two of them by first match, which is what the
 // redundancy oracle (gen/redundancy.hpp) reads policies with: a prefix of
-// the rules overlaid on a suffix of them.
+// the rules overlaid on a suffix of them. agree_outside() asks whether
+// two such overlays would be equal without building them, which is each
+// rule's redundancy test.
 
 #pragma once
 
@@ -96,9 +98,9 @@ class FaultPlan;
 class FddArena {
  public:
   /// The empty partial diagram: no rule folded in, no packet decided. Only
-  /// append_rule, overlay and compare accept it. Appending a rule to it
-  /// yields the rule's lone decision path (Fig. 6), so policy prefixes
-  /// start here.
+  /// append_rule, overlay, agree_outside and compare accept it. Appending
+  /// a rule to it yields the rule's lone decision path (Fig. 6), so policy
+  /// prefixes start here.
   static constexpr ArenaNodeId kEmpty = static_cast<ArenaNodeId>(-1);
 
   explicit FddArena(Schema schema);
@@ -221,6 +223,19 @@ class FddArena {
   /// materialises.
   ArenaNodeId overlay(ArenaNodeId a, ArenaNodeId b);
 
+  /// Whether `x` and `y` decide alike, undecided included, on every packet
+  /// `mask` leaves undecided: overlay(mask, x) == overlay(mask, y),
+  /// decided without building either. Any of the three may be kEmpty. A
+  /// product walk over (mask, x, y) triples: it returns true at equal x
+  /// and y ids or a complete mask, false at two unequal leaves (terminals
+  /// or kEmpty), and otherwise splits on the smallest field any of the
+  /// three tests, reading a node that skips it as one full-domain edge and
+  /// a gap as kEmpty, and sweeps the three partitions together up to the
+  /// first disagreement. The triples found to agree are memoised for the
+  /// call. It interns nothing, charges no budget and hits no fault site;
+  /// it checkpoints the attached context once per visit.
+  bool agree_outside(ArenaNodeId mask, ArenaNodeId x, ArenaNodeId y);
+
   /// N-way comparison (Section 5) as one product walk over canonical
   /// diagrams, with no shaping. At a tuple of nodes it splits on the
   /// smallest field any of them tests, reading a node that skips it as one
@@ -337,6 +352,38 @@ class FddArena {
     StampedMemo memo;
   };
 
+  // The agreement walk's memo: the (mask, x, y) triples found to agree in
+  // the current call, open addressing at most half full. Like StampedMemo,
+  // a slot counts only while it carries the current call's stamp.
+  class TripleSet {
+   public:
+    void next_call();
+    bool contains(ArenaNodeId m, ArenaNodeId x, ArenaNodeId y) const;
+    void insert(ArenaNodeId m, ArenaNodeId x, ArenaNodeId y);
+
+   private:
+    struct Slot {
+      ArenaNodeId m = 0;
+      ArenaNodeId x = 0;
+      ArenaNodeId y = 0;
+      std::uint32_t stamp = 0;
+    };
+    std::vector<Slot> slots_;
+    std::uint32_t stamp_ = 0;
+    std::size_t live_ = 0;
+  };
+
+  // The agreement walk's scratch for one field level: a visit at field f
+  // recurses only into fields > f, so each level holds one visit's three
+  // sides, each as its runs at f with the child that decides each run.
+  struct AgreeRun {
+    Interval run;
+    ArenaNodeId child;
+  };
+  struct AgreeLevel {
+    std::vector<AgreeRun> sides[3];  // mask, x, y
+  };
+
   // Overlay scratch for one field level. A visit at field f recurses only
   // into fields > f, so each level has at most one live visit; what it
   // keeps across its recursive calls lives here.
@@ -386,6 +433,13 @@ class FddArena {
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
   /// overlay() on two nodes (neither kEmpty).
   ArenaNodeId overlay_nodes(ArenaNodeId a, ArenaNodeId b);
+  /// agree_outside() on one triple; its memo is the current call's.
+  bool agree_nodes(ArenaNodeId mask, ArenaNodeId x, ArenaNodeId y);
+  /// The runs of `n` at field `f` by lower bound, each with its child: its
+  /// edges' runs when it tests f, one domain run to itself when it skips
+  /// f, none when it is kEmpty.
+  void agree_runs(ArenaNodeId n, std::uint32_t f,
+                  std::vector<AgreeRun>& runs) const;
   /// compare_into() on one tuple of nodes (none kEmpty).
   void compare_nodes(std::span<const ArenaNodeId> nodes,
                      std::vector<Discrepancy>& out);
@@ -405,6 +459,8 @@ class FddArena {
   IdPairMemo overlay_cache_;
   AppendScratch scratch_;
   std::vector<OverlayLevel> overlay_levels_;  // one per field
+  TripleSet agree_memo_;
+  std::vector<AgreeLevel> agree_levels_;      // one per field
   std::vector<CompareLevel> compare_levels_;  // one per field
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned

@@ -7,10 +7,13 @@
 // over a PolicyAnalysis (analysis/policy_analysis.hpp) in a fresh arena,
 // which decides that definitionally on canonical roots: rule k is
 // redundant iff the prefix roots before it overlaid on the suffix roots
-// after it give the whole policy's root, and every entry point is one
-// back-to-front pass. remove_redundant makes the same pass, leaving out of
-// the suffix each rule it drops, which leaves no redundant rule (a maximal
-// removal set).
+// after it would give the whole policy's root. It asks that without
+// building the overlay: the suffix roots with and without the rule must
+// decide alike wherever the prefix before it leaves a packet undecided,
+// which a read-only walk (FddArena::agree_outside) decides. Every entry
+// point is one back-to-front pass. remove_redundant makes the same pass,
+// leaving out of the suffix each rule it drops, which leaves no redundant
+// rule (a maximal removal set).
 //
 // All three are defined for comprehensive policies: a policy that lets
 // some packet fall through has no redundant rule here (is_redundant is

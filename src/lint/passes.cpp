@@ -321,7 +321,8 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
 // removal provably leaves the packet-to-decision mapping unchanged. An
 // absence finding — warning, no witness. Decided by the run's analysis in
 // one back-to-front pass: rule k is redundant iff the prefix before it
-// overlaid on the suffix after it is the whole policy's root.
+// overlaid on the suffix after it is the whole policy's root, which a
+// read-only walk decides without building the overlay.
 
 void pass_redundancy(PassState& state, std::vector<Diagnostic>& out) {
   if (!state.comprehensive()) {

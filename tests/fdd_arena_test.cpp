@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -482,6 +484,139 @@ TEST(FddArena, OverlayIsFirstMatchAcrossPartialDiagrams) {
       }
     }
   }
+}
+
+// The first-match decision of `rules`, or nullopt when the packet falls
+// through them.
+std::optional<Decision> first_match(const std::vector<Rule>& rules,
+                                    const Packet& p) {
+  for (const Rule& rule : rules) {
+    if (rule.matches(p)) {
+      return rule.decision();
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(FddArena, AgreeOutsideIsAgreementWhereTheMaskIsUndecided) {
+  // agree_outside(m, x, y) holds exactly when every packet m leaves
+  // undecided gets the same decision, or none, from x and y. The diagrams
+  // are kEmpty and the prefixes and suffixes of random policies with and
+  // without their catch-all, so the redundancy pass's triples
+  // (p_k, S_k, S_{k+1}) come up beside arbitrary ones, kEmpty in each
+  // position among them.
+  std::mt19937_64 rng(27);
+  std::size_t agreed = 0;
+  std::size_t disagreed = 0;
+  for (const Schema& schema : {test::tiny2(), test::tiny3()}) {
+    const std::vector<Packet> packets = test::all_packets(schema);
+    for (int round = 0; round < 20; ++round) {
+      FddArena arena(schema);
+      // Each diagram beside the rules it was built from; kEmpty first.
+      std::vector<std::pair<ArenaNodeId, std::vector<Rule>>> pool{
+          {FddArena::kEmpty, {}}};
+      const auto add = [&](std::vector<Rule> rules) {
+        ArenaNodeId root = FddArena::kEmpty;
+        for (const Rule& rule : rules) {
+          root = arena.append_rule(root, rule);
+        }
+        pool.emplace_back(root, std::move(rules));
+      };
+      std::vector<std::array<std::size_t, 3>> triples;  // pool indices
+      for (const bool catch_all : {true, false}) {
+        std::vector<Rule> rules = test::random_policy(schema, 8, rng).rules();
+        if (!catch_all) {
+          rules.pop_back();
+        }
+        const std::size_t n = rules.size();
+        const std::size_t prefixes = pool.size();  // p_k at prefixes + k
+        for (std::size_t k = 0; k <= n; ++k) {
+          add({rules.begin(), rules.begin() + static_cast<std::ptrdiff_t>(k)});
+        }
+        const std::size_t suffixes = pool.size();  // S_k at suffixes + k
+        for (std::size_t k = 0; k <= n; ++k) {
+          add({rules.begin() + static_cast<std::ptrdiff_t>(k), rules.end()});
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          triples.push_back({prefixes + k, suffixes + k, suffixes + k + 1});
+        }
+      }
+      std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        triples.push_back({0, i, pick(rng)});
+        triples.push_back({pick(rng), 0, i});
+        triples.push_back({i, pick(rng), 0});
+        triples.push_back({pick(rng), pick(rng), pick(rng)});
+      }
+      for (const auto& [m, x, y] : triples) {
+        const bool expected =
+            std::ranges::all_of(packets, [&](const Packet& p) {
+              return first_match(pool[m].second, p).has_value() ||
+                     first_match(pool[x].second, p) ==
+                         first_match(pool[y].second, p);
+            });
+        const ArenaNodeId mask = pool[m].first;
+        const ArenaNodeId a = pool[x].first;
+        const ArenaNodeId b = pool[y].first;
+        ASSERT_EQ(arena.agree_outside(mask, a, b), expected)
+            << "round " << round << ", triple " << m << ' ' << x << ' ' << y;
+        EXPECT_EQ(arena.overlay(mask, a) == arena.overlay(mask, b), expected);
+        ++(expected ? agreed : disagreed);
+      }
+    }
+  }
+  EXPECT_GT(agreed, 0u);
+  EXPECT_GT(disagreed, 0u);
+}
+
+TEST(FddArena, AgreeOutsideBuildsNothing) {
+  // The walk only reads the arena: it creates no node or label, queries
+  // neither unique table, and finishes under a node budget of one. Its
+  // verdicts on a five-tuple policy's redundancy triples are the built
+  // test's.
+  SynthConfig config;
+  config.num_rules = 200;
+  Rng rng(4);
+  const Policy policy = synth_policy(config, rng);
+  const std::size_t n = policy.size();
+  FddArena arena(five_tuple_schema());
+  std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+  for (const Rule& rule : policy.rules()) {
+    prefix.push_back(arena.append_rule(prefix.back(), rule));
+  }
+  std::vector<ArenaNodeId> suffix(n + 1, FddArena::kEmpty);  // S_k
+  for (std::size_t k = n; k-- > 0;) {
+    suffix[k] = arena.overlay(
+        arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix[k + 1]);
+  }
+  const std::size_t nodes = arena.unique_node_count();
+  const ArenaStats before = arena.stats();
+  std::vector<bool> verdicts;
+  Budgets one;
+  one.max_nodes = 1;
+  RunContext context = RunContext::with_budgets(one);
+  arena.set_context(&context);
+  for (std::size_t k = 0; k < n; ++k) {
+    verdicts.push_back(
+        arena.agree_outside(prefix[k], suffix[k], suffix[k + 1]));
+  }
+  arena.set_context(nullptr);
+  EXPECT_FALSE(context.aborted());
+  EXPECT_EQ(context.nodes_charged(), 0u);
+  EXPECT_EQ(context.label_bytes_charged(), 0u);
+  EXPECT_EQ(arena.unique_node_count(), nodes);
+  EXPECT_EQ(arena.stats().unique_labels, before.unique_labels);
+  EXPECT_EQ(arena.stats().node_queries, before.node_queries);
+  EXPECT_EQ(arena.stats().label_queries, before.label_queries);
+  std::size_t redundant = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(verdicts[k],
+              arena.overlay(prefix[k], suffix[k + 1]) == prefix[n])
+        << "rule " << k;
+    redundant += verdicts[k] ? 1 : 0;
+  }
+  EXPECT_GT(redundant, 0u);
+  EXPECT_LT(redundant, n);
 }
 
 TEST(FddArena, OverlayMatchesAppendOnSynthPolicies) {

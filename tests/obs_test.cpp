@@ -432,8 +432,9 @@ TEST(MetricsTest, AbsorbUnifiesLegacyStructsUnderDottedNames) {
 
 TEST(MetricsTest, OverlayMemoIsCounted) {
   // The redundancy oracle's walk (PolicyAnalysis::redundant, behind
-  // redundant_rules): suffix roots folded back to front, each rule tested
-  // by one overlay, all memoised on the node-id pair.
+  // redundant_rules): suffix roots folded back to front by overlay,
+  // memoised on the node-id pair; each rule's test (agree_outside) builds
+  // nothing and counts nothing.
   const Policy policy = synth(120, 5);
   PolicyAnalysis analysis(policy);
   EXPECT_EQ(analysis.redundant(), redundant_rules(policy));

@@ -140,7 +140,58 @@ TEST(Redundancy, TinyNodeBudgetThrows) {
 // ---------------------------------------------------------------------------
 // Metamorphic checks on realistic policies, where brute force cannot go:
 // removal keeps the mapping, leaves nothing redundant and is idempotent,
-// and the single-rule test agrees with the whole-policy one.
+// the single-rule test agrees with the whole-policy one, and both passes
+// decide as the built test does.
+
+// The built test, through the public overlay: rule k can go from rules
+// [0, k] followed by the rules whose diagram is `suffix` iff it is dead or
+// overlay(p_k, suffix) == p_n.
+bool built_test(PolicyAnalysis& a, std::size_t k, ArenaNodeId suffix) {
+  const std::vector<ArenaNodeId>& prefix = a.prefix_roots();
+  return prefix[k + 1] == prefix[k] ||
+         a.arena().overlay(prefix[k], suffix) == a.root();
+}
+
+ArenaNodeId push_front(PolicyAnalysis& a, std::size_t k, ArenaNodeId suffix) {
+  FddArena& arena = a.arena();
+  return arena.overlay(
+      arena.append_rule(FddArena::kEmpty, a.policy().rule(k)), suffix);
+}
+
+// redundant() and without_redundant() with the built test.
+std::vector<std::size_t> redundant_by_built_test(const Policy& p) {
+  PolicyAnalysis a(p);
+  std::vector<std::size_t> result;
+  if (!a.comprehensive()) {
+    return result;
+  }
+  ArenaNodeId suffix = FddArena::kEmpty;
+  for (std::size_t k = p.size(); k-- > 0;) {
+    if (built_test(a, k, suffix)) {
+      result.push_back(k);
+    }
+    suffix = push_front(a, k, suffix);
+  }
+  std::reverse(result.begin(), result.end());
+  return result;
+}
+
+Policy without_redundant_by_built_test(const Policy& p) {
+  PolicyAnalysis a(p);
+  if (!a.comprehensive()) {
+    return p;
+  }
+  std::vector<Rule> kept;
+  ArenaNodeId suffix = FddArena::kEmpty;
+  for (std::size_t k = p.size(); k-- > 0;) {
+    if (!built_test(a, k, suffix)) {
+      kept.push_back(p.rule(k));
+      suffix = push_front(a, k, suffix);
+    }
+  }
+  std::reverse(kept.begin(), kept.end());
+  return Policy(p.schema(), std::move(kept));
+}
 
 void expect_removal_laws(const Policy& p, const std::string& name) {
   const Policy trimmed = remove_redundant(p);
@@ -149,6 +200,9 @@ void expect_removal_laws(const Policy& p, const std::string& name) {
   EXPECT_TRUE(redundant_rules(trimmed).empty()) << name;
   const std::vector<std::size_t> redundant = redundant_rules(p);
   EXPECT_EQ(trimmed.size() < p.size(), !redundant.empty()) << name;
+  EXPECT_EQ(redundant, redundant_by_built_test(p)) << name;
+  EXPECT_EQ(trimmed.rules(), without_redundant_by_built_test(p).rules())
+      << name;
   const std::size_t step = std::max<std::size_t>(1, p.size() / 4);
   for (std::size_t i = 0; i < p.size(); i += step) {
     const bool listed =

@@ -467,6 +467,49 @@ TEST(BenchDiffTest, KeyParamsSelectAndQuantileKnobs) {
   EXPECT_NE(out.str().find("serve.batch.ns"), std::string::npos);
 }
 
+TEST(BenchDiffTest, HistogramMissingOnEitherSideComparesNothing) {
+  // A --hist gate on a histogram the current run renamed compares no
+  // quantile; it must not pass on wall_ns alone.
+  std::string renamed = bench_doc(1000000, 500000);
+  renamed.replace(renamed.find("serve.batch.ns"), 14, "serve.batch_ns");
+  const std::string base =
+      write_temp("bd_hb.json", bench_doc(1000000, 500000));
+  const std::string current = write_temp("bd_hr.json", renamed);
+  const std::vector<std::string> gate = {
+      "--key-params=threads,swap_period_ms,rules", "--hist=serve.batch.ns"};
+  std::ostringstream out;
+  std::ostringstream err;
+  std::vector<std::string> args = gate;
+  args.insert(args.end(), {base, current});
+  EXPECT_EQ(bench::run_bench_diff_cli(args, out, err), 2) << out.str();
+  EXPECT_NE(err.str().find("serve.batch.ns"), std::string::npos);
+  args = gate;
+  args.insert(args.end(), {current, base});
+  EXPECT_EQ(bench::run_bench_diff_cli(args, out, err), 2) << out.str();
+
+  // Where another pair carries it on both sides, the gate compares that
+  // one and lists the one-sided miss as unmatched.
+  std::string both = bench_doc(1000000, 500000);
+  const std::string compile_hist =
+      "\"histograms\": {\"serve.batch.ns\": {\"count\": 1, \"sum\": 8, "
+      "\"buckets\": [[8, 1]]}}";
+  const std::string no_hist = "\"histograms\": {}";
+  both.replace(both.rfind(no_hist), no_hist.size(), compile_hist);
+  std::string one_sided = both;
+  one_sided.replace(one_sided.find("serve.batch.ns"), 14, "serve.batch_ns");
+  const std::string with_both = write_temp("bd_h2.json", both);
+  const std::string with_one = write_temp("bd_h1.json", one_sided);
+  out.str("");
+  args = gate;
+  args.insert(args.end(), {with_both, with_one});
+  EXPECT_EQ(bench::run_bench_diff_cli(args, out, err), 0) << err.str();
+  EXPECT_NE(out.str().find("[p99 serve.batch.ns]"), std::string::npos);
+  EXPECT_NE(out.str().find("unmatched serve_throughput swap_period_ms=0 "
+                           "threads=2 [serve.batch.ns only in baseline]"),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(BenchDiffTest, ReportAndValidatorModes) {
   const std::string base =
       write_temp("bd_rb.json", bench_doc(1000000, 500000));

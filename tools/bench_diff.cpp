@@ -43,7 +43,9 @@ constexpr const char* kUsage =
     "\n"
     "quantile comparison (in addition to wall_ns):\n"
     "  --hist=NAME       also compare a quantile of histogram NAME from\n"
-    "                    each record's metrics snapshot\n"
+    "                    each record's metrics snapshot; a pair with it on\n"
+    "                    one side only is listed unmatched, and no pair\n"
+    "                    with it on both is a usage error\n"
     "  --quantile=Q      which quantile, in (0,1] (default 0.99)\n"
     "\n"
     "output:\n"
@@ -385,6 +387,7 @@ int run_bench_diff_cli(const std::vector<std::string>& args,
 
   std::vector<DiffResult> results;
   std::vector<std::string> unmatched;
+  std::size_t hist_pairs = 0;  // matched pairs that both carry hist_name
   for (const BenchRecord& record : baseline->records) {
     if (!select.empty() && record.name.rfind(select, 0) != 0) {
       continue;
@@ -410,6 +413,13 @@ int run_bench_diff_cli(const std::vector<std::string>& args,
         metric << "p" << quantile * 100 << " " << hist_name;
         results.push_back(compare(key, metric.str(), *base_q, *cur_q,
                                   max_ratio, min_ratio));
+        ++hist_pairs;
+      } else if (base_q.has_value() || cur_q.has_value()) {
+        // A histogram on one side only: a renamed or dropped metric,
+        // which the gate cannot compare.
+        unmatched.push_back(key + " [" + hist_name + " only in " +
+                            (base_q.has_value() ? "baseline" : "current") +
+                            "]");
       }
     }
     current_by_key.erase(it);
@@ -423,6 +433,13 @@ int run_bench_diff_cli(const std::vector<std::string>& args,
     // --key-params), not a clean pass — CI must not green-light it.
     err << kTool << ": no records matched between " << positional[0]
         << " and " << positional[1] << "\n";
+    return cli::kExitUsage;
+  }
+  if (!hist_name.empty() && hist_pairs == 0) {
+    // Likewise a histogram gate that compared nothing.
+    err << kTool << ": no matched record carries histogram '" << hist_name
+        << "' in both " << positional[0] << " and " << positional[1]
+        << "\n";
     return cli::kExitUsage;
   }
 
