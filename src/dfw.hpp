@@ -24,7 +24,6 @@
 #include "fdd/dot.hpp"            // IWYU pragma: export
 #include "fdd/fdd.hpp"            // IWYU pragma: export
 #include "fdd/reduce.hpp"         // IWYU pragma: export
-#include "fdd/serialize.hpp"      // IWYU pragma: export
 #include "fdd/shape.hpp"          // IWYU pragma: export
 #include "fdd/simplify.hpp"       // IWYU pragma: export
 #include "fdd/stats.hpp"          // IWYU pragma: export

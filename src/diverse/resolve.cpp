@@ -94,11 +94,6 @@ ResolutionPlan plan_by_majority(
 }
 
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan) {
-  return resolve_via_fdd(policies, plan, RunOptions{});
-}
-
-Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, const RunOptions& run) {
   require_teams(policies);
   std::vector<const Policy*> inputs;
@@ -149,12 +144,6 @@ Policy correct_and_generate(FddArena& arena,
     obs.metrics->counter("gen.rules_emitted").add(resolved.size());
   }
   return resolved;
-}
-
-Policy resolve_via_corrections(const std::vector<Policy>& policies,
-                               const ResolutionPlan& plan,
-                               std::size_t base_team) {
-  return resolve_via_corrections(policies, plan, base_team, RunOptions{});
 }
 
 Policy resolve_via_corrections(const std::vector<Policy>& policies,

@@ -52,17 +52,14 @@ ResolutionPlan plan_by_majority(const std::vector<Discrepancy>& discrepancies,
 /// their discrepancies. Runs in the comparison pipeline's arena
 /// (fdd/arena.hpp): the correction is an overlay there, and generation
 /// reads the DAG. It takes no base team: the result is the same policy
-/// from any team.
+/// from any team. `run.executor` builds the teams' diagrams concurrently,
+/// `run.context` governs the whole resolution, and `run.obs` sees the
+/// comparison pipeline's spans and arena stats plus the regeneration's
+/// "generate" span and "gen.rules_emitted" count. The result is identical
+/// for every executor.
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan);
-
-/// Same, on the given execution knobs: `run.executor` builds the teams'
-/// diagrams concurrently, `run.context` governs the whole resolution, and
-/// `run.obs` sees the comparison pipeline's spans and arena stats plus the
-/// regeneration's "generate" span and "gen.rules_emitted" count. The
-/// result is identical for every executor.
-Policy resolve_via_fdd(const std::vector<Policy>& policies,
-                       const ResolutionPlan& plan, const RunOptions& run);
+                       const ResolutionPlan& plan,
+                       const RunOptions& run = {});
 
 /// Method 1's tail, on a comparison already run: `roots` and
 /// `discrepancies` as compare_diagrams() left them in `arena`. Picks the
@@ -78,15 +75,12 @@ Policy correct_and_generate(FddArena& arena,
 
 /// Method 2 (Section 6.2): take team `base_team`'s original firewall,
 /// prepend (in plan order) the resolved rules on which that team's decision
-/// was wrong, and remove redundant rules from the result.
+/// was wrong, and remove redundant rules from the result. `run` as for
+/// resolve_via_fdd.
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
-                               std::size_t base_team);
-
-/// Same, on the given execution knobs; see resolve_via_fdd.
-Policy resolve_via_corrections(const std::vector<Policy>& policies,
-                               const ResolutionPlan& plan,
-                               std::size_t base_team, const RunOptions& run);
+                               std::size_t base_team,
+                               const RunOptions& run = {});
 
 /// Method 2's tail over a given discrepancy list, in which `base` is
 /// team `base_team`: prepends the corrections `base` got wrong and removes

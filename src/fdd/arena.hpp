@@ -494,13 +494,6 @@ ArenaDiagram build_diagram(const Policy& policy, const RunOptions& run);
 std::vector<ArenaDiagram> build_diagrams(
     std::span<const Policy* const> policies, const RunOptions& run);
 
-/// The diagram copied node for node into a fresh arena by
-/// FddArena::import, which then holds only the nodes its root reaches.
-/// The copy is ungoverned and unfaulted: it charges no budget and hits no
-/// fault site. Served versions keep this copy instead of their build
-/// arena and its intermediates.
-ArenaDiagram compact(const ArenaDiagram& diagram);
-
 /// The pipeline's second half, on diagrams already built: imports each
 /// root into `arena` (over their schema) and validates it there, then
 /// compares them, under the "validate" and "compare" phase spans. Only

@@ -171,12 +171,6 @@ std::vector<ArenaDiagram> build_diagrams(
       run.context, run.obs);
 }
 
-ArenaDiagram compact(const ArenaDiagram& diagram) {
-  auto arena = std::make_shared<FddArena>(diagram.arena->schema());
-  const ArenaNodeId root = arena->import(*diagram.arena, diagram.root);
-  return ArenaDiagram{std::move(arena), root};
-}
-
 std::vector<ArenaNodeId> compare_diagrams(
     FddArena& arena, std::span<const ArenaDiagram> diagrams,
     const RunOptions& run, std::vector<Discrepancy>& out) {

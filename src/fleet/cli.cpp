@@ -26,7 +26,6 @@ constexpr const char* kUsage =
     "\n"
     "analysis:\n"
     "  --no-simplify     skip the semantics-preserving simplify stage\n"
-    "  --no-prove        skip the per-device FDD equivalence proofs\n"
     "  --passes=a,b,c    run only these lint passes\n"
     "  --disable=a,b     remove lint passes\n"
     "  --compare=none|pairs|nway   cross-device comparison (default none)\n"
@@ -51,7 +50,6 @@ struct CliOptions {
   std::string chain = "INPUT";
   std::string acl = "101";
   bool no_simplify = false;
-  bool no_prove = false;
   std::vector<std::string> passes;
   std::vector<std::string> disabled;
   std::string compare = "none";
@@ -132,8 +130,6 @@ int run_fleet_cli(const std::vector<std::string>& args, std::ostream& out,
     }
     if (arg == "--no-simplify") {
       opts.no_simplify = true;
-    } else if (arg == "--no-prove") {
-      opts.no_prove = true;
     } else if (const auto v = cli::flag_value(arg, "--chain=")) {
       opts.chain = *v;
     } else if (const auto v = cli::flag_value(arg, "--acl=")) {
@@ -271,7 +267,6 @@ int run_fleet_cli(const std::vector<std::string>& args, std::ostream& out,
   FleetOptions options;
   options.run = runtime.run_options();
   options.simplify = !opts.no_simplify;
-  options.simplify_options.prove = !opts.no_prove;
   options.lint.passes = opts.passes;
   options.lint.disabled = opts.disabled;
   options.compare = opts.compare == "pairs"   ? CompareMode::kPairs

@@ -257,9 +257,7 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
     // the device's arena serves both; this task owns it throughout.
     std::optional<PolicyAnalysis> analysis;
     if (options.simplify) {
-      SimplifyOptions simplify_options = options.simplify_options;
-      simplify_options.run = device_run;
-      SimplifyOutcome outcome = simplify_policy(*policy, simplify_options);
+      SimplifyOutcome outcome = simplify_policy(*policy, device_run);
       dev.simplify = outcome.report;
       if (!outcome.report.complete) {
         dev.status = DeviceStatus::kPartial;

@@ -129,10 +129,6 @@ struct FleetOptions {
   /// Run the simplify stage (lint and compare then see the smaller
   /// proven-equivalent policy).
   bool simplify = true;
-  /// Knobs for the simplify stage; its `run` member is ignored (the
-  /// fleet's context/obs are threaded in, executor stays per-device
-  /// serial).
-  SimplifyOptions simplify_options;
 
   /// Pass selection for the lint stage (LintOptions::passes/disabled);
   /// its `run` member is ignored likewise.

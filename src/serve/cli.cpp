@@ -245,9 +245,10 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
   // Boot order: an existing snapshot wins (byte-identical resume at the
   // saved sequence); otherwise compile the boot policy as sequence 1. A
   // snapshot that exists but does not decode — truncated, bit-flipped,
-  // wrong schema — is an input error (exit 2), never a crash and never
-  // silently ignored: serving the stale boot policy when the operator
-  // expected the snapshotted one would be the worse failure.
+  // wrong schema — or whose policy does not compile (not comprehensive)
+  // is an input error (exit 2), never a crash and never silently
+  // ignored: serving the stale boot policy when the operator expected
+  // the snapshotted one would be the worse failure.
   std::optional<ServeCore> core;
   bool restored = false;
   if (!snapshot_path.empty() && std::filesystem::exists(snapshot_path)) {
@@ -257,7 +258,7 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
                            snapshot::read_file(snapshot_path));
       core.emplace(std::move(data), options);
       restored = true;
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       err << "dfw_serve: " << snapshot_path << ": " << e.what() << "\n";
       return cli::kExitUsage;
     }

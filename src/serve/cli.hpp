@@ -8,8 +8,9 @@
 //   1  findings: at least one swap or batch was rejected (governance,
 //      admission, or exhausted self-healing)
 //   2  usage or input error: bad flags, unreadable files, parse errors —
-//      including a corrupt or truncated --snapshot file at boot, which
-//      is refused with a structured message, never served or crashed on
+//      including a corrupt or truncated --snapshot file at boot, or one
+//      whose policy is not comprehensive, which is refused with a
+//      message naming the file, never served or crashed on
 
 #pragma once
 

@@ -23,29 +23,23 @@
 #include <vector>
 
 #include "engine/classifier.hpp"
-#include "fdd/arena.hpp"
 #include "fw/policy.hpp"
 #include "rt/epoch.hpp"
 
 namespace dfw::serve {
 
 /// One immutable published version: the policy as the operator submitted
-/// it, the reduced diagram it compiled from (kept so a crash-consistent
-/// snapshot can serialize the exact served diagram without recompute;
-/// compacted, so it holds only the nodes its root reaches), and its
-/// compiled classifier, tagged with a monotonically increasing sequence
-/// number (1 for the initial version).
+/// it (what a crash-consistent snapshot saves) and its compiled
+/// classifier, tagged with a monotonically increasing sequence number (1
+/// for the initial version).
 struct PolicyVersion {
   std::uint64_t sequence;
   Policy policy;
-  ArenaDiagram diagram;
   Classifier classifier;
 
-  PolicyVersion(std::uint64_t sequence, Policy policy, ArenaDiagram diagram,
-                Classifier classifier)
+  PolicyVersion(std::uint64_t sequence, Policy policy, Classifier classifier)
       : sequence(sequence),
         policy(std::move(policy)),
-        diagram(std::move(diagram)),
         classifier(std::move(classifier)) {}
 };
 

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "fdd/arena.hpp"
 #include "fw/decision.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
@@ -25,45 +24,21 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The one compile path: boot, every swap and every restore build the
+/// version's classifier from its policy here. The diagram lives only as
+/// long as the compile; `context` governs it (null: ungoverned).
 std::unique_ptr<PolicyVersion> compile_version(
     Policy policy, std::uint64_t sequence, RunContext* context,
     const ServeOptions& options) {
-  // The diagram is built once and kept on the version: the classifier
-  // compiles from it here, and snapshot_text() serializes it later
-  // without recompute. The version keeps a compact copy, not the build
-  // arena with every intermediate the appends left behind.
   CompileOptions compile;
   compile.run.executor = options.run.executor;
   compile.run.context = context;
   compile.run.obs = options.run.obs;
   compile.run.faults = options.run.faults;
   compile.batch_grain = options.batch_grain;
-  ArenaDiagram diagram = compact(build_diagram(policy, compile.run));
-  Classifier classifier = Classifier::compile(diagram, compile);
+  Classifier classifier = Classifier::compile(policy, compile);
   return std::make_unique<PolicyVersion>(sequence, std::move(policy),
-                                         std::move(diagram),
                                          std::move(classifier));
-}
-
-std::unique_ptr<PolicyVersion> boot_version(Policy initial,
-                                            const ServeOptions& options) {
-  return compile_version(std::move(initial), 1, nullptr, options);
-}
-
-std::unique_ptr<PolicyVersion> restored_version(
-    snapshot::SnapshotData restored, const ServeOptions& options) {
-  // The snapshot carries the reduced diagram; compiling from it (not
-  // from the policy text) skips reconstruction and reproduces the
-  // pre-crash classifier exactly.
-  CompileOptions compile;
-  compile.run.executor = options.run.executor;
-  compile.run.obs = options.run.obs;
-  compile.run.faults = options.run.faults;
-  compile.batch_grain = options.batch_grain;
-  Classifier classifier = Classifier::compile(restored.diagram, compile);
-  return std::make_unique<PolicyVersion>(
-      restored.sequence, std::move(restored.policy),
-      std::move(restored.diagram), std::move(classifier));
 }
 
 /// Worth another attempt: the cause can vanish on retry. Budget and
@@ -78,13 +53,16 @@ bool is_transient(ErrorCode code) {
 
 ServeCore::ServeCore(Policy initial, ServeOptions options)
     : options_(std::move(options)),
-      handle_(domain_, boot_version(std::move(initial), options_)) {
+      handle_(domain_,
+              compile_version(std::move(initial), 1, nullptr, options_)) {
   start_reporter();
 }
 
 ServeCore::ServeCore(snapshot::SnapshotData restored, ServeOptions options)
     : options_(std::move(options)),
-      handle_(domain_, restored_version(std::move(restored), options_)) {
+      handle_(domain_, compile_version(std::move(restored.policy),
+                                       restored.sequence, nullptr,
+                                       options_)) {
   next_sequence_ = handle_.current_sequence() + 1;
   start_reporter();
 }
@@ -403,8 +381,8 @@ std::string ServeCore::snapshot_text() {
   std::lock_guard<std::mutex> lock(swap_mu_);
   const PolicyVersion& version = handle_.current_unpinned();
   const std::string text =
-      snapshot::encode(version.sequence, version.policy, version.diagram,
-                       default_decisions(), options_.run.faults);
+      snapshot::encode(version.sequence, version.policy, default_decisions(),
+                       options_.run.faults);
   if (options_.run.obs.metrics != nullptr) {
     options_.run.obs.metrics->counter(names::kServeSnapshotSave).add();
   }

@@ -176,13 +176,17 @@ struct TelemetryRecord {
 class ServeCore {
  public:
   /// Compiles `initial` (ungoverned — the boot policy is trusted) and
-  /// starts serving it as sequence 1. The policy must be comprehensive.
+  /// starts serving it as sequence 1. The policy must be comprehensive
+  /// (std::logic_error otherwise).
   ServeCore(Policy initial, ServeOptions options);
 
-  /// Resumes from a decoded snapshot (serve/snapshot.hpp): serves the
-  /// snapshot's version at its recorded sequence, compiled from the
-  /// snapshot's diagram (the restart must be byte-identical to the
-  /// pre-crash daemon). Subsequent swaps number from sequence + 1.
+  /// Resumes from a decoded snapshot (serve/snapshot.hpp): compiles the
+  /// snapshot's policy exactly as a boot does (same compile path, same
+  /// obs and faults, ungoverned — a snapshot is trusted like the boot
+  /// policy) and serves it at the recorded sequence, so the restart
+  /// classifies byte-identically to the pre-crash daemon. Throws
+  /// std::logic_error when the policy is not comprehensive. Subsequent
+  /// swaps number from sequence + 1.
   ServeCore(snapshot::SnapshotData restored, ServeOptions options);
 
   /// All Shards must be destroyed first; no batch may be in flight.
@@ -266,9 +270,9 @@ class ServeCore {
   }
 
   /// The served version serialized as a crash-consistent snapshot
-  /// (serve/snapshot.hpp, format dfws 1): policy text, reduced diagram
-  /// (dfdd v2 DAG), sequence, checksum. Serialized against swaps so the
-  /// snapshot is always one published version, never a blend.
+  /// (serve/snapshot.hpp, format dfws 2): sequence, policy text,
+  /// checksum. Serialized against swaps so the snapshot is always one
+  /// published version, never a blend.
   std::string snapshot_text();
 
  private:

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fdd/serialize.hpp"
 #include "fw/format.hpp"
 #include "fw/parser.hpp"
 #include "rt/fault.hpp"
@@ -111,19 +110,14 @@ std::string_view take_block(std::string_view text, std::size_t& pos,
 }  // namespace
 
 std::string encode(std::uint64_t sequence, const Policy& policy,
-                   const ArenaDiagram& diagram, const DecisionSet& decisions,
-                   FaultPlan* faults) {
+                   const DecisionSet& decisions, FaultPlan* faults) {
   fault::hit(faults, fault::sites::kSnapshotSave);
   const std::string policy_text = format_policy(policy, decisions);
-  const std::string fdd_text = serialize_fdd_dag(diagram);
   std::ostringstream body;
-  body << "dfws 1\n"
+  body << "dfws 2\n"
        << "sequence " << sequence << '\n'
-       << "backend flat_slab\n"
        << "policy " << policy_text.size() << '\n'
-       << policy_text << '\n'
-       << "fdd " << fdd_text.size() << '\n'
-       << fdd_text << '\n';
+       << policy_text << '\n';
   std::string out = body.str();
   char seal[32];
   std::snprintf(seal, sizeof seal, "checksum %016llx\n",
@@ -136,21 +130,29 @@ SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
                     std::string_view text, FaultPlan* faults) {
   fault::hit(faults, fault::sites::kSnapshotLoad);
   std::size_t pos = 0;
-  if (take_line(text, pos) != "dfws 1") {
-    fail_parse("bad magic (want \"dfws 1\")");
+  const std::string_view magic = take_line(text, pos);
+  const bool legacy = magic == "dfws 1";
+  if (!legacy && magic != "dfws 2") {
+    fail_parse("bad magic (want \"dfws 2\" or \"dfws 1\")");
   }
   const std::uint64_t sequence =
       parse_u64(expect_keyword(take_line(text, pos), "sequence"), "sequence");
   if (sequence == 0) {
     fail_parse("sequence must be >= 1");
   }
-  const std::string_view backend_name =
-      expect_keyword(take_line(text, pos), "backend");
-  if (backend_name != "flat_slab" && backend_name != "prefix_trie") {
-    fail_parse("unknown backend \"" + std::string(backend_name) + "\"");
+  if (legacy) {
+    const std::string_view backend_name =
+        expect_keyword(take_line(text, pos), "backend");
+    if (backend_name != "flat_slab" && backend_name != "prefix_trie") {
+      fail_parse("unknown backend \"" + std::string(backend_name) + "\"");
+    }
   }
   const std::string_view policy_text = take_block(text, pos, "policy");
-  const std::string_view fdd_text = take_block(text, pos, "fdd");
+  if (legacy) {
+    // The diagram a dfws 1 writer compiled from: the policy text
+    // determines it, so it is sealed by the checksum but never parsed.
+    (void)take_block(text, pos, "fdd");
+  }
 
   // Verify integrity before parsing a single payload byte: a torn or
   // bit-flipped file must be rejected as corrupt, not half-understood.
@@ -166,9 +168,11 @@ SnapshotData decode(const Schema& schema, const DecisionSet& decisions,
   }
 
   try {
-    Policy policy = parse_policy(schema, decisions, policy_text);
-    ArenaDiagram diagram = deserialize_fdd_dag(schema, fdd_text);
-    return SnapshotData{sequence, std::move(policy), std::move(diagram)};
+    return SnapshotData{sequence,
+                        parse_policy(schema, decisions, policy_text)};
+  } catch (const ParseError& error) {
+    throw Error(ErrorCode::kParseError,
+                std::string("snapshot payload: ") + error.what());
   } catch (const std::invalid_argument& error) {
     throw Error(ErrorCode::kParseError,
                 std::string("snapshot payload: ") + error.what());

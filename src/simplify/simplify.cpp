@@ -211,11 +211,10 @@ const char* to_string(ProofStatus status) {
   return "unknown";
 }
 
-SimplifyOutcome simplify_policy(const Policy& policy,
-                                const SimplifyOptions& options) {
-  PhaseSpan span(options.run.obs, "simplify", "rules",
+SimplifyOutcome simplify_policy(const Policy& policy, const RunOptions& run) {
+  PhaseSpan span(run.obs, "simplify", "rules",
                  static_cast<std::uint64_t>(policy.size()));
-  RunContext* ctx = options.run.context;
+  RunContext* ctx = run.context;
 
   SimplifyReport report;
   report.rules_before = policy.size();
@@ -226,14 +225,14 @@ SimplifyOutcome simplify_policy(const Policy& policy,
   // reuses every prefix the previous round's edits left alone.
   auto shared = std::make_shared<AnalysisArena>(schema);
   shared->arena.set_context(ctx);
-  shared->arena.set_faults(options.run.faults);
+  shared->arena.set_faults(run.faults);
   std::vector<Rule> rules = policy.rules();
   try {
     // The analysis of `rules` as they stand, when nothing changed since.
     std::optional<PolicyAnalysis> analysis;
     ArenaNodeId original = FddArena::kEmpty;
     for (std::size_t round = 0; round < kMaxPasses; ++round) {
-      analysis.emplace(shared, Policy(schema, rules), options.run.obs);
+      analysis.emplace(shared, Policy(schema, rules), run.obs);
       if (round == 0) {
         original = analysis->root();
       }
@@ -248,25 +247,25 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     }
     if (!analysis.has_value()) {
       // Every round changed the policy: analyse the last version too.
-      analysis.emplace(shared, Policy(schema, rules), options.run.obs);
+      analysis.emplace(shared, Policy(schema, rules), run.obs);
     }
 
     if (report.passes == 0) {
       // Untouched: nothing to prove, nothing to count.
       return {analysis->policy(), report, std::move(analysis)};
     }
-    if (options.prove) {
-      PhaseSpan prove_span(options.run.obs, "simplify.prove");
+    {
+      PhaseSpan prove_span(run.obs, "simplify.prove");
       report.proof = prove(shared->arena, original, analysis->root(), report);
-      if (report.proof == ProofStatus::kRefuted) {
-        // A refuted proof means a transform is unsound (an internal bug):
-        // fail safe by handing back the input untouched.
-        report.rules_after = report.rules_before;
-        return {policy, report, std::nullopt};
-      }
+    }
+    if (report.proof == ProofStatus::kRefuted) {
+      // A refuted proof means a transform is unsound (an internal bug):
+      // fail safe by handing back the input untouched.
+      report.rules_after = report.rules_before;
+      return {policy, report, std::nullopt};
     }
     report.rules_after = analysis->policy().size();
-    if (MetricsRegistry* metrics = options.run.obs.metrics) {
+    if (MetricsRegistry* metrics = run.obs.metrics) {
       metrics->counter(names::kSimplifyRulesRemoved)
           .add(report.rules_before - report.rules_after);
       if (report.proof == ProofStatus::kProven) {
@@ -278,10 +277,9 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     report.complete = false;
     report.status = e.code();
     report.message = e.what();
-    report.proof = options.prove ? ProofStatus::kAborted
-                                 : ProofStatus::kSkipped;
+    report.proof = ProofStatus::kAborted;
     report.rules_after = report.rules_before;
-    if (MetricsRegistry* metrics = options.run.obs.metrics) {
+    if (MetricsRegistry* metrics = run.obs.metrics) {
       metrics->counter(names::kSimplifyAborted).add();
     }
     return {policy, report, std::nullopt};

@@ -46,33 +46,12 @@
 
 namespace dfw {
 
-/// Per-run knobs, in the library's options-struct idiom.
-struct SimplifyOptions {
-  /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the whole pass: the shared arena charges every interned node and
-  /// label byte, and the prefix chains and transform scans take amortized
-  /// checkpoints. A breach aborts the pass — the outcome carries the
-  /// ORIGINAL policy, complete = false, and the breach's code. `run.obs`:
-  /// the pass runs under a "simplify" phase span with one "prefix_roots"
-  /// subspan per round's chain and a "simplify.prove" subspan, and counts
-  /// rules removed into "simplify.rules_removed". `run.faults`: the
-  /// shared arena hits fdd.arena.alloc, and a fire aborts the pass like a
-  /// breach. `run.executor` is accepted for uniformity but unused — one
-  /// policy simplifies serially (fleets parallelize across policies,
-  /// tools/dfw_fleet).
-  RunOptions run = {};
-
-  /// Prove the rewrite equivalent by arena-backed FDD comparison. Off
-  /// skips the proof (ProofStatus::kSkipped) — for callers that re-prove
-  /// in aggregate, e.g. a randomized harness.
-  bool prove = true;
-};
-
 /// How the equivalence proof of a simplification ended.
 enum class ProofStatus {
   kProven,   ///< canonical arena roots identical; compare walk agrees
-  kSkipped,  ///< proof disabled, or no transform changed the policy
-  kAborted,  ///< governance breach mid-proof; original policy returned
+  kSkipped,  ///< no transform changed the policy: nothing to prove
+  kAborted,  ///< governance breach or injected fault; original policy
+             ///< returned
   kRefuted,  ///< proof found a discrepancy (internal bug); original
              ///< policy returned
 };
@@ -121,9 +100,22 @@ struct SimplifyOutcome {
 /// the proof contract). Works on non-comprehensive policies too — every
 /// transform preserves the fall-through set, and the proof degrades to
 /// canonical-root identity (which is exact for partial functions as
-/// well). Governance breaches are absorbed into the report; other
-/// exceptions propagate.
+/// well).
+///
+/// `run.context` governs the whole pass: the shared arena charges every
+/// interned node and label byte, and the prefix chains and transform
+/// scans take amortized checkpoints. A breach aborts the pass — the
+/// outcome carries the ORIGINAL policy, complete = false, kAborted and the
+/// breach's code. `run.obs`: the pass runs under a "simplify" phase span
+/// with one "prefix_roots" subspan per round's chain and a
+/// "simplify.prove" subspan, and counts rules removed into
+/// "simplify.rules_removed". `run.faults`: the shared arena hits
+/// fdd.arena.alloc, and a fire aborts the pass like a breach.
+/// `run.executor` is unused — one policy simplifies serially (fleets
+/// parallelize across policies, tools/dfw_fleet). Governance breaches and
+/// injected faults are absorbed into the report; other exceptions
+/// propagate.
 SimplifyOutcome simplify_policy(const Policy& policy,
-                                const SimplifyOptions& options = {});
+                                const RunOptions& run = {});
 
 }  // namespace dfw

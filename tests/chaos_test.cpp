@@ -10,10 +10,10 @@
 //     several seeds — every classified batch stays byte-identical to a
 //     serial replay against the version it pinned, versions are neither
 //     torn nor leaked, and the same seed reproduces the same metrics;
-//   * snapshots round-trip byte-identically, one written by a daemon
-//     that ran the removed prefix_trie layout restores with the same
-//     decisions, and a truncated or corrupt snapshot is refused (exit 2
-//     at the CLI), never served.
+//   * snapshots round-trip byte-identically, dfws 1 files (one written
+//     by a daemon that ran the removed prefix_trie layout) restore their
+//     policy text with the same decisions, and a truncated, corrupt or
+//     uncompilable snapshot is refused (exit 2 at the CLI), never served.
 //
 // Set DFW_CHAOS_ARTIFACTS=<dir> to dump each storm seed's fault
 // schedule and metrics snapshot (the CI chaos-smoke job uploads them).
@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -36,7 +37,6 @@
 #include "engine/classifier.hpp"
 #include "engine/trace.hpp"
 #include "fdd/construct.hpp"
-#include "fdd/serialize.hpp"
 #include "fw/decision.hpp"
 #include "fw/schema.hpp"
 #include "obs/metrics.hpp"
@@ -73,6 +73,25 @@ std::vector<Decision> serial_replay(const Policy& policy,
     out.push_back(policy.evaluate(p));
   }
   return out;
+}
+
+/// A snapshot body sealed as snapshot::encode seals it: a trailing
+/// checksum line holding FNV-1a 64 over every byte of `body`.
+std::string reseal(const std::string& body) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : body) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char seal[32];
+  std::snprintf(seal, sizeof seal, "checksum %016llx\n",
+                static_cast<unsigned long long>(h));
+  return body + seal;
+}
+
+std::string corpus_snapshot(const std::string& name) {
+  return serve::snapshot::read_file(std::string(DFW_CORPUS_DIR) +
+                                    "/snapshot/" + name);
 }
 
 FaultSpec count_spec(std::string site, std::uint64_t fire_on,
@@ -267,8 +286,9 @@ TEST(FaultSites, NullPlanIsByteIdenticalToANeverFiringPlan) {
   const ArenaDiagram guarded = build_diagram(policy, compile.run);
   const Classifier guarded_classifier = Classifier::compile(guarded, compile);
 
-  EXPECT_EQ(serialize_fdd_dag(bare), serialize_fdd_dag(guarded))
+  EXPECT_EQ(bare.arena->stats(), guarded.arena->stats())
       << "the fault plane must not perturb construction";
+  EXPECT_EQ(bare.root, guarded.root);
   for (const Packet& p : probes) {
     ASSERT_EQ(bare_classifier.classify(p), guarded_classifier.classify(p));
   }
@@ -684,14 +704,28 @@ TEST(Snapshot, RoundTripsByteIdentically) {
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value(), 4u);
 
-  // A snapshot committed from an earlier build re-encodes to its own
-  // bytes too.
-  const std::string committed = serve::snapshot::read_file(
-      std::string(DFW_CORPUS_DIR) + "/snapshot/valid_basic.dfws");
+  // A committed dfws 2 snapshot re-encodes to its own bytes, and the
+  // dfws 1 snapshot of the same policy and sequence, written by an
+  // earlier build, re-encodes to those same bytes.
+  const std::string committed = corpus_snapshot("valid_basic.dfws");
+  ASSERT_EQ(committed.rfind("dfws 2\n", 0), 0u);
   ServeCore booted(serve::snapshot::decode(five_tuple_schema(),
                                            default_decisions(), committed),
                    ServeOptions{});
   EXPECT_EQ(booted.snapshot_text(), committed);
+  const std::string legacy = corpus_snapshot("legacy_v1_basic.dfws");
+  ASSERT_EQ(legacy.rfind("dfws 1\n", 0), 0u);
+  auto legacy_data =
+      serve::snapshot::decode(five_tuple_schema(), default_decisions(), legacy);
+  const Policy basic = legacy_data.policy;
+  ServeCore upgraded(std::move(legacy_data), ServeOptions{});
+  EXPECT_EQ(upgraded.current_sequence(), 2u);
+  EXPECT_EQ(upgraded.snapshot_text(), committed);
+  const std::vector<Packet> basic_probes = synth_trace(basic, 300, rng);
+  EXPECT_EQ(upgraded.classify_batch(basic_probes).decisions,
+            serial_replay(basic, basic_probes));
+  EXPECT_EQ(booted.classify_batch(basic_probes).decisions,
+            serial_replay(basic, basic_probes));
 }
 
 // A snapshot written by a daemon that ran the prefix_trie layout, since
@@ -699,11 +733,9 @@ TEST(Snapshot, RoundTripsByteIdentically) {
 // multifield.fw. It restores at its recorded sequence onto slabs and
 // serves every batch as a flat_slab daemon at the same version does.
 TEST(Snapshot, LegacyPrefixTrieSnapshotRestoresOntoSlabs) {
-  const std::string legacy = serve::snapshot::read_file(
-      std::string(DFW_CORPUS_DIR) +
-      "/snapshot/legacy_backend_prefix_trie.dfws");
-  const std::size_t backend_line = legacy.find("backend prefix_trie\n");
-  ASSERT_NE(backend_line, std::string::npos);
+  const std::string legacy =
+      corpus_snapshot("legacy_backend_prefix_trie.dfws");
+  ASSERT_NE(legacy.find("backend prefix_trie\n"), std::string::npos);
   auto data =
       serve::snapshot::decode(five_tuple_schema(), default_decisions(), legacy);
   ASSERT_EQ(data.sequence, 2u);
@@ -714,13 +746,6 @@ TEST(Snapshot, LegacyPrefixTrieSnapshotRestoresOntoSlabs) {
   ServeCore flat(served, ServeOptions{});
   ASSERT_TRUE(flat.swap(served).ok());
   EXPECT_EQ(restored.snapshot_text(), flat.snapshot_text());
-  // Re-encoding changes the backend line, and with it the checksum, only.
-  std::string expected = legacy;
-  expected.replace(backend_line, std::string("backend prefix_trie").size(),
-                   "backend flat_slab");
-  const std::string reencoded = restored.snapshot_text();
-  EXPECT_EQ(reencoded.substr(0, reencoded.rfind("checksum ")),
-            expected.substr(0, expected.rfind("checksum ")));
 
   Rng rng(67);
   const std::vector<Packet> trace = synth_trace(served, 600, rng);
@@ -733,6 +758,43 @@ TEST(Snapshot, LegacyPrefixTrieSnapshotRestoresOntoSlabs) {
     EXPECT_EQ(legacy_batch.decisions, flat_batch.decisions);
     EXPECT_EQ(legacy_batch.decisions, serial_replay(served, batch));
   }
+}
+
+// A dfws 1 file's fdd block is sealed but never read: resealed with
+// policy A's text (legacy_v1_basic.dfws) and policy B's diagram (the
+// prefix_trie seed's), it restores serving A, and its next snapshot
+// carries A.
+TEST(Snapshot, PolicyTextDecidesWhatALegacySnapshotServes) {
+  const std::string a_file = corpus_snapshot("legacy_v1_basic.dfws");
+  const std::string b_file =
+      corpus_snapshot("legacy_backend_prefix_trie.dfws");
+  const auto fdd_block = [](const std::string& text) {
+    const std::size_t begin = text.find("\nfdd ") + 1;
+    return text.substr(begin, text.rfind("checksum ") - begin);
+  };
+  ASSERT_NE(fdd_block(a_file), fdd_block(b_file));
+  const std::string spliced =
+      reseal(a_file.substr(0, a_file.find("\nfdd ") + 1) + fdd_block(b_file));
+
+  const Schema schema = five_tuple_schema();
+  const DecisionSet& decisions = default_decisions();
+  const Policy a = serve::snapshot::decode(schema, decisions, a_file).policy;
+  const Policy b = serve::snapshot::decode(schema, decisions, b_file).policy;
+  Rng rng(68);
+  std::vector<Packet> probes = synth_trace(a, 2500, rng);
+  const std::vector<Packet> b_probes = synth_trace(b, 2500, rng);
+  probes.insert(probes.end(), b_probes.begin(), b_probes.end());
+  const std::vector<Decision> served_a = serial_replay(a, probes);
+  ASSERT_NE(served_a, serial_replay(b, probes))
+      << "the probes must tell A from B";
+
+  ServeCore restored(serve::snapshot::decode(schema, decisions, spliced),
+                     ServeOptions{});
+  EXPECT_EQ(restored.current_sequence(), 2u);
+  EXPECT_EQ(restored.classify_batch(probes).decisions, served_a);
+  ServeCore booted(serve::snapshot::decode(schema, decisions, a_file),
+                   ServeOptions{});
+  EXPECT_EQ(restored.snapshot_text(), booted.snapshot_text());
 }
 
 TEST(Snapshot, DecodeRejectsTruncationAndCorruption) {
@@ -760,6 +822,23 @@ TEST(Snapshot, DecodeRejectsTruncationAndCorruption) {
     EXPECT_TRUE(e.code() == ErrorCode::kInvalidInput ||
                 e.code() == ErrorCode::kParseError)
         << to_string(e.code());
+  }
+
+  // A sealed file whose policy text does not parse is a kParseError in
+  // either format, never a bare ParseError.
+  const std::string garbled = "frobnicate everything\n";
+  const std::string garbled_block =
+      "policy " + std::to_string(garbled.size()) + "\n" + garbled + "\n";
+  for (const std::string& bad :
+       {reseal("dfws 2\nsequence 1\n" + garbled_block),
+        reseal("dfws 1\nsequence 1\nbackend flat_slab\n" + garbled_block +
+               "fdd 0\n\n")}) {
+    try {
+      serve::snapshot::decode(schema, decisions, bad);
+      ADD_FAILURE() << "unparsable policy decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseError) << e.what();
+    }
   }
 
   EXPECT_THROW(serve::snapshot::decode(schema, decisions, "dfws 9\n"),
@@ -884,8 +963,8 @@ TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {
 
   // A well-formed snapshot of a backend this build no longer has: the
   // checksum holds, the backend line does not parse.
-  std::ofstream(snapshot_, std::ios::binary) << serve::snapshot::read_file(
-      std::string(DFW_CORPUS_DIR) + "/snapshot/bad_backend_bit_parallel.dfws");
+  std::ofstream(snapshot_, std::ios::binary)
+      << corpus_snapshot("bad_backend_bit_parallel.dfws");
   err.clear();
   EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n", nullptr,
                 &err),
@@ -893,6 +972,43 @@ TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {
   EXPECT_NE(err.find("ParseError"), std::string::npos) << err;
   EXPECT_NE(err.find("unknown backend \"bit_parallel\""), std::string::npos)
       << err;
+}
+
+// A sealed snapshot whose policy is not comprehensive decodes, but its
+// restore compile throws std::logic_error: the daemon refuses it like a
+// corrupt file, in either format (the dfws 1 form carries the policy's
+// own partial diagram).
+TEST_F(ServeCliSnapshot, IncompletePolicySnapshotIsRefusedWithExitTwo) {
+  const std::string policy = "accept sip=10.0.0.0/8\n";
+  const std::string diagram =
+      "dfdd 2\nschema 5\nnodes 2\nT 0 0\nN 1 0 1\n"
+      "E 0 167772160:184549375\nroot 1\n";
+  const std::string policy_block =
+      "policy " + std::to_string(policy.size()) + "\n" + policy + "\n";
+  const std::string v2 = reseal("dfws 2\nsequence 2\n" + policy_block);
+  const std::string v1 =
+      reseal("dfws 1\nsequence 2\nbackend flat_slab\n" + policy_block +
+             "fdd " + std::to_string(diagram.size()) + "\n" + diagram + "\n");
+  for (const std::string& text : {v1, v2}) {
+    const std::string format = text.substr(0, text.find('\n'));
+    const auto data = serve::snapshot::decode(five_tuple_schema(),
+                                              default_decisions(), text);
+    EXPECT_EQ(data.sequence, 2u) << format;
+    std::ofstream(snapshot_, std::ios::binary) << text;
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n", &out,
+                  &err),
+              2)
+        << format;
+    EXPECT_EQ(out, "") << format;
+    EXPECT_NE(err.find("dfw_serve: " + snapshot_ + ": "), std::string::npos)
+        << format << ": " << err;
+    EXPECT_NE(err.find("completeness violated"), std::string::npos)
+        << format << ": " << err;
+    EXPECT_EQ(serve::snapshot::read_file(snapshot_), text)
+        << format << ": a refused snapshot is left as it was";
+  }
 }
 
 // One compiled layout: the banner names none, and --backend is gone.

@@ -337,6 +337,10 @@ TEST(FleetCli, UsageErrorsExitTwo) {
   EXPECT_EQ(cli({}, nullptr, &err), 2);
   EXPECT_NE(err.find("usage:"), std::string::npos);
   EXPECT_EQ(cli({"--no-such-flag", "x"}, nullptr, &err), 2);
+  // Every simplification is proven; there is no flag to skip the proof.
+  EXPECT_EQ(cli({"--no-prove", "x"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("unknown option '--no-prove'"), std::string::npos)
+      << err;
   EXPECT_EQ(cli({"--compare=sideways", "x"}, nullptr, &err), 2);
   EXPECT_EQ(cli({"--output=yaml", "x"}, nullptr, &err), 2);
   EXPECT_EQ(cli({"--generate=0", "--out=x"}, nullptr, &err), 2);

@@ -207,24 +207,6 @@ TEST(Simplify, WorksOnNonComprehensivePolicies) {
   EXPECT_TRUE(canonically_equal(p, out.policy));
 }
 
-TEST(Simplify, ProofCanBeSkipped) {
-  const Schema s = tiny2();
-  Policy p(s, {make_rule(s, {IntervalSet(Interval(0, 7)),
-                             IntervalSet(Interval(0, 3))},
-                         kAccept),
-               make_rule(s, {IntervalSet(Interval(2, 5)),
-                             IntervalSet(Interval(1, 2))},
-                         kDiscard),  // dead
-               Rule::catch_all(s, kDiscard)});
-  SimplifyOptions options;
-  options.prove = false;
-  const SimplifyOutcome out = simplify_policy(p, options);
-  EXPECT_LT(out.report.rules_after, out.report.rules_before);
-  EXPECT_EQ(out.report.proof, ProofStatus::kSkipped);
-  // Still sound, just unproven by the pass itself.
-  expect_same_mapping(p, out.policy);
-}
-
 TEST(Simplify, ToStringCoversEveryProofStatus) {
   EXPECT_STREQ(to_string(ProofStatus::kProven), "proven");
   EXPECT_STREQ(to_string(ProofStatus::kSkipped), "skipped");
@@ -364,9 +346,9 @@ TEST(SimplifyGovern, BudgetBreachReturnsTheOriginalMarked) {
   RunContext::Config rc;
   rc.budgets.max_nodes = 10;
   RunContext context(std::move(rc));
-  SimplifyOptions options;
-  options.run.context = &context;
-  const SimplifyOutcome out = simplify_policy(p, options);
+  RunOptions run;
+  run.context = &context;
+  const SimplifyOutcome out = simplify_policy(p, run);
   EXPECT_FALSE(out.report.complete);
   EXPECT_NE(out.report.status, ErrorCode::kOk);
   EXPECT_FALSE(out.report.message.empty());
@@ -409,9 +391,9 @@ TEST(SimplifyGovern, BreachInAnyRoundsChainHandsBackTheOriginal) {
   (void)PolicyAnalysis(p, &probe);
   const std::size_t first_chain = probe.nodes_charged();
   RunContext whole;
-  SimplifyOptions options;
-  options.run.context = &whole;
-  const SimplifyOutcome done = simplify_policy(p, options);
+  RunOptions run;
+  run.context = &whole;
+  const SimplifyOutcome done = simplify_policy(p, run);
   ASSERT_TRUE(done.report.complete);
   ASSERT_GT(done.report.passes, 0u);
   ASSERT_GT(whole.nodes_charged(), first_chain + 1)
@@ -420,9 +402,9 @@ TEST(SimplifyGovern, BreachInAnyRoundsChainHandsBackTheOriginal) {
     const std::string what = "node budget " + std::to_string(budget);
     MetricsRegistry metrics;
     RunContext tight = RunContext::with_budgets({.max_nodes = budget});
-    options.run.context = &tight;
-    options.run.obs.metrics = &metrics;
-    expect_original_back(simplify_policy(p, options), p,
+    run.context = &tight;
+    run.obs.metrics = &metrics;
+    expect_original_back(simplify_policy(p, run), p,
                          ErrorCode::kNodeBudgetExceeded, what);
     // The original's chain breaches, or a later round's does.
     const std::uint64_t chains =
@@ -443,9 +425,9 @@ TEST(SimplifyGovern, ArenaFaultHandsBackTheOriginal) {
     spec.site = fault::sites::kArenaAlloc;
     spec.fire_on = fire_on;
     FaultPlan plan(1, {spec});
-    SimplifyOptions options;
-    options.run.faults = &plan;
-    expect_original_back(simplify_policy(p, options), p,
+    RunOptions run;
+    run.faults = &plan;
+    expect_original_back(simplify_policy(p, run), p,
                          ErrorCode::kFaultInjected, what);
     EXPECT_EQ(plan.total_fires(), 1u) << what;
   }
@@ -523,9 +505,9 @@ TEST(SimplifyGovern, MetricsCountRemovalsAndProofs) {
                          kDiscard),  // dead
                Rule::catch_all(s, kDiscard)});
   MetricsRegistry metrics;
-  SimplifyOptions options;
-  options.run.obs.metrics = &metrics;
-  const SimplifyOutcome out = simplify_policy(p, options);
+  RunOptions run;
+  run.obs.metrics = &metrics;
+  const SimplifyOutcome out = simplify_policy(p, run);
   ASSERT_EQ(out.report.proof, ProofStatus::kProven);
   const MetricsSnapshot snap = metrics.snapshot();
   const auto removed = snap.counters.find("simplify.rules_removed");

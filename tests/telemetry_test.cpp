@@ -323,6 +323,23 @@ TEST(TelemetryReporterTest, SwapStormExportsValidateAndP99Recomputes) {
   for (std::thread& r : readers) {
     r.join();
   }
+  // A fast build can finish the batches before the reporter's first
+  // tick, so the storm keeps swapping until a tick has been exported (or
+  // the deadline passes and the records check below fails).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(series_mu);
+      if (seq != 0) {
+        break;
+      }
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   done.store(true);
   storm.join();
 
