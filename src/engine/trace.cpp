@@ -58,7 +58,7 @@ std::vector<Packet> synth_trace(const Policy& policy, std::size_t count,
       const Rule& rule = policy.rule(rule_pick(rng));
       for (std::size_t f = 0; f < schema.field_count(); ++f) {
         // Sample a run, then a value inside it.
-        const std::vector<Interval>& runs = rule.conjunct(f).intervals();
+        const std::span<const Interval> runs = rule.conjunct(f).intervals();
         std::uniform_int_distribution<std::size_t> run_pick(0,
                                                             runs.size() - 1);
         const Interval& run = runs[run_pick(rng)];

@@ -328,7 +328,7 @@ bool FddArena::complete_bit(std::uint32_t field,
   std::vector<Interval>& runs = coverage_;
   runs.clear();
   for (const ArenaEdge& e : edges) {
-    const std::vector<Interval>& lab = labels_[e.label].intervals();
+    const std::span<const Interval> lab = labels_[e.label].intervals();
     runs.insert(runs.end(), lab.begin(), lab.end());
   }
   if (runs.empty()) {
@@ -395,7 +395,8 @@ ArenaNodeId FddArena::make_canonical(std::size_t field,
     if (j == count) {
       continue;
     }
-    const std::vector<Interval>& first = labels_[edges[i].label].intervals();
+    const std::span<const Interval> first =
+        labels_[edges[i].label].intervals();
     merged.assign(first.begin(), first.end());
     std::size_t kept = j;
     for (; j < count; ++j) {
@@ -632,7 +633,7 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
         result = make_canonical(g, split);
       }
     } else {
-      const std::vector<Interval>& conj = rule.conjunct(f).intervals();
+      const std::span<const Interval> conj = rule.conjunct(f).intervals();
       std::vector<ArenaEdge>& out = s.level[f];
       out.clear();
       bool overlapped = false;
@@ -675,7 +676,7 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       } else {
         s.runs.assign(conj.begin(), conj.end());
         for (std::size_t i = 0; i < edge_count && !s.runs.empty(); ++i) {
-          const std::vector<Interval>& lab =
+          const std::span<const Interval> lab =
               labels_[edge_pool_[nodes_[v].edge_begin + i].label].intervals();
           if (lab.back().hi() < s.runs.front().lo() ||
               lab.front().lo() > s.runs.back().hi()) {
@@ -965,10 +966,9 @@ void FddArena::compare_nodes(std::span<const ArenaNodeId> nodes,
   // refine by each node that tests f in turn, replacing its child.
   const std::size_t n_count = nodes.size();
   CompareLevel& level = compare_levels_[f];
-  const std::vector<Interval>& domain = schema_.domain_set(f).intervals();
   level.current = 0;
-  level.runs[0].assign(domain.begin(), domain.end());
-  level.ends[0].assign(1, static_cast<std::uint32_t>(domain.size()));
+  level.runs[0].assign(1, schema_.domain(f));
+  level.ends[0].assign(1, std::uint32_t{1});
   level.children[0].assign(nodes.begin(), nodes.end());
   for (std::size_t k = 0; k < n_count; ++k) {
     if (field(nodes[k]) != f) {
@@ -1063,7 +1063,7 @@ void FddArena::validate(ArenaNodeId root, bool require_complete) const {
       return;
     }
     const std::size_t f = field(id);
-    const IntervalSet& domain = schema_.domain_set(f);
+    const IntervalSet domain = schema_.domain_set(f);
     std::vector<Interval>& cover = covered[f];
     cover.clear();
     for (const ArenaEdge& e : edges(id)) {
@@ -1124,25 +1124,36 @@ void FddArena::for_each_path(
 // ---------------------------------------------------------------------------
 // Generation (gen/generate.hpp semantics) off the DAG.
 
+std::size_t FddArena::path_count(ArenaNodeId root) const {
+  if (root == kEmpty) {
+    return 0;
+  }
+  std::vector<std::size_t> memo(nodes_.size(), 0);  // 0: not counted yet
+  return path_count(root, memo);
+}
+
+std::size_t FddArena::path_count(ArenaNodeId id,
+                                 std::vector<std::size_t>& memo) const {
+  govern::checkpoint(govern_);
+  if (is_terminal(id)) {
+    return 1;
+  }
+  if (memo[id] != 0) {
+    return memo[id];
+  }
+  std::size_t total = 0;
+  for (const ArenaEdge& e : edges(id)) {
+    const std::size_t sub = path_count(e.target, memo);
+    total = (total > SIZE_MAX - sub) ? SIZE_MAX : total + sub;
+  }
+  memo[id] = total;
+  return total;
+}
+
 Policy FddArena::generate(ArenaNodeId root) const {
-  // Number of rules gen would emit for a subdiagram — the election metric.
-  // On trees this recomputation is O(nodes * depth); memoised by id it is
-  // O(unique nodes) for the whole walk.
-  std::vector<std::size_t> rule_costs(nodes_.size(), 0);  // 0: not yet
-  const auto rule_cost = [&](auto&& self, ArenaNodeId id) -> std::size_t {
-    if (is_terminal(id)) {
-      return 1;
-    }
-    if (rule_costs[id] != 0) {
-      return rule_costs[id];
-    }
-    std::size_t total = 0;
-    for (const ArenaEdge& e : edges(id)) {
-      total += self(self, e.target);
-    }
-    rule_costs[id] = total;
-    return total;
-  };
+  // The election metric, the number of rules gen emits for a subdiagram,
+  // is its path count; memoised by id for the whole walk.
+  std::vector<std::size_t> rule_counts(nodes_.size(), 0);
 
   std::vector<IntervalSet> conjuncts;
   conjuncts.reserve(schema_.field_count());
@@ -1168,7 +1179,7 @@ Policy FddArena::generate(ArenaNodeId root) const {
     std::size_t best_cost = 0;
     Value best_width = 0;
     for (std::size_t i = 0; i < out.size(); ++i) {
-      const std::size_t cost = rule_cost(rule_cost, out[i].target);
+      const std::size_t cost = path_count(out[i].target, rule_counts);
       const Value width = labels_[out[i].label].size();
       if (cost > best_cost || (cost == best_cost && width > best_width)) {
         best_cost = cost;

@@ -270,9 +270,17 @@ class FddArena {
       const std::function<void(const std::vector<IntervalSet>&, Decision)>&
           fn) const;
 
+  /// The number of decision paths under `root`, which is the number of
+  /// rules generate(root) emits, counted without emitting them: memoised
+  /// by node id for the one call, saturating at SIZE_MAX. kEmpty has none.
+  /// It checkpoints the attached context once per visit and charges no
+  /// budget.
+  std::size_t path_count(ArenaNodeId root) const;
+
   /// Firewall generation (gen/generate.hpp semantics) straight off the
-  /// DAG, with the per-subtree rule-cost election memoised by node id for
-  /// the one call. Every emitted rule is charged to the attached context.
+  /// DAG, electing each node's default branch by path_count, memoised by
+  /// node id for the one call. Every emitted rule is charged to the
+  /// attached context.
   Policy generate(ArenaNodeId root) const;
 
   /// The arena's lifetime counters. An arena is single-threaded, so any
@@ -443,6 +451,10 @@ class FddArena {
   /// compare_into() on one tuple of nodes (none kEmpty).
   void compare_nodes(std::span<const ArenaNodeId> nodes,
                      std::vector<Discrepancy>& out);
+  /// path_count() of a node (not kEmpty), memoised in `memo` by id; 0
+  /// there means not yet counted.
+  std::size_t path_count(ArenaNodeId id,
+                         std::vector<std::size_t>& memo) const;
 
   Schema schema_;
   std::vector<NodeRecord> nodes_;

@@ -23,7 +23,7 @@ void simplify_node(const Schema& schema, std::unique_ptr<FddNode>& slot,
   std::vector<FddEdge> split;
   split.reserve(slot->edges.size());
   for (FddEdge& e : slot->edges) {
-    const std::vector<Interval>& runs = e.label.intervals();
+    const std::span<const Interval> runs = e.label.intervals();
     for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
       split.emplace_back(IntervalSet(runs[i]), e.target->clone());
     }

@@ -136,7 +136,7 @@ std::string format_spec(const Field& field, const IntervalSet& set) {
 
 void append_spec(std::string& out, const Field& field,
                  const IntervalSet& set) {
-  const std::vector<Interval>& runs = set.intervals();
+  const std::span<const Interval> runs = set.intervals();
   if (runs.size() == 1 && runs.front() == field.domain) {
     out += '*';
     return;

@@ -21,20 +21,33 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> parts;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string_view::npos) {
-      parts.push_back(s.substr(start));
-      break;
+// The `sep`-separated parts of a string, read in place and in order, empty
+// parts included: "a,,b" is "a", "", "b", and "" is one empty part.
+class Parts {
+ public:
+  Parts(std::string_view s, char sep) : rest_(s), sep_(sep) {}
+
+  /// Sets `part` to the next part; false once every part has been read.
+  bool next(std::string_view& part) {
+    if (done_) {
+      return false;
     }
-    parts.push_back(s.substr(start, end - start));
-    start = end + 1;
+    const std::size_t end = rest_.find(sep_);
+    if (end == std::string_view::npos) {
+      part = rest_;
+      done_ = true;
+    } else {
+      part = rest_.substr(0, end);
+      rest_.remove_prefix(end + 1);
+    }
+    return true;
   }
-  return parts;
-}
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+};
 
 std::optional<Value> parse_uint(std::string_view s) {
   if (s.empty()) {
@@ -114,14 +127,15 @@ IntervalSet parse_spec(const Field& field, std::string_view spec,
     return IntervalSet(field.domain);
   }
   IntervalSet set;
-  for (std::string_view atom : split(spec, ',')) {
+  Parts atoms(spec, ',');
+  for (std::string_view atom; atoms.next(atom);) {
     atom = trim(atom);
     if (atom.empty()) {
       throw ParseError(line, "empty atom in spec '" + std::string(spec) + "'");
     }
     set.add(parse_atom(field, atom, line));
   }
-  if (!IntervalSet(field.domain).contains(set)) {
+  if (set.min() < field.domain.lo() || set.max() > field.domain.hi()) {
     throw ParseError(line, "spec '" + std::string(spec) +
                                "' exceeds domain of field " + field.name);
   }
@@ -130,54 +144,54 @@ IntervalSet parse_spec(const Field& field, std::string_view spec,
 
 Rule parse_rule_line(const Schema& schema, const DecisionSet& decisions,
                      std::string_view line_text, std::size_t line) {
-  std::vector<std::string_view> tokens;
-  for (std::string_view tok : split(line_text, ' ')) {
-    tok = trim(tok);
-    if (!tok.empty()) {
-      tokens.push_back(tok);
+  Parts words(line_text, ' ');
+  std::string_view token;
+  const auto next_token = [&] {
+    while (words.next(token)) {
+      token = trim(token);
+      if (!token.empty()) {
+        return true;
+      }
     }
-  }
-  if (tokens.empty()) {
+    return false;
+  };
+  if (!next_token()) {
     throw ParseError(line, "empty rule");
   }
-  const auto decision = decisions.find(tokens[0]);
+  const auto decision = decisions.find(token);
   if (!decision) {
-    throw ParseError(line,
-                     "unknown decision '" + std::string(tokens[0]) + "'");
+    throw ParseError(line, "unknown decision '" + std::string(token) + "'");
   }
-  std::vector<IntervalSet> conjuncts;
-  conjuncts.reserve(schema.field_count());
-  for (std::size_t i = 0; i < schema.field_count(); ++i) {
-    conjuncts.emplace_back(schema.domain(i));
-  }
-  std::vector<bool> seen(schema.field_count(), false);
-  for (std::size_t t = 1; t < tokens.size(); ++t) {
-    const std::size_t eq = tokens[t].find('=');
+  // A field's conjunct stays empty until a pair sets it, so an empty one
+  // is a field not yet seen; the unset ones take their domain at the end.
+  std::vector<IntervalSet> conjuncts(schema.field_count());
+  while (next_token()) {
+    const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos) {
       throw ParseError(line, "expected field=spec, got '" +
-                                 std::string(tokens[t]) + "'");
+                                 std::string(token) + "'");
     }
-    const std::string_view name = tokens[t].substr(0, eq);
+    const std::string_view name = token.substr(0, eq);
     const auto idx = schema.index_of(name);
     if (!idx) {
       throw ParseError(line, "unknown field '" + std::string(name) + "'");
     }
-    if (seen[*idx]) {
+    if (!conjuncts[*idx].empty()) {
       throw ParseError(line, "field '" + std::string(name) + "' repeated");
     }
-    seen[*idx] = true;
     const Field& field = schema.field(*idx);
     if (field.kind == FieldKind::kIpv6Lo) {
       throw ParseError(line, "field '" + std::string(name) +
                                  "' is the low half of an IPv6 address; "
                                  "set it via its high-half field");
     }
+    const std::string_view spec = token.substr(eq + 1);
     if (field.kind == FieldKind::kIpv6Hi) {
       // One CIDR (or bare address) per rule: an IPv6 prefix is exactly one
       // conjunct over the (hi, lo) pair, a union of prefixes is not.
-      const std::string_view spec = tokens[t].substr(eq + 1);
       if (spec == "*" || spec == "all") {
-        continue;  // both halves stay full-domain
+        conjuncts[*idx] = IntervalSet(field.domain);
+        continue;  // the low half stays unset, so full-domain too
       }
       const auto prefix = parse_ipv6_prefix(spec);
       if (!prefix) {
@@ -187,11 +201,14 @@ Rule parse_rule_line(const Schema& schema, const DecisionSet& decisions,
       const auto [hi, lo] = prefix->to_intervals();
       conjuncts[*idx] = IntervalSet(hi);
       conjuncts[*idx + 1] = IntervalSet(lo);
-      seen[*idx + 1] = true;
       continue;
     }
-    conjuncts[*idx] =
-        parse_spec(field, tokens[t].substr(eq + 1), line);
+    conjuncts[*idx] = parse_spec(field, spec, line);
+  }
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    if (conjuncts[i].empty()) {
+      conjuncts[i] = IntervalSet(schema.domain(i));
+    }
   }
   return Rule(schema, std::move(conjuncts), *decision);
 }
@@ -207,7 +224,8 @@ Policy parse_policy(const Schema& schema, const DecisionSet& decisions,
                     std::string_view text) {
   std::vector<Rule> rules;
   std::size_t line_no = 0;
-  for (std::string_view raw : split(text, '\n')) {
+  Parts lines(text, '\n');
+  for (std::string_view raw; lines.next(raw);) {
     ++line_no;
     const std::size_t hash = raw.find('#');
     if (hash != std::string_view::npos) {

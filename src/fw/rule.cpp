@@ -15,7 +15,9 @@ Rule::Rule(const Schema& schema, std::vector<IntervalSet> conjuncts,
       throw std::invalid_argument("Rule: empty conjunct for field " +
                                   schema.field(i).name);
     }
-    if (!IntervalSet(schema.domain(i)).contains(conjuncts_[i])) {
+    const Interval& domain = schema.domain(i);
+    if (conjuncts_[i].min() < domain.lo() ||
+        conjuncts_[i].max() > domain.hi()) {
       throw std::invalid_argument("Rule: conjunct exceeds domain of field " +
                                   schema.field(i).name);
     }

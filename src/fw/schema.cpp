@@ -45,10 +45,6 @@ Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
       }
     }
   }
-  domain_sets_.reserve(fields_.size());
-  for (const Field& f : fields_) {
-    domain_sets_.emplace_back(f.domain);
-  }
 }
 
 const Field& Schema::field(std::size_t i) const {

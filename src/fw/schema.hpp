@@ -49,14 +49,9 @@ class Schema {
   /// The domain of field i as a single-interval set; requires i < d.
   const Interval& domain(std::size_t i) const { return field(i).domain; }
 
-  /// The domain of field i as an IntervalSet, cached at construction.
-  /// Wildcard checks and splice checks compare conjuncts against this set
-  /// on every visit; handing out a shared instance keeps those loops free
-  /// of per-call IntervalSet allocations.
-  const IntervalSet& domain_set(std::size_t i) const {
-    field(i);  // range check
-    return domain_sets_[i];
-  }
+  /// The domain of field i as an IntervalSet: one run, held inline, so
+  /// making it allocates nothing.
+  IntervalSet domain_set(std::size_t i) const { return field(i).domain; }
 
   /// Total number of distinct packets |Sigma| = prod |D(F_i)|, saturating
   /// at UINT64_MAX. Used by exhaustive property tests on tiny schemas.
@@ -66,7 +61,6 @@ class Schema {
 
  private:
   std::vector<Field> fields_;
-  std::vector<IntervalSet> domain_sets_;
 };
 
 inline bool operator==(const Field& a, const Field& b) {

@@ -295,21 +295,17 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
   }
 
   if (state.comprehensive()) {
-    // Generation reads the shared diagram directly; its arena carries the
-    // run's context, which every emitted rule is charged to.
-    PhaseSpan phase(state.options.run.obs, "generate");
+    // The generated policy's size, counted off the shared diagram without
+    // generating it: one rule per decision path. The count checkpoints the
+    // run's context and charges no rules.
     const ArenaDiagram& diagram = state.diagram();
-    const Policy compact = diagram.arena->generate(diagram.root);
-    if (MetricsRegistry* metrics = state.options.run.obs.metrics) {
-      metrics->counter("gen.rules_emitted").add(compact.size());
-    }
-    if (compact.size() < policy.size()) {
+    const std::size_t compact = diagram.arena->path_count(diagram.root);
+    if (compact < policy.size()) {
       Diagnostic d;
       d.check_id = "policy.compactable";
       d.severity = Severity::kNote;
-      d.message = "an equivalent policy with " +
-                  std::to_string(compact.size()) + " rules exists (" +
-                  std::to_string(policy.size()) +
+      d.message = "an equivalent policy with " + std::to_string(compact) +
+                  " rules exists (" + std::to_string(policy.size()) +
                   " now); regenerate via the FDD to compact";
       out.push_back(std::move(d));
     }

@@ -3,6 +3,88 @@
 #include <algorithm>
 
 namespace dfw {
+namespace {
+
+// The sweeps behind both the set operations and the *_into kernels: each
+// hands the canonical result's runs, in order, to `emit`.
+
+template <class Emit>
+void unite_runs(std::span<const Interval> a, std::span<const Interval> b,
+                Emit emit) {
+  // Merge by lower bound; a run reaching or touching the pending run
+  // extends it.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  const auto next = [&]() -> const Interval& {
+    return j == b.size() || (i < a.size() && a[i].lo() < b[j].lo()) ? a[i++]
+                                                                     : b[j++];
+  };
+  if (a.empty() && b.empty()) {
+    return;
+  }
+  Interval pending = next();
+  while (i < a.size() || j < b.size()) {
+    const Interval& run = next();
+    if (pending.hi() == UINT64_MAX || pending.hi() + 1 >= run.lo()) {
+      if (run.hi() > pending.hi()) {
+        pending = Interval(pending.lo(), run.hi());
+      }
+    } else {
+      emit(pending);
+      pending = run;
+    }
+  }
+  emit(pending);
+}
+
+template <class Emit>
+void intersect_runs(std::span<const Interval> a, std::span<const Interval> b,
+                    Emit emit) {
+  // Classic two-pointer sweep over two sorted disjoint runs.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const Value lo = std::max(a[i].lo(), b[j].lo());
+    const Value hi = std::min(a[i].hi(), b[j].hi());
+    if (lo <= hi) {
+      emit(Interval(lo, hi));
+    }
+    if (a[i].hi() < b[j].hi()) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+}
+
+template <class Emit>
+void subtract_runs(std::span<const Interval> a, std::span<const Interval> b,
+                   Emit emit) {
+  std::size_t j = 0;
+  for (const Interval& run : a) {
+    Value lo = run.lo();
+    bool open = true;  // [lo, run.hi()] still pending output
+    while (j < b.size() && b[j].hi() < run.lo()) {
+      ++j;
+    }
+    for (std::size_t k = j; open && k < b.size() && b[k].lo() <= run.hi();
+         ++k) {
+      if (b[k].lo() > lo) {
+        emit(Interval(lo, b[k].lo() - 1));
+      }
+      if (b[k].hi() >= run.hi()) {
+        open = false;
+      } else {
+        lo = std::max(lo, b[k].hi() + 1);
+      }
+    }
+    if (open) {
+      emit(Interval(lo, run.hi()));
+    }
+  }
+}
+
+}  // namespace
 
 IntervalSet IntervalSet::from_runs(std::span<const Interval> runs) {
   for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -12,13 +94,26 @@ IntervalSet IntervalSet::from_runs(std::span<const Interval> runs) {
     }
   }
   IntervalSet result;
-  result.intervals_.assign(runs.begin(), runs.end());
+  result.assign(runs);
   return result;
+}
+
+void IntervalSet::grow(std::size_t n) {
+  if (n > UINT32_MAX) {
+    throw std::length_error("IntervalSet: too many runs");
+  }
+  const std::size_t capacity = std::min<std::size_t>(
+      UINT32_MAX, std::max<std::size_t>(n, std::size_t{2} * capacity_));
+  Interval* block = std::allocator<Interval>().allocate(capacity);
+  std::uninitialized_copy_n(data(), size_, block);
+  free_heap();
+  heap_ = block;
+  capacity_ = static_cast<std::uint32_t>(capacity);
 }
 
 Value IntervalSet::size() const {
   Value total = 0;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     const Value n = iv.size();
     if (total > UINT64_MAX - n) {
       return UINT64_MAX;
@@ -30,68 +125,84 @@ Value IntervalSet::size() const {
 
 bool IntervalSet::contains(Value v) const {
   // Binary search over the sorted runs: find the first run ending >= v.
+  const std::span<const Interval> runs = intervals();
   auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), v,
+      runs.begin(), runs.end(), v,
       [](const Interval& iv, Value x) { return iv.hi() < x; });
-  return it != intervals_.end() && it->contains(v);
+  return it != runs.end() && it->contains(v);
 }
 
 bool IntervalSet::contains(const IntervalSet& other) const {
   return other.empty() ||
-         relate(other.intervals_, intervals_) == Relation::kInside;
+         relate(other.intervals(), intervals()) == Relation::kInside;
 }
 
 bool IntervalSet::overlaps(const IntervalSet& other) const {
-  return relate(intervals_, other.intervals_) != Relation::kDisjoint;
+  return relate(intervals(), other.intervals()) != Relation::kDisjoint;
 }
 
 void IntervalSet::add(Interval iv) {
-  // Find the span of existing runs mergeable with iv and collapse them.
-  auto first = std::lower_bound(
-      intervals_.begin(), intervals_.end(), iv,
-      [](const Interval& a, const Interval& b) {
-        return a.hi() < b.lo() && !a.mergeable(b);
-      });
-  auto last = first;
+  // Find the span [first, last) of existing runs mergeable with iv and
+  // collapse them into one.
+  Interval* runs = data();
+  const std::size_t first = static_cast<std::size_t>(
+      std::lower_bound(runs, runs + size_, iv,
+                       [](const Interval& a, const Interval& b) {
+                         return a.hi() < b.lo() && !a.mergeable(b);
+                       }) -
+      runs);
+  std::size_t last = first;
   Interval merged = iv;
-  while (last != intervals_.end() && merged.mergeable(*last)) {
-    merged = merged.merge(*last);
+  while (last < size_ && merged.mergeable(runs[last])) {
+    merged = merged.merge(runs[last]);
     ++last;
   }
   if (first == last) {
-    intervals_.insert(first, merged);
+    if (size_ == capacity_) {
+      grow(size_ + std::size_t{1});
+      runs = data();
+    }
+    std::copy_backward(runs + first, runs + size_, runs + size_ + 1);
+    runs[first] = merged;
+    ++size_;
   } else {
-    *first = merged;
-    intervals_.erase(first + 1, last);
+    runs[first] = merged;
+    if (last > first + 1) {
+      std::copy(runs + last, runs + size_, runs + first + 1);
+      size_ -= static_cast<std::uint32_t>(last - first - 1);
+    }
   }
 }
 
 IntervalSet IntervalSet::unite(const IntervalSet& other) const {
   IntervalSet result;
-  result.intervals_.reserve(intervals_.size() + other.intervals_.size());
-  unite_into(intervals_, other.intervals_, result.intervals_);
+  unite_runs(intervals(), other.intervals(),
+             [&](const Interval& iv) { result.push_back(iv); });
   return result;
 }
 
 IntervalSet IntervalSet::intersect(const IntervalSet& other) const {
   IntervalSet result;
-  intersect_into(intervals_, other.intervals_, result.intervals_);
+  intersect_runs(intervals(), other.intervals(),
+                 [&](const Interval& iv) { result.push_back(iv); });
   return result;
 }
 
 IntervalSet IntervalSet::subtract(const IntervalSet& other) const {
   IntervalSet result;
-  subtract_into(intervals_, other.intervals_, result.intervals_);
+  subtract_runs(intervals(), other.intervals(),
+                [&](const Interval& iv) { result.push_back(iv); });
   return result;
 }
 
 std::string IntervalSet::to_string() const {
   std::string out = "{";
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
+  const std::span<const Interval> runs = intervals();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
     if (i != 0) {
       out += ", ";
     }
-    out += intervals_[i].to_string();
+    out += runs[i].to_string();
   }
   out += "}";
   return out;
@@ -140,70 +251,19 @@ Relation relate(std::span<const Interval> label,
 void unite_into(std::span<const Interval> a, std::span<const Interval> b,
                 std::vector<Interval>& out) {
   out.clear();
-  // Merge by lower bound; a run reaching or touching the last output run
-  // extends it.
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    const Interval& next =
-        j == b.size() || (i < a.size() && a[i].lo() < b[j].lo()) ? a[i++]
-                                                                   : b[j++];
-    if (!out.empty() &&
-        (out.back().hi() == UINT64_MAX || out.back().hi() + 1 >= next.lo())) {
-      if (next.hi() > out.back().hi()) {
-        out.back() = Interval(out.back().lo(), next.hi());
-      }
-    } else {
-      out.push_back(next);
-    }
-  }
+  unite_runs(a, b, [&](const Interval& iv) { out.push_back(iv); });
 }
 
 void intersect_into(std::span<const Interval> a, std::span<const Interval> b,
                     std::vector<Interval>& out) {
   out.clear();
-  // Classic two-pointer sweep over two sorted disjoint runs.
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const Value lo = std::max(a[i].lo(), b[j].lo());
-    const Value hi = std::min(a[i].hi(), b[j].hi());
-    if (lo <= hi) {
-      out.emplace_back(lo, hi);
-    }
-    if (a[i].hi() < b[j].hi()) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
+  intersect_runs(a, b, [&](const Interval& iv) { out.push_back(iv); });
 }
 
 void subtract_into(std::span<const Interval> a, std::span<const Interval> b,
                    std::vector<Interval>& out) {
   out.clear();
-  std::size_t j = 0;
-  for (const Interval& run : a) {
-    Value lo = run.lo();
-    bool open = true;  // [lo, run.hi()] still pending output
-    while (j < b.size() && b[j].hi() < run.lo()) {
-      ++j;
-    }
-    for (std::size_t k = j; open && k < b.size() && b[k].lo() <= run.hi();
-         ++k) {
-      if (b[k].lo() > lo) {
-        out.emplace_back(lo, b[k].lo() - 1);
-      }
-      if (b[k].hi() >= run.hi()) {
-        open = false;
-      } else {
-        lo = std::max(lo, b[k].hi() + 1);
-      }
-    }
-    if (open) {
-      out.emplace_back(lo, run.hi());
-    }
-  }
+  subtract_runs(a, b, [&](const Interval& iv) { out.push_back(iv); });
 }
 
 }  // namespace dfw

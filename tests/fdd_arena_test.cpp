@@ -84,6 +84,45 @@ TEST(FddArena, CanonicalMergesAndSplices) {
   EXPECT_EQ(arena.edges(split).size(), 2u);
 }
 
+// A chain of `fields` binary fields, each node with two edges to the one
+// node below it: 2^fields decision paths over `fields` + 1 nodes.
+ArenaNodeId doubling_chain(FddArena& arena, std::size_t fields) {
+  const ArenaLabelId zero = arena.intern(IntervalSet(Interval(0, 0)));
+  const ArenaLabelId one = arena.intern(IntervalSet(Interval(1, 1)));
+  ArenaNodeId node = arena.terminal(kAccept);
+  for (std::size_t f = fields; f-- > 0;) {
+    node = arena.internal(f, {{zero, node}, {one, node}});
+  }
+  return node;
+}
+
+Schema binary_fields(std::size_t count) {
+  std::vector<Field> fields;
+  for (std::size_t f = 0; f < count; ++f) {
+    fields.push_back(
+        {"f" + std::to_string(f), Interval(0, 1), FieldKind::kInteger});
+  }
+  return Schema(std::move(fields));
+}
+
+TEST(FddArena, PathCountIsTheGeneratedSizeAndSaturates) {
+  FddArena small(binary_fields(3));
+  const ArenaNodeId eight = doubling_chain(small, 3);
+  EXPECT_EQ(small.path_count(eight), 8u);
+  EXPECT_EQ(small.generate(eight).size(), 8u);
+  EXPECT_EQ(small.path_count(FddArena::kEmpty), 0u);
+
+  // 2^65 paths: the count stops at SIZE_MAX instead of wrapping. It
+  // checkpoints the context and charges it no rules.
+  FddArena arena(binary_fields(65));
+  const ArenaNodeId root = doubling_chain(arena, 65);
+  EXPECT_EQ(arena.reachable_node_count(root), 66u);
+  RunContext context = RunContext::with_budgets({.max_rules = 1});
+  arena.set_context(&context);
+  EXPECT_EQ(arena.path_count(root), SIZE_MAX);
+  EXPECT_EQ(context.rules_charged(), 0u);
+}
+
 TEST(FddArena, BuildReducedMatchesTreeReducedPipeline) {
   // Canonical-by-construction must land on the same diagram as the
   // paper-literal build-then-reduce: the reduced ordered FDD is unique.

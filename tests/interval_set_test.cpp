@@ -1,10 +1,13 @@
 // IntervalSet unit tests: canonical form, set algebra against brute force,
-// and the edge cases (adjacency coalescing, empty results, saturation).
+// the edge cases (adjacency coalescing, empty results, saturation), and the
+// storage (two runs inline, a heap block beyond) against a vector model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/interval_set.hpp"
@@ -232,6 +235,208 @@ TEST(IntervalSet, ToString) {
   const IntervalSet s{Interval(0, 3), Interval::point(9)};
   EXPECT_EQ(s.to_string(), "{[0, 3], [9]}");
   EXPECT_EQ(IntervalSet{}.to_string(), "{}");
+}
+
+// -- Storage -----------------------------------------------------------------
+//
+// A set keeps up to two runs inline and spills to one heap block beyond.
+// The model is a plain vector of runs whose operations are the obvious ones
+// (append, sort, merge), independent of the set's sweeps. Every count
+// crosses or sits at the inline limit.
+
+using Runs = std::vector<Interval>;
+
+constexpr std::size_t kRunCounts[] = {0, 1, 2, 3, 40};
+
+Runs normalized(Runs runs) {
+  std::sort(runs.begin(), runs.end());
+  Runs out;
+  for (const Interval& iv : runs) {
+    if (!out.empty() && out.back().mergeable(iv)) {
+      out.back() = out.back().merge(iv);
+    } else {
+      out.push_back(iv);
+    }
+  }
+  return out;
+}
+
+Runs model_unite(Runs a, const Runs& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return normalized(std::move(a));
+}
+
+Runs model_intersect(const Runs& a, const Runs& b) {
+  Runs out;
+  for (const Interval& x : a) {
+    for (const Interval& y : b) {
+      if (const auto common = x.intersect(y)) {
+        out.push_back(*common);
+      }
+    }
+  }
+  return normalized(std::move(out));
+}
+
+Runs model_subtract(const Runs& a, const Runs& b) {
+  Runs outside_b;  // b's complement over all of uint64_t
+  Value next = 0;
+  bool open = true;
+  for (const Interval& iv : b) {
+    if (iv.lo() > next) {
+      outside_b.emplace_back(next, iv.lo() - 1);
+    }
+    if (iv.hi() == UINT64_MAX) {
+      open = false;
+      break;
+    }
+    next = iv.hi() + 1;
+  }
+  if (open) {
+    outside_b.emplace_back(next, UINT64_MAX);
+  }
+  return model_intersect(a, outside_b);
+}
+
+Runs stored_runs(const IntervalSet& s) {
+  return Runs(s.intervals().begin(), s.intervals().end());
+}
+
+// `count` disjoint, non-adjacent runs in order, starting near `base`.
+Runs spread_runs(std::size_t count, Value base, std::mt19937_64& rng) {
+  Runs runs;
+  Value lo = base + rng() % 5;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Value length = rng() % 4;
+    runs.emplace_back(lo, lo + length);
+    lo += length + 2 + rng() % 6;
+  }
+  return runs;
+}
+
+// The set of `runs`, added one at a time in a random order.
+IntervalSet added_in_any_order(Runs runs, std::mt19937_64& rng) {
+  std::shuffle(runs.begin(), runs.end(), rng);
+  IntervalSet s;
+  for (const Interval& iv : runs) {
+    s.add(iv);
+  }
+  return s;
+}
+
+TEST(IntervalSetStorage, AddMatchesVectorModel) {
+  std::mt19937_64 rng(29);
+  for (const std::size_t count : kRunCounts) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Runs runs = spread_runs(count, 0, rng);
+      std::shuffle(runs.begin(), runs.end(), rng);
+      IntervalSet s;
+      Runs model;
+      for (const Interval& iv : runs) {
+        s.add(iv);
+        model = model_unite(model, {iv});
+        ASSERT_EQ(stored_runs(s), model) << "adding " << iv.to_string();
+      }
+      ASSERT_EQ(s.run_count(), count);
+      // Then runs that bridge, extend or land between the existing ones.
+      for (int extra = 0; extra < 6; ++extra) {
+        const Value lo = rng() % (10 * count + 10);
+        const Interval iv(lo, lo + rng() % 12);
+        s.add(iv);
+        model = model_unite(model, {iv});
+        ASSERT_EQ(stored_runs(s), model) << "adding " << iv.to_string();
+      }
+    }
+  }
+}
+
+TEST(IntervalSetStorage, AlgebraMatchesVectorModel) {
+  std::mt19937_64 rng(30);
+  for (const std::size_t count_a : kRunCounts) {
+    for (const std::size_t count_b : kRunCounts) {
+      for (int trial = 0; trial < 10; ++trial) {
+        const Runs ra = spread_runs(count_a, 0, rng);
+        const Runs rb = spread_runs(count_b, rng() % 20, rng);
+        const IntervalSet a = added_in_any_order(ra, rng);
+        const IntervalSet b = added_in_any_order(rb, rng);
+        ASSERT_EQ(stored_runs(a.unite(b)), model_unite(ra, rb));
+        ASSERT_EQ(stored_runs(a.intersect(b)), model_intersect(ra, rb));
+        ASSERT_EQ(stored_runs(a.subtract(b)), model_subtract(ra, rb));
+        ASSERT_EQ(a.unite(b), IntervalSet::from_runs(model_unite(ra, rb)));
+      }
+    }
+  }
+}
+
+TEST(IntervalSetStorage, CopyMoveAndSelfAssignment) {
+  std::mt19937_64 rng(31);
+  for (const std::size_t count_a : kRunCounts) {
+    for (const std::size_t count_b : kRunCounts) {
+      const Runs ra = spread_runs(count_a, 0, rng);
+      const Runs rb = spread_runs(count_b, 3, rng);
+      const IntervalSet a = added_in_any_order(ra, rng);
+
+      // A copy is deep: growing it leaves the source alone.
+      IntervalSet copy(a);
+      ASSERT_EQ(stored_runs(copy), ra);
+      copy.add(Interval(1000, 1001));
+      ASSERT_EQ(stored_runs(a), ra);
+      ASSERT_EQ(stored_runs(copy), model_unite(ra, {Interval(1000, 1001)}));
+
+      IntervalSet target = added_in_any_order(rb, rng);
+      target = a;
+      ASSERT_EQ(stored_runs(target), ra);
+      ASSERT_EQ(stored_runs(a), ra);
+
+      // A move takes the runs and leaves the source empty and reusable.
+      IntervalSet moved(std::move(copy));
+      ASSERT_EQ(stored_runs(moved), model_unite(ra, {Interval(1000, 1001)}));
+      ASSERT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+      copy.add(Interval(5, 6));
+      ASSERT_EQ(stored_runs(copy), Runs{Interval(5, 6)});
+      copy = a;
+      ASSERT_EQ(stored_runs(copy), ra);
+
+      IntervalSet assigned = added_in_any_order(rb, rng);
+      assigned = std::move(target);
+      ASSERT_EQ(stored_runs(assigned), ra);
+      ASSERT_TRUE(target.empty());  // NOLINT(bugprone-use-after-move)
+      target = added_in_any_order(rb, rng);
+      ASSERT_EQ(stored_runs(target), rb);
+
+      // Self-assignment, by copy and by move, changes nothing.
+      IntervalSet& alias = assigned;
+      assigned = alias;
+      ASSERT_EQ(stored_runs(assigned), ra);
+      assigned = std::move(alias);
+      ASSERT_EQ(stored_runs(assigned), ra);
+    }
+  }
+}
+
+TEST(IntervalSetStorage, HeapSetTrimmedToTwoRunsEqualsInline) {
+  std::mt19937_64 rng(32);
+  const Runs runs = spread_runs(40, 0, rng);
+  // One run bridging the first 39 leaves two: the set keeps its heap block.
+  IntervalSet grown = added_in_any_order(runs, rng);
+  grown.add(Interval(runs[0].lo(), runs[38].hi()));
+  const IntervalSet two{Interval(runs[0].lo(), runs[38].hi()), runs[39]};
+  EXPECT_EQ(grown.run_count(), 2u);
+  EXPECT_EQ(grown, two);
+  EXPECT_EQ(two, grown);
+  EXPECT_EQ(grown.to_string(), two.to_string());
+  EXPECT_EQ(grown.min(), two.min());
+  EXPECT_EQ(grown.max(), two.max());
+  EXPECT_EQ(IntervalSet(grown), two);
+  EXPECT_NE(grown, (IntervalSet{Interval(runs[0].lo(), runs[38].hi())}));
+
+  // Assigning a short set into a grown one keeps its block, not its runs.
+  IntervalSet reused = added_in_any_order(runs, rng);
+  reused = two;
+  EXPECT_EQ(reused, two);
+  reused.add(Interval(runs[39].hi() + 2, runs[39].hi() + 2));
+  EXPECT_EQ(reused.run_count(), 3u);
+  EXPECT_NE(reused, two);
 }
 
 }  // namespace

@@ -235,6 +235,51 @@ TEST(Lint, MergeAdjacentAndCompactionNotes) {
   EXPECT_NE(find_check(report, "policy.compactable"), nullptr);
 }
 
+// The compaction note counts the generated rules off the diagram; the
+// count must be the size of the policy generation would emit.
+void expect_compactable_counts_generation(const Policy& p,
+                                          const std::string& what) {
+  FddArena arena(p.schema());
+  const ArenaNodeId root = arena.build_reduced(p);
+  const std::size_t generated = arena.generate(root).size();
+  EXPECT_EQ(arena.path_count(root), generated) << what;
+  LintOptions options;
+  options.passes = {"merge"};
+  const LintReport report = lint(p, options);
+  const Diagnostic* note = find_check(report, "policy.compactable");
+  if (generated < p.size()) {
+    ASSERT_NE(note, nullptr) << what;
+    EXPECT_NE(note->message.find("an equivalent policy with " +
+                                 std::to_string(generated) + " rules exists"),
+              std::string::npos)
+        << what << ": " << note->message;
+  } else {
+    EXPECT_EQ(note, nullptr) << what;
+  }
+}
+
+TEST(Lint, CompactableCountEqualsGeneratedSize) {
+  std::mt19937_64 rng(29);
+  std::size_t noted = 0;
+  for (const Schema& s : {tiny2(), tiny3()}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const Policy p = test::random_policy(s, 2 + trial % 14, rng);
+      expect_compactable_counts_generation(
+          p, "tiny trial " + std::to_string(trial));
+      FddArena arena(s);
+      noted += arena.generate(arena.build_reduced(p)).size() < p.size();
+    }
+  }
+  EXPECT_GT(noted, 0u);  // the note fired on some of them
+  FleetSynthConfig config;
+  config.sites = 4;
+  std::size_t site = 0;
+  for (const Policy& p : make_fleet(config)) {
+    expect_compactable_counts_generation(
+        simplify_policy(p).policy, "fleet site " + std::to_string(site++));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Adapter-level lints surface through the engine with source lines.
 
@@ -712,6 +757,29 @@ TEST(LintGovern, OwnAnalysisBreachOrFaultIsMarkedPartial) {
   const LintReport report = lint(p, options);
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded);
+}
+
+TEST(LintGovern, RuleBudgetLeavesTheReportUngoverned) {
+  // Lint generates no rules: the compaction note counts them. A one-rule
+  // budget changes nothing, on a policy whose note fires and on one whose
+  // generated policy would be far longer than itself.
+  const Schema s = tiny2();
+  const Policy compactable(s,
+                           {rule(s, Interval(0, 3), Interval(0, 7), kAccept),
+                            rule(s, Interval(4, 7), Interval(0, 7), kAccept),
+                            Rule::catch_all(s, kDiscard)});
+  for (const Policy& p : {compactable, simplified_site()}) {
+    const LintReport ungoverned = lint(p);
+    RunContext context = RunContext::with_budgets({.max_rules = 1});
+    LintOptions options;
+    options.run.context = &context;
+    const LintReport governed = lint(p, options);
+    ASSERT_TRUE(governed.complete) << governed.message;
+    EXPECT_EQ(render_json(input_for(p, nullptr), governed),
+              render_json(input_for(p, nullptr), ungoverned));
+    EXPECT_EQ(context.rules_charged(), 0u);
+  }
+  EXPECT_NE(find_check(lint(compactable), "policy.compactable"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,18 @@ TEST(Rule, RejectsDomainEscape) {
                         IntervalSet(Interval(0, 7))},
                     kAccept),
                std::invalid_argument);
+  // A multi-run conjunct escapes at its last run.
+  EXPECT_THROW(Rule(s, {IntervalSet{Interval(0, 3), Interval(10, 16)},
+                        IntervalSet(Interval(0, 7))},
+                    kAccept),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Rule(s, {IntervalSet{Interval(0, 3), Interval(10, 15)},
+                           IntervalSet(Interval(0, 7))},
+                       kAccept));
+  // No conjunct can escape below its domain: a field whose domain starts
+  // above zero is refused by the schema, and values are unsigned.
+  EXPECT_THROW(Schema({{"port", Interval(1024, 65535), FieldKind::kInteger}}),
+               std::invalid_argument);
 }
 
 TEST(Rule, MatchesConjunction) {
