@@ -248,10 +248,33 @@ ArenaLabelId FddArena::intern_runs(std::span<const Interval> runs) {
       govern_, runs.size() * sizeof(Interval) + sizeof(IntervalSet));
   const ArenaLabelId id = static_cast<ArenaLabelId>(labels_.size());
   labels_.push_back(IntervalSet::from_runs(runs));
+  LabelHull hull{UINT64_MAX, 0};
+  LabelCount count = 0;
+  if (!runs.empty()) {
+    hull = {runs.front().lo(), runs.back().hi()};
+    for (const Interval& iv : runs) {
+      count += LabelCount{iv.hi() - iv.lo()} + 1;
+    }
+  }
+  label_hulls_.push_back(hull);
+  label_counts_.push_back(count);
   label_hashes_.push_back(h);
   label_table_.insert(slot, label_hashes_);
   stats_.unique_labels = labels_.size();
   return id;
+}
+
+ArenaLabelId FddArena::keep_or_intern(ArenaLabelId id,
+                                      std::span<const Interval> runs) {
+  return std::ranges::equal(labels_[id].intervals(), runs) ? id
+                                                           : intern_runs(runs);
+}
+
+ArenaLabelId FddArena::domain_label(std::size_t f) {
+  if (domain_labels_[f] == kNoLabel) {
+    domain_labels_[f] = intern(schema_.domain_set(f));
+  }
+  return domain_labels_[f];
 }
 
 bool FddArena::record_equals(const NodeRecord& r, std::uint32_t field,
@@ -275,7 +298,8 @@ std::uint64_t FddArena::node_hash(std::uint32_t field, Decision decision,
 }
 
 ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
-                                  std::span<const ArenaEdge> edges) {
+                                  std::span<const ArenaEdge> edges,
+                                  Coverage coverage) {
   ++stats_.node_queries;
   const std::uint64_t h = node_hash(field, decision, edges);
   std::size_t slot = 0;
@@ -301,7 +325,11 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   NodeRecord record;
   record.field = field;
   record.decision = decision;
-  record.complete = complete_bit(field, edges);
+  record.covers = covers_field(field, edges, coverage);
+  record.complete =
+      record.covers && std::ranges::all_of(edges, [&](const ArenaEdge& e) {
+        return nodes_[e.target].complete;
+      });
   record.edge_begin = static_cast<std::uint32_t>(edge_pool_.size());
   record.edge_count = static_cast<std::uint32_t>(edges.size());
   edge_pool_.insert(edge_pool_.end(), edges.begin(), edges.end());
@@ -312,19 +340,27 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   return id;
 }
 
-bool FddArena::complete_bit(std::uint32_t field,
-                            std::span<const ArenaEdge> edges) {
-  if (field == kArenaTerminalField) {
+bool FddArena::covers_field(std::uint32_t field,
+                            std::span<const ArenaEdge> edges,
+                            Coverage coverage) {
+  if (field == kArenaTerminalField || coverage == Coverage::kCovered) {
     return true;
   }
-  if (!std::ranges::all_of(edges, [&](const ArenaEdge& e) {
-        return nodes_[e.target].complete;
-      })) {
+  if (coverage == Coverage::kGap) {
     return false;
   }
-  // Coverage from the runs, not the labels' sizes: those saturate on
-  // 64-bit fields, and overlapping labels internal() was given would count
-  // twice.
+  const Interval& domain = schema_.domain(field);
+  if (coverage == Coverage::kCount) {
+    // Disjoint labels cover the domain exactly when their exact counts add
+    // up to its size.
+    LabelCount total = 0;
+    for (const ArenaEdge& e : edges) {
+      total += label_counts_[e.label];
+    }
+    return total == LabelCount{domain.hi() - domain.lo()} + 1;
+  }
+  // Labels that may overlap can add up to the domain's size and still
+  // leave a gap, so their runs are sorted by lower bound and swept.
   std::vector<Interval>& runs = coverage_;
   runs.clear();
   for (const ArenaEdge& e : edges) {
@@ -335,7 +371,6 @@ bool FddArena::complete_bit(std::uint32_t field,
     return false;
   }
   std::ranges::sort(runs, {}, &Interval::lo);
-  const Interval& domain = schema_.domain(field);
   if (runs.front().lo() != domain.lo()) {
     return false;
   }
@@ -350,27 +385,31 @@ bool FddArena::complete_bit(std::uint32_t field,
 }
 
 ArenaNodeId FddArena::terminal(Decision d) {
-  return intern_node(kArenaTerminalField, d, {});
+  return intern_node(kArenaTerminalField, d, {}, Coverage::kCount);
 }
 
 ArenaNodeId FddArena::internal(std::size_t field,
                                std::vector<ArenaEdge> edges) {
-  return make_internal(field, edges);
+  return make_internal(field, edges, Coverage::kSweep);
 }
 
 ArenaNodeId FddArena::make_internal(std::size_t field,
-                                    std::span<ArenaEdge> edges) {
+                                    std::span<ArenaEdge> edges,
+                                    Coverage coverage) {
   if (field >= schema_.field_count()) {
     throw std::invalid_argument("FddArena::internal: unknown field index");
   }
   if (edges.empty()) {
     throw std::invalid_argument("FddArena::internal: node needs an edge");
   }
-  std::sort(edges.begin(), edges.end(),
-            [this](const ArenaEdge& a, const ArenaEdge& b) {
-              return labels_[a.label].min() < labels_[b.label].min();
-            });
-  return intern_node(static_cast<std::uint32_t>(field), kAccept, edges);
+  const auto by_min = [this](const ArenaEdge& a, const ArenaEdge& b) {
+    return label_hulls_[a.label].min < label_hulls_[b.label].min;
+  };
+  if (!std::is_sorted(edges.begin(), edges.end(), by_min)) {
+    std::sort(edges.begin(), edges.end(), by_min);
+  }
+  return intern_node(static_cast<std::uint32_t>(field), kAccept, edges,
+                     coverage);
 }
 
 ArenaNodeId FddArena::canonical(std::size_t field,
@@ -416,7 +455,7 @@ ArenaNodeId FddArena::make_canonical(std::size_t field,
   if (count == 1 && labels_[edges[0].label] == schema_.domain_set(field)) {
     return edges[0].target;
   }
-  return make_internal(field, edges);
+  return make_internal(field, edges, Coverage::kCount);
 }
 
 std::size_t FddArena::reachable_node_count(ArenaNodeId root) const {
@@ -485,7 +524,8 @@ ArenaNodeId FddArena::import(const FddArena& source, ArenaNodeId root) {
     return root;
   }
   // The source is valid and its edges sorted, so nodes are interned as
-  // they stand: no re-sorting, merging or splicing.
+  // they stand: no re-sorting, merging or splicing. Labels map one to
+  // one, so a node covers its field exactly when its source does.
   std::vector<ArenaNodeId> node_map(source.nodes_.size(), kNoNode);
   std::vector<ArenaLabelId> label_map(source.labels_.size(), kNoNode);
   const auto visit = [&](auto&& self, ArenaNodeId id) -> ArenaNodeId {
@@ -500,8 +540,9 @@ ArenaNodeId FddArena::import(const FddArena& source, ArenaNodeId root) {
       }
       out.push_back({label_map[e.label], self(self, e.target)});
     }
-    node_map[id] =
-        intern_node(source.field(id), source.decision(id), std::move(out));
+    node_map[id] = intern_node(
+        source.field(id), source.decision(id), out,
+        source.covers(id) ? Coverage::kCovered : Coverage::kGap);
     return node_map[id];
   };
   return visit(visit, root);
@@ -592,12 +633,13 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
 
   // APPEND(v, rule) of Fig. 7 on ids: instead of cloning the subdiagram a
   // case-3 split copies, both halves reference it by id and only the half
-  // the rule reaches is rebuilt (copy-on-write). Labels stay ids: relate()
-  // classifies each edge against the conjunct, and only a split edge whose
-  // subdiagram changed materialises its two halves. The walk stops where
-  // the rule changes nothing (the terminal and identity cases of BDD
-  // apply): a complete node, and a node whose edges all come back
-  // unchanged with no part of the conjunct left uncovered, keep their ids.
+  // the rule reaches is rebuilt (copy-on-write). Labels stay ids: an edge
+  // whose hull misses the conjunct's is disjoint from it, relate()
+  // classifies the others, and only a split edge whose subdiagram changed
+  // materialises its two halves. The walk stops where the rule changes
+  // nothing (the terminal and identity cases of BDD apply): a complete
+  // node, and a node whose edges all come back unchanged with no part of
+  // the conjunct left uncovered, keep their ids.
   const auto append = [&](auto&& self, ArenaNodeId v,
                           std::size_t from) -> ArenaNodeId {
     if (nodes_[v].complete) {
@@ -643,7 +685,10 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       const std::size_t edge_count = nodes_[v].edge_count;
       for (std::size_t i = 0; i < edge_count; ++i) {
         const ArenaEdge e = edge_pool_[nodes_[v].edge_begin + i];
-        const Relation relation = relate(labels_[e.label].intervals(), conj);
+        const Relation relation =
+            misses(e.label, conj.front().lo(), conj.back().hi())
+                ? Relation::kDisjoint
+                : relate(labels_[e.label].intervals(), conj);
         if (relation == Relation::kDisjoint) {
           out.push_back(e);  // case (1): untouched branch, shared by id
           continue;
@@ -668,21 +713,20 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
         out.push_back({on, child});
       }
       // The part of S no edge covers gets the rule's decision path. A
-      // disjoint label covers none of S, so a label whose range misses
-      // what is left of S is skipped, and no union of labels is built.
+      // node whose labels cover the field leaves none of S, and a label
+      // whose hull misses what is left of S covers none of it, so no
+      // union of labels is built.
       if (!overlapped) {
         out.push_back({conjunct_label(f), build_path(build_path, f + 1)});
         changed = true;
-      } else {
+      } else if (!nodes_[v].covers) {
         s.runs.assign(conj.begin(), conj.end());
         for (std::size_t i = 0; i < edge_count && !s.runs.empty(); ++i) {
-          const std::span<const Interval> lab =
-              labels_[edge_pool_[nodes_[v].edge_begin + i].label].intervals();
-          if (lab.back().hi() < s.runs.front().lo() ||
-              lab.front().lo() > s.runs.back().hi()) {
+          const ArenaLabelId lab = edge_pool_[nodes_[v].edge_begin + i].label;
+          if (misses(lab, s.runs.front().lo(), s.runs.back().hi())) {
             continue;
           }
-          subtract_into(s.runs, lab, s.spare);
+          subtract_into(s.runs, labels_[lab].intervals(), s.spare);
           s.runs.swap(s.spare);
         }
         if (!s.runs.empty()) {
@@ -722,11 +766,12 @@ ArenaNodeId FddArena::overlay(ArenaNodeId a, ArenaNodeId b) {
     return a == kEmpty ? b : a;
   }
   overlay_levels_.resize(schema_.field_count());
+  domain_labels_.resize(schema_.field_count(), kNoLabel);
   return overlay_nodes(a, b);
 }
 
 ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
-  if (a == b || is_terminal(a)) {
+  if (a == b || nodes_[a].complete) {
     return a;  // `a` decides every packet that reaches it
   }
   const std::uint64_t key = IdPairMemo::key(a, b);
@@ -746,12 +791,14 @@ ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
     std::uint32_t begin;  // into edge_pool_, when the node tests f
     std::uint32_t count;
     ArenaEdge lone;  // the domain edge when it skips f; else label kNoLabel
+    bool covers;     // its labels unite to f's domain
   };
   const auto side = [&](ArenaNodeId n) -> Side {
     if (!is_terminal(n) && field(n) == f) {
-      return {nodes_[n].edge_begin, nodes_[n].edge_count, {kNoLabel, n}};
+      return {nodes_[n].edge_begin, nodes_[n].edge_count, {kNoLabel, n},
+              nodes_[n].covers};
     }
-    return {0, 1, {intern(schema_.domain_set(f)), n}};
+    return {0, 1, {domain_label(f), n}, true};
   };
   const auto edge = [&](const Side& s, std::uint32_t i) {
     return s.lone.label == kNoLabel ? edge_pool_[s.begin + i] : s.lone;
@@ -765,39 +812,49 @@ ArenaNodeId FddArena::overlay_nodes(ArenaNodeId a, ArenaNodeId b) {
   };
   const Side sa = side(a);
   const Side sb = side(b);
+  // A side that covers f leaves the other side nothing of its own, so
+  // neither its cover nor the other side's leftovers are computed.
   OverlayLevel& level = overlay_levels_[f];
-  cover(sa, level.a_cover);
-  cover(sb, level.b_cover);
+  if (!sa.covers) {
+    cover(sa, level.a_cover);
+  }
+  if (!sb.covers) {
+    cover(sb, level.b_cover);
+  }
   // Where both sides decide, overlay their children; where one side alone
   // does, its child stands; where neither does, no edge. A pair whose
-  // label ranges miss shares nothing.
+  // hulls miss shares nothing, and a part equal to a side's label keeps
+  // that label's id.
   std::vector<Interval>& runs = scratch_.runs;
   level.out.clear();
   for (std::uint32_t i = 0; i < sa.count; ++i) {
     const ArenaEdge ea = edge(sa, i);
     for (std::uint32_t j = 0; j < sb.count; ++j) {
       const ArenaEdge eb = edge(sb, j);
-      const IntervalSet& la = labels_[ea.label];
-      const IntervalSet& lb = labels_[eb.label];
-      if (la.max() < lb.min() || lb.max() < la.min()) {
+      if (misses(ea.label, label_min(eb.label), label_max(eb.label))) {
         continue;
       }
-      intersect_into(la.intervals(), lb.intervals(), runs);
+      const std::span<const Interval> la = labels_[ea.label].intervals();
+      intersect_into(la, labels_[eb.label].intervals(), runs);
       if (!runs.empty()) {
-        const ArenaLabelId common = intern_runs(runs);
+        const ArenaLabelId common = std::ranges::equal(runs, la)
+                                        ? ea.label
+                                        : keep_or_intern(eb.label, runs);
         level.out.push_back({common, overlay_nodes(ea.target, eb.target)});
       }
     }
-    subtract_into(labels_[ea.label].intervals(), level.b_cover, runs);
-    if (!runs.empty()) {
-      level.out.push_back({intern_runs(runs), ea.target});
+    if (!sb.covers) {
+      subtract_into(labels_[ea.label].intervals(), level.b_cover, runs);
+      if (!runs.empty()) {
+        level.out.push_back({keep_or_intern(ea.label, runs), ea.target});
+      }
     }
   }
-  for (std::uint32_t j = 0; j < sb.count; ++j) {
+  for (std::uint32_t j = 0; !sa.covers && j < sb.count; ++j) {
     const ArenaEdge eb = edge(sb, j);
     subtract_into(labels_[eb.label].intervals(), level.a_cover, runs);
     if (!runs.empty()) {
-      level.out.push_back({intern_runs(runs), eb.target});
+      level.out.push_back({keep_or_intern(eb.label, runs), eb.target});
     }
   }
   result = make_canonical(f, level.out);
@@ -985,11 +1042,10 @@ void FddArena::compare_nodes(std::span<const ArenaNodeId> nodes,
     for (std::size_t i = 0; i < level.ends[from].size(); ++i) {
       const std::span<const Interval> frag = level.fragment(from, i);
       for (const ArenaEdge& e : edges(nodes[k])) {
-        const IntervalSet& lab = labels_[e.label];
-        if (lab.max() < frag.front().lo() || frag.back().hi() < lab.min()) {
+        if (misses(e.label, frag.front().lo(), frag.back().hi())) {
           continue;
         }
-        intersect_into(frag, lab.intervals(), scratch_.runs);
+        intersect_into(frag, labels_[e.label].intervals(), scratch_.runs);
         if (scratch_.runs.empty()) {
           continue;
         }

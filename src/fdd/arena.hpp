@@ -141,7 +141,8 @@ class FddArena {
   /// targets are identical are merged (their labels united), and a node
   /// whose single edge spans the field's whole domain is spliced — the
   /// target id is returned instead. Equivalent to running reduce() at every
-  /// node, made O(1) amortised by children already being canonical.
+  /// node, made O(1) amortised by children already being canonical. Labels
+  /// must be disjoint: the node's coverage is their summed value counts.
   ArenaNodeId canonical(std::size_t field, std::vector<ArenaEdge> edges);
 
   /// Interns an edge label, returning the shared id for equal sets.
@@ -150,15 +151,23 @@ class FddArena {
   // -- Accessors -----------------------------------------------------------
 
   const IntervalSet& label(ArenaLabelId id) const { return labels_[id]; }
+  /// The least and the greatest value of a label, recorded when it was
+  /// interned; an empty label reads UINT64_MAX and 0, a range nothing
+  /// falls in.
+  Value label_min(ArenaLabelId id) const { return label_hulls_[id].min; }
+  Value label_max(ArenaLabelId id) const { return label_hulls_[id].max; }
   bool is_terminal(ArenaNodeId id) const {
     return nodes_[id].field == kArenaTerminalField;
   }
   /// Field index of a nonterminal, or kArenaTerminalField.
   std::uint32_t field(ArenaNodeId id) const { return nodes_[id].field; }
   Decision decision(ArenaNodeId id) const { return nodes_[id].decision; }
-  /// Whether the diagram under `id` decides every packet: a terminal, or a
-  /// node whose labels cover its field's domain and whose children are all
-  /// complete. Set once, when the node is interned.
+  /// Whether a nonterminal's labels unite to its field's whole domain (a
+  /// terminal covers trivially). Set once, when the node is interned.
+  bool covers(ArenaNodeId id) const { return nodes_[id].covers; }
+  /// Whether the diagram under `id` decides every packet: a node that
+  /// covers its field and whose children are all complete, so every
+  /// terminal. Set once, when the node is interned.
   bool is_complete(ArenaNodeId id) const { return nodes_[id].complete; }
   std::span<const ArenaEdge> edges(ArenaNodeId id) const {
     const NodeRecord& n = nodes_[id];
@@ -209,18 +218,19 @@ class FddArena {
   /// are immutable). `root` may be kEmpty. The walk stops where the rule
   /// changes nothing: a complete node, and an edge or node whose
   /// subdiagram comes back unchanged, keep their ids. Labels stay ids on
-  /// the walk and its scratch is the arena's, so in steady state it
-  /// allocates only for the nodes and labels it materialises.
+  /// the walk, read through their hulls before their runs, and its scratch
+  /// is the arena's, so in steady state it allocates only for the nodes
+  /// and labels it materialises.
   ArenaNodeId append_rule(ArenaNodeId root, const Rule& rule);
 
   /// The diagram deciding like `a` wherever `a` decides and like `b`
   /// elsewhere: `a`'s rules followed by `b`'s, first match, undecided
   /// exactly where both are. Either side may be kEmpty. Canonical when
   /// both sides are, so its id is the one append_rule would reach for the
-  /// concatenated rules. Memoised on (a, b) for the arena's lifetime. Like
-  /// append_rule, it works on label ids in the arena's scratch, so in
-  /// steady state it allocates only for the nodes and labels it
-  /// materialises.
+  /// concatenated rules. Memoised on (a, b) for the arena's lifetime; a
+  /// complete `a` is returned as it is. Like append_rule, it works on
+  /// label ids in the arena's scratch, so in steady state it allocates
+  /// only for the nodes and labels it materialises.
   ArenaNodeId overlay(ArenaNodeId a, ArenaNodeId b);
 
   /// Whether `x` and `y` decide alike, undecided included, on every packet
@@ -299,10 +309,25 @@ class FddArena {
     std::uint32_t field;       // kArenaTerminalField for terminals
     Decision decision;         // meaningful for terminals only
     bool complete;             // decides every packet; see is_complete()
+    bool covers;               // labels unite to the domain; see covers()
     std::uint32_t edge_begin;  // span into edge_pool_
     std::uint32_t edge_count;
   };
-  static_assert(sizeof(NodeRecord) == 16, "the bit sits in padding");
+  static_assert(sizeof(NodeRecord) == 16, "the bits sit in padding");
+
+  // A label's least and greatest value, {UINT64_MAX, 0} when it is empty.
+  struct LabelHull {
+    Value min;
+    Value max;
+  };
+  // A label's exact number of values: a 64-bit field's domain has 2^64.
+  using LabelCount = unsigned __int128;
+
+  // Where intern_node reads a new nonterminal's `covers` bit from: the
+  // exact counts of labels disjoint by construction, a sweep of the runs
+  // of labels as a caller wrote them (they may overlap until validate()
+  // rejects them), or the bit of the node an import copies.
+  enum class Coverage : std::uint8_t { kCount, kSweep, kCovered, kGap };
 
   // A unique table: ids in open addressing over a power-of-two array at
   // most half full. The owner keeps each id's hash beside its record, so a
@@ -396,9 +421,10 @@ class FddArena {
   // into fields > f, so each level has at most one live visit; what it
   // keeps across its recursive calls lives here.
   struct OverlayLevel {
-    std::vector<ArenaEdge> out;        // the visit's out edges
-    std::vector<Interval> a_cover;     // union of the first side's labels
-    std::vector<Interval> b_cover;     // union of the second side's labels
+    std::vector<ArenaEdge> out;     // the visit's out edges
+    // The union of each side's labels, when it does not cover the field.
+    std::vector<Interval> a_cover;  // the first side's
+    std::vector<Interval> b_cover;  // the second side's
   };
 
   // The fragments of the comparison visit at one field level: a visit at
@@ -424,20 +450,29 @@ class FddArena {
   static std::uint64_t node_hash(std::uint32_t field, Decision decision,
                                  std::span<const ArenaEdge> edges);
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
-                          std::span<const ArenaEdge> edges);
-  /// is_complete() of a node about to be created: a terminal, or one whose
-  /// children are all complete and whose labels' runs unite to exactly
-  /// the field's domain.
-  bool complete_bit(std::uint32_t field, std::span<const ArenaEdge> edges);
+                          std::span<const ArenaEdge> edges,
+                          Coverage coverage);
+  /// covers() of a node about to be created, found as `coverage` says.
+  bool covers_field(std::uint32_t field, std::span<const ArenaEdge> edges,
+                    Coverage coverage);
   bool record_equals(const NodeRecord& r, std::uint32_t field,
                      Decision decision,
                      std::span<const ArenaEdge> edges) const;
   /// Interns a label given as canonical runs.
   ArenaLabelId intern_runs(std::span<const Interval> runs);
+  /// `id` when `runs` are its label's, else the interned runs.
+  ArenaLabelId keep_or_intern(ArenaLabelId id, std::span<const Interval> runs);
+  /// The id of field f's whole domain, interned on first use.
+  ArenaLabelId domain_label(std::size_t f);
+  /// Whether label `id` has no value in [lo, hi], read from its hull.
+  bool misses(ArenaLabelId id, Value lo, Value hi) const {
+    return label_hulls_[id].max < lo || label_hulls_[id].min > hi;
+  }
   /// canonical() and internal() on a caller-owned buffer: merging
   /// compacts the edges in place and sorting reorders them.
   ArenaNodeId make_canonical(std::size_t field, std::span<ArenaEdge> edges);
-  ArenaNodeId make_internal(std::size_t field, std::span<ArenaEdge> edges);
+  ArenaNodeId make_internal(std::size_t field, std::span<ArenaEdge> edges,
+                            Coverage coverage);
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
   /// overlay() on two nodes (neither kEmpty).
   ArenaNodeId overlay_nodes(ArenaNodeId a, ArenaNodeId b);
@@ -460,12 +495,17 @@ class FddArena {
   std::vector<NodeRecord> nodes_;
   std::vector<ArenaEdge> edge_pool_;
   std::vector<IntervalSet> labels_;
+  // Per label id, filled when the label is interned.
+  std::vector<LabelHull> label_hulls_;
+  std::vector<LabelCount> label_counts_;
+  // Per field once overlay() has run; see domain_label().
+  std::vector<ArenaLabelId> domain_labels_;
   // Unique tables: one stored hash per id, full equality decides.
   std::vector<std::uint64_t> node_hashes_;
   std::vector<std::uint64_t> label_hashes_;
   IdTable node_table_;
   IdTable label_table_;
-  std::vector<Interval> coverage_;  // complete_bit()'s runs
+  std::vector<Interval> coverage_;  // covers_field()'s sweep
   // Keyed on packed id pairs. Ids are immutable, so entries stay valid for
   // the arena's lifetime.
   IdPairMemo overlay_cache_;

@@ -151,7 +151,14 @@ void append_spec(std::string& out, const Field& field,
 
 std::string format_rule(const Schema& schema, const DecisionSet& decisions,
                         const Rule& rule) {
-  std::string out = decisions.name(rule.decision());
+  std::string out;
+  append_rule_text(out, schema, decisions, rule);
+  return out;
+}
+
+void append_rule_text(std::string& out, const Schema& schema,
+                      const DecisionSet& decisions, const Rule& rule) {
+  out += decisions.name(rule.decision());
   for (std::size_t i = 0; i < schema.field_count(); ++i) {
     const Field& field = schema.field(i);
     if (field.kind == FieldKind::kIpv6Hi) {
@@ -164,7 +171,10 @@ std::string format_rule(const Schema& schema, const DecisionSet& decisions,
         continue;
       }
       if (const auto cidr = ipv6_pair_as_prefix(hi, lo)) {
-        out += " " + field.name + "=" + *cidr;
+        out += ' ';
+        out += field.name;
+        out += '=';
+        out += *cidr;
         ++i;
         continue;
       }
@@ -178,15 +188,14 @@ std::string format_rule(const Schema& schema, const DecisionSet& decisions,
     out += '=';
     append_spec(out, field, rule.conjunct(i));
   }
-  return out;
 }
 
 std::string format_policy(const Policy& policy,
                           const DecisionSet& decisions) {
   std::string out;
   for (const Rule& rule : policy.rules()) {
-    out += format_rule(policy.schema(), decisions, rule);
-    out += "\n";
+    append_rule_text(out, policy.schema(), decisions, rule);
+    out += '\n';
   }
   return out;
 }

@@ -27,6 +27,10 @@ void append_spec(std::string& out, const Field& field, const IntervalSet& set);
 std::string format_rule(const Schema& schema, const DecisionSet& decisions,
                         const Rule& rule);
 
+/// format_rule appended to `out`.
+void append_rule_text(std::string& out, const Schema& schema,
+                      const DecisionSet& decisions, const Rule& rule);
+
 /// Renders a whole policy, one rule per line, trailing newline included.
 std::string format_policy(const Policy& policy, const DecisionSet& decisions);
 

@@ -67,6 +67,7 @@ std::string compute_fingerprint(const Diagnostic& d, const Policy* policy,
                                 const DecisionSet* decisions) {
   Fnv1a h;
   h.feed(d.check_id);
+  std::string text;  // both anchored rules' text, built in turn
   const auto feed_rule = [&](std::size_t index) {
     if (index == kNoRule) {
       h.feed("");
@@ -74,8 +75,13 @@ std::string compute_fingerprint(const Diagnostic& d, const Policy* policy,
     }
     if (policy != nullptr && decisions != nullptr && index < policy->size()) {
       // The rule's text, not its index: inserting an unrelated rule above
-      // must not churn the baseline.
-      h.feed(format_rule(policy->schema(), *decisions, policy->rule(index)));
+      // must not churn the baseline. The buffer is sized once for a
+      // typical rule.
+      text.clear();
+      text.reserve(128);
+      append_rule_text(text, policy->schema(), *decisions,
+                       policy->rule(index));
+      h.feed(text);
     } else {
       std::string tag = "#";
       tag += std::to_string(index);

@@ -44,26 +44,24 @@ std::size_t source_line(const PassState& state, std::size_t rule) {
 // engine restricted to the rule's predicate and take the first resulting
 // traffic class — preferring one whose observed decision differs from the
 // rule's own, which is the class that demonstrates the packets are *not*
-// getting this rule's treatment. Falls back to the bare predicate when
-// the (partial) diagram covers none of it.
+// getting this rule's treatment. The walk stops at that class, and copies
+// no class it does not keep. Falls back to the bare predicate when the
+// (partial) diagram covers none of it.
 Witness predicate_witness(PassState& state, const Rule& rule) {
   Query q;
   q.constraints = rule.conjuncts();
-  const std::vector<QueryResult> results = run_query(state.diagram(), q);
   Witness w;
-  if (results.empty()) {
+  visit_query(state.diagram(), q,
+              [&](const std::vector<IntervalSet>& conjuncts, Decision d) {
+                if (!w.observed || d != rule.decision()) {
+                  w.conjuncts = conjuncts;
+                  w.observed = d;
+                }
+                return d == rule.decision();
+              });
+  if (!w.observed) {
     w.conjuncts = rule.conjuncts();
-    return w;
   }
-  const QueryResult* pick = &results.front();
-  for (const QueryResult& r : results) {
-    if (r.decision != rule.decision()) {
-      pick = &r;
-      break;
-    }
-  }
-  w.conjuncts = pick->conjuncts;
-  w.observed = pick->decision;
   return w;
 }
 
@@ -141,14 +139,12 @@ void pass_syntax_pairs(PassState& state, std::vector<Diagnostic>& out) {
         }
         Query q;
         q.constraints = std::move(overlap);
-        const std::vector<QueryResult> classes =
-            run_query(state.diagram(), q);
-        if (!classes.empty()) {
-          Witness w;
-          w.conjuncts = classes.front().conjuncts;
-          w.observed = classes.front().decision;
-          d.witness = std::move(w);
-        }
+        visit_query(state.diagram(), q,
+                    [&](const std::vector<IntervalSet>& conjuncts,
+                        Decision decision) {
+                      d.witness = Witness{conjuncts, decision, std::nullopt};
+                      return false;  // the first class is the witness
+                    });
         break;
       }
     }

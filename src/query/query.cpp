@@ -14,8 +14,10 @@ Query Query::any(const Schema& schema) {
   return q;
 }
 
-std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
-                                   const Query& query) {
+bool visit_query(
+    const ArenaDiagram& diagram, const Query& query,
+    const std::function<bool(const std::vector<IntervalSet>&, Decision)>&
+        visit) {
   const FddArena& arena = *diagram.arena;
   const Schema& schema = arena.schema();
   if (query.constraints.size() != schema.field_count()) {
@@ -38,16 +40,14 @@ std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
                          : query.constraints[f]);
   }
   std::vector<IntervalSet> conjuncts = wanted;
-  std::vector<QueryResult> out;
   // Results are per path, so a shared subdiagram is walked once per path
-  // that reaches it, as the tree would be.
-  const auto collect = [&](auto&& self, ArenaNodeId id) -> void {
+  // that reaches it, as the tree would be. A visit returns false once the
+  // visitor has stopped the walk.
+  const auto walk = [&](auto&& self, ArenaNodeId id) -> bool {
     govern::checkpoint(arena.context());
     if (arena.is_terminal(id)) {
-      if (!query.decision || arena.decision(id) == *query.decision) {
-        out.push_back({conjuncts, arena.decision(id)});
-      }
-      return;
+      return (query.decision && arena.decision(id) != *query.decision) ||
+             visit(conjuncts, arena.decision(id));
     }
     const std::size_t f = arena.field(id);
     for (const ArenaEdge& e : arena.edges(id)) {
@@ -56,11 +56,24 @@ std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
         continue;  // the query cannot reach this branch
       }
       conjuncts[f] = std::move(common);
-      self(self, e.target);
+      if (!self(self, e.target)) {
+        return false;
+      }
     }
     conjuncts[f] = wanted[f];
+    return true;
   };
-  collect(collect, diagram.root);
+  return walk(walk, diagram.root);
+}
+
+std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
+                                   const Query& query) {
+  std::vector<QueryResult> out;
+  visit_query(diagram, query,
+              [&](const std::vector<IntervalSet>& conjuncts, Decision d) {
+                out.push_back({conjuncts, d});
+                return true;
+              });
   return out;
 }
 

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +45,15 @@ struct QueryResult {
 /// take checkpoints on its arena's context.
 std::vector<QueryResult> run_query(const ArenaDiagram& diagram,
                                    const Query& query);
+
+/// run_query's walk without collecting: calls `visit(conjuncts,
+/// decision)` on each result in order, the conjuncts valid during the
+/// call only, and stops as soon as `visit` returns false. Returns whether
+/// the walk ran to the end.
+bool visit_query(
+    const ArenaDiagram& diagram, const Query& query,
+    const std::function<bool(const std::vector<IntervalSet>&, Decision)>&
+        visit);
 
 /// Convenience: builds the policy's diagram internally.
 std::vector<QueryResult> run_query(const Policy& policy, const Query& query);

@@ -414,12 +414,104 @@ TEST(FddArena, CompleteBitIsFullCoverage) {
   const ArenaNodeId partial = arena.build_reduced(Policy(
       v6, {rule(0, half - 1, kAccept), rule(half, UINT64_MAX - 1, kDiscard)}));
   ASSERT_EQ(arena.field(partial), 0u);
+  EXPECT_FALSE(arena.covers(partial));
   EXPECT_FALSE(arena.is_complete(partial));
   const ArenaNodeId complete = arena.append_rule(
       partial, rule(UINT64_MAX, UINT64_MAX, kAccept));
   ASSERT_EQ(arena.field(complete), 0u);
+  EXPECT_TRUE(arena.covers(complete));
   EXPECT_TRUE(arena.is_complete(complete));
   EXPECT_NO_THROW(arena.validate(complete));
+}
+
+// Recomputes what the arena records when it interns: each label's hull
+// from the label, each node's coverage from the union of its labels, and
+// completeness by its definition (a terminal, or a node that covers its
+// field and whose children are all complete). Children are interned
+// before their parents, so a pass in id order sees them first.
+void expect_recorded_facts(const FddArena& arena) {
+  for (ArenaLabelId l = 0; l < arena.stats().unique_labels; ++l) {
+    ASSERT_FALSE(arena.label(l).empty());
+    EXPECT_EQ(arena.label_min(l), arena.label(l).min()) << "label " << l;
+    EXPECT_EQ(arena.label_max(l), arena.label(l).max()) << "label " << l;
+  }
+  std::vector<char> complete(arena.unique_node_count(), 0);
+  for (ArenaNodeId id = 0; id < arena.unique_node_count(); ++id) {
+    bool covers = true;
+    bool children = true;
+    if (!arena.is_terminal(id)) {
+      IntervalSet all;
+      for (const ArenaEdge& e : arena.edges(id)) {
+        all = all.unite(arena.label(e.label));
+        children = children && complete[e.target] != 0;
+      }
+      covers = all == arena.schema().domain_set(arena.field(id));
+    }
+    complete[id] = covers && children ? 1 : 0;
+    EXPECT_EQ(arena.covers(id), covers) << "node " << id;
+    EXPECT_EQ(arena.is_complete(id), complete[id] != 0) << "node " << id;
+  }
+}
+
+TEST(FddArena, InterningRecordsHullsCoverageAndCompleteness) {
+  // Canonical diagrams of every kind the walks make: prefixes, partial and
+  // complete; suffix overlays; and overlays of two partial diagrams.
+  std::mt19937_64 rng(41);
+  for (int round = 0; round < 100; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    const Policy policy = test::random_policy(schema, 8, rng);
+    const Policy other = test::random_policy(schema, 6, rng);
+    FddArena arena(schema);
+    std::vector<ArenaNodeId> prefix{FddArena::kEmpty};
+    for (const Rule& rule : policy.rules()) {
+      prefix.push_back(arena.append_rule(prefix.back(), rule));
+    }
+    ArenaNodeId suffix = FddArena::kEmpty;
+    for (std::size_t k = policy.size(); k-- > 0;) {
+      suffix = arena.overlay(
+          arena.append_rule(FddArena::kEmpty, policy.rule(k)), suffix);
+    }
+    ArenaNodeId partial = FddArena::kEmpty;
+    for (std::size_t k = 0; k + 1 < other.size(); ++k) {
+      partial = arena.append_rule(partial, other.rule(k));
+    }
+    arena.overlay(prefix[prefix.size() - 2], partial);
+    arena.overlay(partial, prefix[prefix.size() - 2]);
+    expect_recorded_facts(arena);
+  }
+}
+
+TEST(FddArena, OverlappingInternalLabelsAreSweptAndImportKeepsTheBit) {
+  // internal() takes labels as written, and they may overlap until
+  // validate() rejects them. [0, 3] and [2, 5] hold 8 values, the size of
+  // x's domain [0, 7], and leave [6, 7] uncovered; [0, 5] and [4, 7] hold
+  // 10 and cover it. So coverage is swept there, not counted, and an
+  // import copies the source's reading.
+  const Schema schema = test::tiny2();
+  FddArena arena(schema);
+  const ArenaNodeId acc = arena.terminal(kAccept);
+  const ArenaNodeId dis = arena.terminal(kDiscard);
+  const ArenaLabelId low = arena.intern(IntervalSet(Interval(0, 3)));
+  const ArenaLabelId mid = arena.intern(IntervalSet(Interval(2, 5)));
+  const ArenaLabelId wide = arena.intern(IntervalSet(Interval(0, 5)));
+  const ArenaLabelId high = arena.intern(IntervalSet(Interval(4, 7)));
+  const ArenaNodeId gap = arena.internal(0, {{mid, dis}, {low, acc}});
+  EXPECT_EQ(arena.edges(gap)[0].label, low);  // sorted by label minimum
+  EXPECT_FALSE(arena.covers(gap));
+  EXPECT_FALSE(arena.is_complete(gap));
+  const ArenaNodeId full = arena.internal(0, {{wide, acc}, {high, dis}});
+  EXPECT_TRUE(arena.covers(full));
+  EXPECT_TRUE(arena.is_complete(full));
+  EXPECT_THROW(arena.validate(gap), std::logic_error);
+  EXPECT_THROW(arena.validate(full), std::logic_error);
+
+  FddArena dest(schema);
+  const ArenaNodeId gap_copy = dest.import(arena, gap);
+  EXPECT_FALSE(dest.covers(gap_copy));
+  EXPECT_FALSE(dest.is_complete(gap_copy));
+  const ArenaNodeId full_copy = dest.import(arena, full);
+  EXPECT_TRUE(dest.covers(full_copy));
+  EXPECT_TRUE(dest.is_complete(full_copy));
 }
 
 TEST(FddArena, AppendingToACompleteDiagramMaterialisesNothing) {
@@ -523,6 +615,41 @@ TEST(FddArena, OverlayIsFirstMatchAcrossPartialDiagrams) {
       }
     }
   }
+}
+
+TEST(FddArena, OverlayReturnsACompleteFirstSideAsItIs) {
+  // A complete `a` decides every packet, so overlay(a, b) is `a` whatever
+  // b is: every complete node of the arena, against kEmpty and partial and
+  // complete diagrams, comes back before anything is interned or counted.
+  std::mt19937_64 rng(43);
+  std::size_t checked = 0;
+  for (int round = 0; round < 20; ++round) {
+    const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
+    FddArena arena(schema);
+    std::vector<ArenaNodeId> others{FddArena::kEmpty};
+    for (int i = 0; i < 3; ++i) {
+      const Policy policy = test::random_policy(schema, 6, rng);
+      ArenaNodeId prefix = FddArena::kEmpty;
+      for (const Rule& rule : policy.rules()) {
+        prefix = arena.append_rule(prefix, rule);
+        others.push_back(prefix);
+      }
+    }
+    const std::size_t nodes = arena.unique_node_count();
+    for (ArenaNodeId a = 0; a < nodes; ++a) {
+      if (!arena.is_complete(a)) {
+        continue;
+      }
+      for (const ArenaNodeId b : others) {
+        const ArenaStats before = arena.stats();
+        EXPECT_EQ(arena.overlay(a, b), a);
+        EXPECT_EQ(arena.unique_node_count(), nodes);
+        EXPECT_EQ(arena.stats(), before);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // The first-match decision of `rules`, or nullopt when the packet falls

@@ -134,6 +134,34 @@ TEST(LintWitness, DeadRuleFromJointCoverageWitnessReproduces) {
   EXPECT_EQ(p.evaluate(pkt), *d->witness->observed);
 }
 
+TEST(LintWitness, DeadRuleWitnessPrefersAClassDecidedOtherwise) {
+  // r1 and r2 decide all of r3, r1's class first in path order and the
+  // way r3 would. The witness is the first class decided otherwise, r2's;
+  // a predicate whose classes all decide the rule's way keeps the first.
+  const Schema s = tiny2();
+  const Policy mixed(s, {rule(s, Interval(0, 3), Interval(0, 7), kAccept),
+                         rule(s, Interval(4, 7), Interval(0, 7), kDiscard),
+                         Rule::catch_all(s, kAccept)});
+  const LintReport mixed_report = lint(mixed);
+  const Diagnostic* d = find_check(mixed_report, "policy.dead-rule");
+  ASSERT_NE(d, nullptr);
+  ASSERT_TRUE(d->witness.has_value());
+  EXPECT_EQ(d->witness->conjuncts[0], IntervalSet(Interval(4, 7)));
+  EXPECT_EQ(d->witness->observed, kDiscard);
+
+  const Policy alike(s, {rule(s, Interval(0, 3), Interval(0, 7), kAccept),
+                         rule(s, Interval(4, 7), Interval(0, 3), kAccept),
+                         rule(s, Interval(0, 7), Interval(0, 3), kAccept),
+                         Rule::catch_all(s, kDiscard)});
+  const LintReport alike_report = lint(alike);
+  d = find_check(alike_report, "policy.dead-rule");
+  ASSERT_NE(d, nullptr);
+  ASSERT_TRUE(d->witness.has_value());
+  EXPECT_EQ(d->witness->conjuncts[0], IntervalSet(Interval(0, 3)));
+  EXPECT_EQ(d->witness->conjuncts[1], IntervalSet(Interval(0, 3)));
+  EXPECT_EQ(d->witness->observed, kAccept);
+}
+
 TEST(LintWitness, NotComprehensiveWitnessFallsOffThePolicy) {
   const Schema s = tiny2();
   const Policy p(s, {rule(s, Interval(0, 3), Interval(0, 7), kAccept)});
@@ -799,6 +827,41 @@ TEST(LintCli, FindingsExitOne) {
   std::string out;
   EXPECT_EQ(cli({path}, &out), 1);
   EXPECT_NE(out.find("["), std::string::npos);  // at least one [check-id]
+}
+
+TEST(LintCli, CorpusFingerprintsArePinned) {
+  // Baselines store these: the bytes each finding's fingerprint hashes,
+  // its anchored rules' text included, must not change.
+  const std::string corpus = DFW_CORPUS_DIR;
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      cases = {
+          {{corpus + "/native/basic.fw"},
+           {"f97a332aa4083bb1", "af0bfbf3df2e538c", "55d9f496f78c278d",
+            "88aab51b2e19b93b"}},
+          {{corpus + "/native/multifield.fw"},
+           {"ba9aa763ed195245", "5e3ee79eb1a5249e", "1ae2f1498144ad9c"}},
+          {{"--format=iptables", corpus + "/iptables/basic.rules"},
+           {"3e6775b36a2eb726"}},
+          {{"--format=iptables", corpus + "/iptables/multiport.rules"},
+           {"eeb0d3310e69d9c7", "b0c1a468887bffc9", "a8e70720fc5a7b77"}},
+          {{"--format=cisco", "--acl=101", corpus + "/cisco/basic.acl"},
+           {"06b39121af2e8257", "ddf903a5fe2852e5", "111daf85854ffa45",
+            "03fe3bd9e15240a6"}},
+      };
+  const std::string key = "\"fingerprint\":\"";
+  for (const auto& [args, expected] : cases) {
+    std::vector<std::string> argv = args;
+    argv.insert(argv.begin(), "--output=json");
+    std::string out;
+    EXPECT_EQ(cli(argv, &out), 1) << args.back();
+    std::vector<std::string> found;
+    for (std::size_t at = out.find(key); at != std::string::npos;
+         at = out.find(key, at + 1)) {
+      found.push_back(out.substr(at + key.size(), 16));
+    }
+    EXPECT_EQ(found, expected) << args.back();
+  }
 }
 
 TEST(LintCli, UsageErrorsExitTwo) {
